@@ -21,15 +21,13 @@ def main():
     parser.add_argument("--max-b", type=int, default=9)
     parser.add_argument("--max-m", type=int, default=4)
     parser.add_argument("--trials", type=int, default=1000)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default="conformance_report.json")
     args = parser.parse_args()
 
     t0 = time.perf_counter()
     report = ConformanceReport()
     report.extend(w.run_fixtures())
-    report.extend(w.run_property_sweep(args.max_a, args.max_b, args.max_m,
-                                       workers=args.workers))
+    report.extend(w.run_property_sweep(args.max_a, args.max_b, args.max_m))
     report.extend(w.run_oracle_invariants(args.max_a, args.max_b, args.max_m,
                                           trials=args.trials))
     report = report.sorted()

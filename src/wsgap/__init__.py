@@ -17,7 +17,6 @@ from .core import (
     EmptyInputError,
     FieldTooSmallWarning,
     NotCoprimeError,
-    ThetaBasis,
     WsgapError,
     box_tuples,
     curve_params,
@@ -27,7 +26,6 @@ from .core import (
     lub,
     norm_trace_params,
     reduce_to_region,
-    theta_basis,
     theta_vector,
 )
 from .maximals import (

@@ -18,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 
@@ -87,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="optional field size metadata for generic curves")
     out = common.add_argument_group("output")
     out.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    out.add_argument("--threads", type=int, default=None,
-                     help="worker cap for sweeps (default WSGAP_THREADS or 1)")
     out.add_argument("--force", action="store_true",
                      help="allow sweeps above the cell-count guard")
 
@@ -159,15 +156,6 @@ def _parse_tuple(params: CurveParams, text: str) -> tuple[int, ...]:
     return check_tuple(params, values)
 
 
-def _resolve_threads(args: argparse.Namespace) -> int:
-    value = args.threads
-    if value is None:
-        value = int(os.environ.get("WSGAP_THREADS", "1"))
-    if value < 1:
-        raise WsgapError("--threads must be at least 1")
-    return value
-
-
 def _guard_cells(cells: int, force: bool) -> None:
     if cells > BOX_CELL_LIMIT and not force:
         raise WsgapError(
@@ -194,10 +182,8 @@ def _run_maximals(params: CurveParams, args: argparse.Namespace) -> dict:
     if scope == "region":
         tuples = ms.region_reps
     elif scope == "nonneg":
-        if args.kind == "relative" and not args.include_zero_family:
-            tuples = mx.lambda_nonneg(params)
-        elif args.kind == "relative":
-            tuples = mx.lambda_nonneg(params, include_zero_family=True)
+        if args.kind == "relative":
+            tuples = mx.lambda_nonneg(params, args.include_zero_family)
         else:
             tuples = mx.expand_nonneg(ms)
     elif scope == "positive":
@@ -258,13 +244,11 @@ def _run_superset(params: CurveParams, args: argparse.Namespace) -> dict:
 
 
 def _run_verify(args: argparse.Namespace) -> dict:
-    workers = _resolve_threads(args)
     report = verify.ConformanceReport()
     if args.what in ("fixtures", "all"):
         report.extend(verify.run_fixtures())
     if args.what in ("sweep", "all"):
-        report.extend(verify.run_property_sweep(args.max_a, args.max_b, args.max_m,
-                                                workers=workers))
+        report.extend(verify.run_property_sweep(args.max_a, args.max_b, args.max_m))
         report.extend(verify.run_oracle_invariants(args.max_a, args.max_b, args.max_m,
                                                    trials=args.trials, seed=args.seed))
     payload = report.sorted().to_payload()
@@ -370,7 +354,6 @@ def main(argv=None) -> int:
             payload = _run_verify(args)
         else:
             params = _resolve_params(args)
-            _resolve_threads(args)  # validated even when unused by the command
             runner = {
                 "maximals": _run_maximals,
                 "gaps": _run_gaps,

@@ -10,6 +10,7 @@ provides:
 * validated curve parameters (including the norm-trace presets),
 * componentwise least upper / greatest lower bounds,
 * the rank m-1 translation lattice generated by (0,..,-b,b,..,0) steps,
+  written in shift coordinates by ``theta_vector``,
 * canonical reduction into the fundamental region where coordinates
   2..m lie in [0, b), and
 * deterministic iteration over integer boxes.
@@ -180,38 +181,13 @@ def glb(ts: Sequence[IntTuple]) -> IntTuple:
     return tuple(min(t[k] for t in ts) for k in range(n))
 
 
-@dataclass(frozen=True)
-class ThetaBasis:
-    """Generators of the translation lattice attached to the points.
-
-    Generator i (for i = 2..m) carries -b at coordinate i-1 and +b at
-    coordinate i, so every lattice element has all coordinates divisible
-    by b and coordinate sum zero.
-    """
-
-    params: CurveParams
-    generators: tuple[IntTuple, ...]
-
-
-def theta_basis(params: CurveParams) -> ThetaBasis:
-    """The m-1 lattice generators; requires at least two points."""
-    if params.m < 2:
-        raise BadPointCountError("the translation lattice needs m >= 2")
-    b, m = params.b, params.m
-    gens = []
-    for i in range(2, m + 1):
-        v = [0] * m
-        v[i - 2] = -b
-        v[i - 1] = b
-        gens.append(tuple(v))
-    return ThetaBasis(params=params, generators=tuple(gens))
-
-
 def theta_vector(params: CurveParams, d: Sequence[int]) -> IntTuple:
     """Lattice element (-b*sum(d), b*d_2, ..., b*d_m) for shifts d.
 
-    Every lattice element arises this way for exactly one d, which is a
-    more convenient coordinate system than the raw generator basis.
+    The lattice is generated by the m-1 steps carrying -b at coordinate
+    i-1 and +b at coordinate i (i = 2..m); every lattice element arises
+    this way for exactly one d, so all its coordinates are divisible by b
+    and sum to zero.
     """
     if params.m < 2:
         raise BadPointCountError("the translation lattice needs m >= 2")

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,7 +64,8 @@ class GapReport:
     stats: dict
 
     def __post_init__(self) -> None:
-        assert set(self.pure_gaps) <= set(self.gaps)
+        if not set(self.pure_gaps) <= set(self.gaps):
+            raise WsgapError("pure gaps outside the gap set")
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +76,8 @@ def numerical_gaps(a: int, b: int) -> tuple[int, ...]:
     for t in range(1, 2 * g):
         if not any((t - a * x) % b == 0 for x in range(t // a + 1)):
             out.append(t)
-    assert len(out) == g
+    if len(out) != g:
+        raise WsgapError(f"{len(out)} numerical gaps of <{a}, {b}>, genus is {g}")
     return tuple(out)
 
 
@@ -105,7 +107,7 @@ def _profile_grids(params: CurveParams) -> tuple[np.ndarray, np.ndarray]:
     for k in range(m):
         for axis in range(m):
             np.maximum.accumulate(envel[k], axis=axis, out=envel[k])
-    coords = np.indices(shape, dtype=np.int64)
+    coords = np.ogrid[(slice(0, B + 1),) * m]
     member = np.ones(shape, dtype=bool)
     pure = np.ones(shape, dtype=bool)
     for k in range(m):
@@ -117,8 +119,7 @@ def _profile_grids(params: CurveParams) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=None)
 def _simplex_mask(params: CurveParams) -> np.ndarray:
     m, B = params.m, _bound(params)
-    coords = np.indices((B + 1,) * m, dtype=np.int64)
-    return coords.sum(axis=0) <= B
+    return sum(np.ogrid[(slice(0, B + 1),) * m]) <= B
 
 
 def _mask_to_tuples(mask: np.ndarray) -> tuple[IntTuple, ...]:
@@ -133,7 +134,8 @@ def _gap_mask_complement(params: CurveParams) -> np.ndarray:
 
 def _pure_mask_profile(params: CurveParams) -> np.ndarray:
     _, pure = _profile_grids(params)
-    assert not (pure & ~_simplex_mask(params)).any()
+    if (pure & ~_simplex_mask(params)).any():
+        raise WsgapError("pure-gap cube reaches outside the simplex")
     return pure
 
 
@@ -149,7 +151,8 @@ def _nabla_slab_ranges(params: CurveParams, beta_star: IntTuple, i: int) -> list
         return None
     if any(beta_star[j] < 1 for j in range(m) if j != i):
         return None
-    assert beta_star[i] <= B
+    if beta_star[i] > B:
+        raise WsgapError(f"nabla slab of {beta_star} leaves the cube")
     return [slice(0, min(beta_star[j], B + 1)) if j != i else beta_star[i]
             for j in range(m)]
 
@@ -169,45 +172,20 @@ def _gap_mask_explicit_s(params: CurveParams) -> np.ndarray:
     mask = np.zeros((B + 1,) * m, dtype=bool)
     for i in range(1, b):
         jmax = (a * (b - i) - b) // b
-        for j in range(jmax + 1):
-            # family with the first coordinate pinned to a(b-i) - b(1+j)
+        for d in mx.shift_vectors((0,) * (m - 1), jmax):
+            j = sum(d)
             first = a * (b - i) - b * (1 + j)
-            for d in _compositions(j, m - 1):
-                idx = [first] + [slice(0, min(i + b * dt, B + 1)) for dt in d]
-                mask[tuple(idx)] = True
-            # families with coordinate k >= 2 pinned to i + b*j
+            others = [slice(0, min(i + b * dt, B + 1)) for dt in d]
+            # family with the first coordinate pinned to a(b-i) - b(1+j)
+            mask[tuple([first] + others)] = True
+            if first < 1:
+                continue
+            # families with coordinate k >= 2 pinned to i + b*d_k
             for k in range(1, m):
-                for d_rest in mx._shift_vectors_sum_at_most(m - 2, jmax - j):
-                    d1 = j + sum(d_rest)
-                    top = a * (b - i) - b * (1 + d1)
-                    if top < 1:
-                        continue
-                    idx = [slice(0, min(top, B + 1))]
-                    it = iter(d_rest)
-                    for t in range(1, m):
-                        if t == k:
-                            idx.append(i + b * j)
-                        else:
-                            idx.append(slice(0, min(i + b * next(it), B + 1)))
-                    mask[tuple(idx)] = True
+                idx = [slice(0, min(first, B + 1))] + others
+                idx[k] = i + b * d[k - 1]
+                mask[tuple(idx)] = True
     return mask
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Nonnegative integer vectors of the given length summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-
-    def rec(k: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if k == 1:
-            yield prefix + (remaining,)
-            return
-        for v in range(remaining + 1):
-            yield from rec(k - 1, remaining - v, prefix + (v,))
-
-    yield from rec(parts, total, ())
 
 
 def _pure_set_intersection(params: CurveParams, include_zero_family: bool) -> tuple[IntTuple, ...]:
@@ -384,10 +362,11 @@ def sigma_pair(params: CurveParams) -> SigmaTable:
         raise BadPointCountError("the pairing is defined for exactly two points")
     seq = numerical_gaps(params.a, params.b)
     pairs = mx.lambda_nonneg(params, include_zero_family=False)
-    assert len(pairs) == params.genus
-    assert tuple(sorted(x for x, _ in pairs)) == seq
+    if len(pairs) != params.genus or tuple(sorted(x for x, _ in pairs)) != seq:
+        raise WsgapError("relative maximals do not pair off the numerical gaps")
     seq2 = tuple(sorted(y for _, y in pairs))
-    assert len(set(seq2)) == params.genus
+    if len(set(seq2)) != params.genus:
+        raise WsgapError("second-point gap sequence has repeated values")
     index = {v: k + 1 for k, v in enumerate(seq2)}
     partner = dict(pairs)
     sigma = tuple(index[partner[ell]] for ell in seq)
@@ -433,6 +412,7 @@ def sigma_literal(params: CurveParams) -> tuple[int, ...]:
         y = 0
         while not oracle.is_member(params, (ell, y)):
             y += 1
-            assert y <= 2 * params.genus
+            if y > 2 * params.genus:
+                raise WsgapError(f"no partner up to 2g for the gap {ell}")
         out.append(y)
     return tuple(out)

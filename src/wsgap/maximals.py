@@ -20,20 +20,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Literal
+from typing import Iterator, Literal, Sequence
 
 from .core import (
     Box,
     BadPointCountError,
     CurveParams,
     IntTuple,
-    ThetaBasis,
+    WsgapError,
+    add,
     ceil_div,
     check_tuple,
     in_region,
     reduce_to_region,
     sorted_unique,
-    theta_basis,
+    theta_vector,
 )
 
 MaximalKind = Literal["absolute", "relative"]
@@ -41,16 +42,19 @@ MaximalKind = Literal["absolute", "relative"]
 
 @dataclass(frozen=True)
 class MaximalSet:
-    """A maximal-element family: region representatives plus the lattice."""
+    """A maximal-element family: its representatives in the fundamental
+    region; the whole family is their translates by the lattice."""
 
     kind: MaximalKind
     region_reps: tuple[IntTuple, ...]
-    theta: ThetaBasis
     params: CurveParams
 
     def __post_init__(self) -> None:
-        assert len(self.region_reps) == self.params.b
-        assert all(in_region(self.params, r) for r in self.region_reps)
+        if len(self.region_reps) != self.params.b:
+            raise WsgapError(f"{self.kind} family has {len(self.region_reps)} "
+                             f"representatives, expected b={self.params.b}")
+        if not all(in_region(self.params, r) for r in self.region_reps):
+            raise WsgapError(f"{self.kind} representative outside the fundamental region")
 
 
 @lru_cache(maxsize=None)
@@ -62,8 +66,7 @@ def absolute_maximals_region(params: CurveParams) -> MaximalSet:
     reps = [(0,) * m]
     for i in range(1, b):
         reps.append(tuple([a * (b - i) - b * (m - 1)] + [i] * (m - 1)))
-    return MaximalSet(kind="absolute", region_reps=sorted_unique(reps),
-                      theta=theta_basis(params), params=params)
+    return MaximalSet(kind="absolute", region_reps=sorted_unique(reps), params=params)
 
 
 @lru_cache(maxsize=None)
@@ -75,8 +78,30 @@ def relative_maximals_region(params: CurveParams) -> MaximalSet:
     reps = [tuple([b * (m - 2)] + [0] * (m - 1))]
     for i in range(1, b):
         reps.append(tuple([a * (b - i) - b] + [i] * (m - 1)))
-    return MaximalSet(kind="relative", region_reps=sorted_unique(reps),
-                      theta=theta_basis(params), params=params)
+    return MaximalSet(kind="relative", region_reps=sorted_unique(reps), params=params)
+
+
+def shift_vectors(lo: Sequence[int], cap: int) -> Iterator[tuple[int, ...]]:
+    """Integer vectors d >= lo, componentwise, with sum(d) <= cap.
+
+    Yields them in lexicographic order, and nothing when cap < sum(lo).
+    Lattice translates d of a representative are bounded exactly this
+    way: a lower bound per coordinate 2..m, and a cap on sum(d) from the
+    first coordinate.
+    """
+    lo = tuple(lo)
+    tail = [sum(lo[k:]) for k in range(len(lo) + 1)]  # least sum of d[k:]
+    if cap < tail[0]:
+        return
+
+    def rec(k: int, prefix: tuple[int, ...], remaining: int) -> Iterator[tuple[int, ...]]:
+        if k == len(lo):
+            yield prefix
+            return
+        for v in range(lo[k], remaining - tail[k + 1] + 1):
+            yield from rec(k + 1, prefix + (v,), remaining - v)
+
+    yield from rec(0, (), cap)
 
 
 def _translates_in_box(params: CurveParams, rep: IntTuple, box: Box) -> Iterator[IntTuple]:
@@ -116,22 +141,11 @@ def expand_in_box(ms: MaximalSet, box: Box) -> tuple[IntTuple, ...]:
 
 def _translates_above(params: CurveParams, rep: IntTuple, floor: int) -> Iterator[IntTuple]:
     """All lattice translates of ``rep`` with every coordinate >= floor."""
-    b, m = params.b, params.m
-    lo = [ceil_div(floor - rep[j], b) for j in range(1, m)]
+    b = params.b
+    lo = [ceil_div(floor - c, b) for c in rep[1:]]
     cap = (rep[0] - floor) // b  # sum(d) <= cap keeps coordinate 1 >= floor
-    if sum(lo) > cap:
-        return
-
-    def rec(j: int, prefix: list[int], remaining: int) -> Iterator[IntTuple]:
-        if j == m - 1:
-            s = sum(prefix)
-            yield tuple([rep[0] - b * s] + [rep[k + 1] + b * prefix[k] for k in range(m - 1)])
-            return
-        tail_min = sum(lo[j + 1:])
-        for dj in range(lo[j], remaining - tail_min + 1):
-            yield from rec(j + 1, prefix + [dj], remaining - dj)
-
-    yield from rec(0, [], cap)
+    for d in shift_vectors(lo, cap):
+        yield add(rep, theta_vector(params, d))
 
 
 def expand_nonneg(ms: MaximalSet) -> tuple[IntTuple, ...]:
@@ -150,21 +164,6 @@ def expand_positive(ms: MaximalSet) -> tuple[IntTuple, ...]:
     return sorted_unique(out)
 
 
-def _shift_vectors_sum_at_most(parts: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """Nonnegative integer vectors of the given length with sum <= cap."""
-    if cap < 0:
-        return
-
-    def rec(k: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if k == 0:
-            yield prefix
-            return
-        for v in range(remaining + 1):
-            yield from rec(k - 1, remaining - v, prefix + (v,))
-
-    yield from rec(parts, cap, ())
-
-
 @lru_cache(maxsize=None)
 def lambda_nonneg(params: CurveParams, include_zero_family: bool = False) -> tuple[IntTuple, ...]:
     """Relative maximal elements by the explicit nonnegative formula.
@@ -180,15 +179,17 @@ def lambda_nonneg(params: CurveParams, include_zero_family: bool = False) -> tup
     if params.m < 2:
         raise BadPointCountError("maximal families need m >= 2")
     a, b, m = params.a, params.b, params.m
+    zero = (0,) * (m - 1)
     out: list[IntTuple] = []
     for i in range(1, b):
         cap = (a * (b - i) - b) // b
-        for d in _shift_vectors_sum_at_most(m - 1, cap):
+        for d in shift_vectors(zero, cap):
             first = a * (b - i) - b * (1 + sum(d))
-            assert first >= 0
+            if first < 0:
+                raise WsgapError(f"negative first coordinate {first} in the formula")
             out.append(tuple([first] + [i + b * dj for dj in d]))
     if include_zero_family:
-        for d in _shift_vectors_sum_at_most(m - 1, m - 2):
+        for d in shift_vectors(zero, m - 2):
             out.append(tuple([b * (m - 2) - b * sum(d)] + [b * dj for dj in d]))
     return sorted_unique(out)
 

@@ -17,7 +17,6 @@ import itertools
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -457,38 +456,25 @@ PROPERTY_CHECK_NAMES = tuple(_PROPERTY_CHECKS)
 
 
 def run_property_sweep(max_a: int = 5, max_b: int = 9, max_m: int = 4,
-                       checks: Sequence[str] | None = None,
-                       workers: int = 1) -> ConformanceReport:
+                       checks: Sequence[str] | None = None) -> ConformanceReport:
     """Run the structural invariants over the whole parameter sweep.
 
-    ``checks`` selects a subset of ``PROPERTY_CHECK_NAMES``; cells run
-    independently (optionally on a thread pool) and the merged report is
-    sorted by check name, so the output does not depend on scheduling.
+    ``checks`` selects a subset of ``PROPERTY_CHECK_NAMES``; the merged
+    report is sorted by check name.
     """
     selected = PROPERTY_CHECK_NAMES if checks is None else tuple(checks)
     unknown = [c for c in selected if c not in _PROPERTY_CHECKS]
     if unknown:
         raise ValueError(f"unknown property checks: {unknown}")
     cells = sweep_cells(max_a, max_b, max_m)
-
-    def run_cell(p: CurveParams) -> list[CheckResult]:
-        out = []
+    report = ConformanceReport()
+    for p in cells:
         for name in selected:
             t0 = time.perf_counter()
             results = _PROPERTY_CHECKS[name](p)
             ms = (time.perf_counter() - t0) * 1000 / max(len(results), 1)
-            out.extend(CheckResult(r.name, r.kind, r.passed, r.detail, ms)
-                       for r in results)
-        return out
-
-    report = ConformanceReport()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for results in pool.map(run_cell, cells):
-                report.entries.extend(results)
-    else:
-        for p in cells:
-            report.entries.extend(run_cell(p))
+            report.entries.extend(CheckResult(r.name, r.kind, r.passed, r.detail, ms)
+                                  for r in results)
     skipped = [(a, b) for a in range(2, max_a + 1) for b in range(2, max_b + 1)
                if math.gcd(a, b) != 1]
     report.entries.append(CheckResult(

@@ -207,21 +207,6 @@ class TestGuardsAndThreads:
         assert code == 1
         assert "--force" in err
 
-    def test_threads_validated(self, capsys):
-        code, _, err = run_cli(capsys, "gaps", "--a", "4", "--b", "5", "--m", "2",
-                               "--threads", "0")
-        assert code == 1
-
-    def test_threads_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("WSGAP_THREADS", "2")
-        env = run_json(capsys, "verify", "--what", "fixtures")
-        assert env["payload"]["ok"] is True
-
-    def test_threads_env_invalid_flag_overrides(self, capsys, monkeypatch):
-        monkeypatch.setenv("WSGAP_THREADS", "0")
-        code, _, err = run_cli(capsys, "verify", "--what", "fixtures")
-        assert code == 1
-
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
     from wsgap import verify as verify_mod

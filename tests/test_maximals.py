@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import wsgap as w
 from wsgap import fixtures as fx
 from wsgap.core import Box, box_tuples, reduce_to_region
-from wsgap.maximals import family_contains
+from wsgap.maximals import family_contains, shift_vectors
 
 POOL = [w.curve_params(a, b, m) for a, b, m in
         [(2, 3, 2), (3, 4, 3), (4, 5, 2), (4, 5, 3), (4, 7, 3), (5, 9, 4), (2, 5, 3)]]
@@ -53,6 +53,25 @@ class TestRegionFamilies:
             w.absolute_maximals_region(p)
         with pytest.raises(w.BadPointCountError):
             w.relative_maximals_region(p)
+
+
+class TestShiftVectors:
+    @settings(max_examples=150, deadline=None)
+    @given(lo=st.lists(st.integers(-3, 3), min_size=0, max_size=4),
+           cap=st.integers(-4, 8))
+    def test_matches_product_filter(self, lo, cap):
+        # no entry can exceed its own bound by more than the slack
+        slack = cap - sum(lo)
+        expected = [d for d in itertools.product(*(range(l, l + slack + 1) for l in lo))
+                    if sum(d) <= cap]
+        got = list(shift_vectors(lo, cap))
+        assert got == expected  # same vectors, in lexicographic order
+        if cap < sum(lo):
+            assert got == []
+
+    def test_no_parts(self):
+        assert list(shift_vectors((), 0)) == [()]
+        assert list(shift_vectors((), -1)) == []
 
 
 def brute_force_expand(ms, box):
