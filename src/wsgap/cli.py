@@ -172,7 +172,7 @@ def _guard_params(params: CurveParams, force: bool) -> None:
 # payload builders
 
 def _tuples_payload(key: str, tuples) -> dict:
-    return {key: [list(t) for t in tuples], "count": len(tuples)}
+    return {key: tuples, "count": len(tuples)}
 
 
 def _run_maximals(params: CurveParams, args: argparse.Namespace) -> dict:
@@ -231,8 +231,8 @@ def _run_sigma(params: CurveParams, args: argparse.Namespace) -> dict:
         "gaps_q1": list(table.gaps_q1),
         "gaps_q2": list(table.gaps_q2),
         "sigma": list(table.sigma),
-        "gamma_pairs": [list(t) for t in table.gamma_pairs],
-        "inversions": [list(t) for t in table.inversions],
+        "gamma_pairs": table.gamma_pairs,
+        "inversions": table.inversions,
         "genus": params.genus,
         "pure_gap_count": len(table.inversions),
     }
@@ -265,12 +265,42 @@ def _params_echo(params: CurveParams) -> dict:
             "genus": params.genus, "field_size": params.field_size}
 
 
-def _emit_json(envelope: dict) -> str:
-    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-
-
 _TUPLE_KEYS = ("tuples", "gaps", "pure_gaps", "gamma_pairs", "inversions")
 _LIST_KEYS = ("gaps_q1", "gaps_q2", "sigma", "a_star", "a")
+
+
+def _render_tuples(tuples, template) -> list[str]:
+    """One string per tuple, from the ``%d`` template ``template(len)``.
+
+    Tuple lists run to hundreds of thousands of entries, so each length
+    gets one format string instead of a join per tuple.
+    """
+    by_len = {n: template(n) for n in set(map(len, tuples))}
+    return [by_len[len(t)] % tuple(t) for t in tuples]
+
+
+def _json_tuple(n: int) -> str:
+    # a tuple as json.dumps(indent=2) lays it out inside envelope["payload"]
+    if n == 0:
+        return "      []"
+    return "      [\n" + ",\n".join(["        %d"] * n) + "\n      ]"
+
+
+def _emit_json(envelope: dict) -> str:
+    # json.dumps(indent=2) runs the pure-Python encoder, so each tuple list
+    # goes in as a placeholder and is spliced back rendered by template.
+    payload = dict(envelope["payload"])
+    keys = sorted(key for key in _TUPLE_KEYS if payload.get(key))
+    for key in keys:
+        payload[key] = "\0" + key
+    rest = json.dumps({**envelope, "payload": payload}, sort_keys=True, indent=2)
+    parts = []
+    for key in keys:  # sort_keys prints the placeholders in this order
+        head, _, rest = rest.partition(json.dumps("\0" + key))
+        rows = ",\n".join(_render_tuples(envelope["payload"][key], _json_tuple))
+        parts += [head, "[\n", rows, "\n    ]"]
+    parts += [rest, "\n"]
+    return "".join(parts)
 
 
 def _scalar(value) -> str:
@@ -293,7 +323,7 @@ def _emit_text(envelope: dict) -> str:
     for key, value in sorted(payload.items()):
         if key in _TUPLE_KEYS:
             lines.append(f"{key} ({len(value)}):")
-            lines.extend("(" + ", ".join(str(c) for c in t) + ")" for t in value)
+            lines.extend(_render_tuples(value, lambda n: "(" + ", ".join(["%d"] * n) + ")"))
         elif key in _LIST_KEYS:
             lines.append(f"{key}: " + " ".join(str(v) for v in value))
         elif key == "checks":
@@ -305,10 +335,6 @@ def _emit_text(envelope: dict) -> str:
             lines.append(f"{key}: {_scalar(value)}")
     lines.append(f"# timing_ms: {envelope['timing_ms']}")
     return "\n".join(lines) + "\n"
-
-
-def _semi(t) -> str:
-    return ";".join(str(c) for c in t)
 
 
 def _emit_csv(envelope: dict) -> str:
@@ -324,8 +350,9 @@ def _emit_csv(envelope: dict) -> str:
     payload = envelope["payload"]
     for key, value in sorted(payload.items()):
         if key in _TUPLE_KEYS:
-            for t in value:
-                writer.writerow([key, "", _semi(t), ""])
+            # rows "key,,c1;c2;...,": no field needs csv quoting
+            buf.writelines(_render_tuples(
+                value, lambda n: f"{key},," + ";".join(["%d"] * n) + ",\n"))
         elif key in _LIST_KEYS:
             for idx, v in enumerate(value, start=1):
                 writer.writerow([key, idx, "", v])

@@ -23,9 +23,12 @@ sequences at the two points are matched by a permutation sigma read off
 the relative maximals, gaps are unions over the matched pairs, and pure
 gaps correspond to the inversions of sigma.
 
-Sweeps are evaluated on boolean cubes over [0, 2g-1]^m so that the
-whole parameter sweep stays fast; tuple lists are extracted from the
-cubes in lexicographic order.
+The complement gaps and the profile pure gaps come from one walk over
+the first coordinate of [0, 2g-1]^m that keeps a single (m-1)-dimensional
+slab of the envelope in memory and reads both sets off it in
+lexicographic order.  The union_nabla and explicit_s routes mark dense
+boolean cubes over [0, 2g-1]^m and stay independent of that walk, as
+cross-checks.
 """
 
 from __future__ import annotations
@@ -85,58 +88,95 @@ def _bound(params: CurveParams) -> int:
     return 2 * params.genus - 1
 
 
-@lru_cache(maxsize=None)
-def _profile_grids(params: CurveParams) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean member/pure-drop cubes over [0, B]^m from the oracle profile.
+# Entries for a few recent curves in the per-curve caches: ``gaps`` and
+# ``pure_gaps`` on the same parameters, and the checks of one verify
+# cell, all hit the same entry.
+_CURVE_CACHE_SIZE = 8
 
-    Seeds one integer grid per coordinate with the coordinate values of
-    every absolute maximal below (B, ..., B) (clamped into the cube) and
-    takes running maxima along all axes; cell beta then holds the
-    componentwise maximum over the absolute maximals <= beta.
+
+@lru_cache(maxsize=_CURVE_CACHE_SIZE)
+def _profile_walk(params: CurveParams) -> tuple[tuple[IntTuple, ...], tuple[IntTuple, ...]]:
+    """Gaps and pure gaps of [0, B]^m, walking the first coordinate.
+
+    Seeds an envelope with the coordinate values of every absolute
+    maximal below (B, ..., B), clamped into the cube, so that after
+    running maxima along all axes cell beta holds the componentwise
+    maximum over the absolute maximals <= beta: beta is a member when
+    that maximum equals beta and a pure gap when it is strictly below
+    beta in every coordinate (or there is no maximal below beta).
+
+    The running maximum along the first axis is kept as one slab of
+    shape (m,) + (B+1,)*(m-1).  At slab s the maximals whose clamped
+    first coordinate is s are maxed in and the running maxima along the
+    other m-1 axes taken again; the slab already holds those maxima for
+    the earlier slabs, so this equals accumulating the new seeds alone
+    and folding them in.  Each slab then yields its gaps (inside the
+    simplex sum <= B and not members) and pure gaps in lexicographic
+    order.  Slabs span the whole cube so that a pure cell outside the
+    simplex is caught.
     """
     m, B = params.m, _bound(params)
-    shape = (B + 1,) * m
-    sentinel = -(1 << 60)
-    envel = [np.full(shape, sentinel, dtype=np.int64) for _ in range(m)]
-    gammas = oracle.local_absolute_maximals(params, (B,) * m).gamma_hat_beta
-    for gamma in gammas:
-        cell = tuple(max(c, 0) for c in gamma)
-        for k in range(m):
-            if envel[k][cell] < gamma[k]:
-                envel[k][cell] = gamma[k]
-    for k in range(m):
-        for axis in range(m):
-            np.maximum.accumulate(envel[k], axis=axis, out=envel[k])
-    coords = np.ogrid[(slice(0, B + 1),) * m]
-    member = np.ones(shape, dtype=bool)
-    pure = np.ones(shape, dtype=bool)
-    for k in range(m):
-        member &= envel[k] == coords[k]
-        pure &= envel[k] < coords[k]
-    return member, pure
+    n = B + 1
+    gammas = np.array(oracle.local_absolute_maximals(params, (B,) * m).gamma_hat_beta,
+                      dtype=np.int64).reshape(-1, m)
+    # Against cells >= 0 only the sign of a negative value matters, so
+    # values clamp to -1, which also stands for "no maximal below"; the
+    # smallest signed type holding [-1, B] then suffices.
+    dtype = np.min_scalar_type(-n)
+    gammas = gammas[np.argsort(np.maximum(gammas[:, 0], 0))]
+    cells = np.maximum(gammas, 0)
+    values = np.maximum(gammas, -1).astype(dtype)
+    # seeds of slab s are rows bounds[s]:bounds[s+1]
+    bounds = np.searchsorted(cells[:, 0], np.arange(n + 1))
+
+    envel = np.full((m,) + (n,) * (m - 1), -1, dtype=dtype)
+    grid = np.ogrid[(slice(0, n),) * (m - 1)]
+    coords = [c.astype(dtype) for c in grid]
+    coord_sum = sum(grid)
+    gap_cells, pure_cells = [], []
+    for s in range(n):
+        lo, hi = bounds[s], bounds[s + 1]
+        if hi > lo:
+            idx = tuple(cells[lo:hi, 1:].T)
+            for k in range(m):
+                np.maximum.at(envel[k], idx, values[lo:hi, k])
+            for axis in range(1, m):
+                _running_max(envel, axis)
+        member = envel[0] == s
+        pure = envel[0] < s
+        for k in range(1, m):
+            member &= envel[k] == coords[k - 1]
+            pure &= envel[k] < coords[k - 1]
+        inside = coord_sum <= B - s
+        if (pure & ~inside).any():
+            raise WsgapError("pure-gap cube reaches outside the simplex")
+        offset = s * n ** (m - 1)
+        gap_cells.append(np.flatnonzero(inside & ~member) + offset)
+        pure_cells.append(np.flatnonzero(pure) + offset)
+    shape = (n,) * m
+    return (_cells_to_tuples(np.concatenate(gap_cells), shape),
+            _cells_to_tuples(np.concatenate(pure_cells), shape))
 
 
-@lru_cache(maxsize=None)
-def _simplex_mask(params: CurveParams) -> np.ndarray:
-    m, B = params.m, _bound(params)
-    return sum(np.ogrid[(slice(0, B + 1),) * m]) <= B
+def _running_max(a: np.ndarray, axis: int) -> None:
+    """Running maximum of ``a`` along ``axis``, in place."""
+    if axis == a.ndim - 1:
+        np.maximum.accumulate(a, axis=axis, out=a)
+        return
+    # Along an outer axis numpy's accumulate runs short strided inner
+    # loops; maxing whole hyperplanes in turn is several times faster.
+    planes = np.moveaxis(a, axis, 0)
+    for i in range(1, planes.shape[0]):
+        np.maximum(planes[i], planes[i - 1], out=planes[i])
+
+
+def _cells_to_tuples(flat: np.ndarray, shape: tuple[int, ...]) -> tuple[IntTuple, ...]:
+    """Index tuples of ascending C-order flat indices, hence in lexicographic order."""
+    return tuple(zip(*(c.tolist() for c in np.unravel_index(flat, shape))))
 
 
 def _mask_to_tuples(mask: np.ndarray) -> tuple[IntTuple, ...]:
-    # argwhere walks the cube in C order, which is lexicographic here
-    return tuple(map(tuple, np.argwhere(mask).tolist()))
-
-
-def _gap_mask_complement(params: CurveParams) -> np.ndarray:
-    member, _ = _profile_grids(params)
-    return _simplex_mask(params) & ~member
-
-
-def _pure_mask_profile(params: CurveParams) -> np.ndarray:
-    _, pure = _profile_grids(params)
-    if (pure & ~_simplex_mask(params)).any():
-        raise WsgapError("pure-gap cube reaches outside the simplex")
-    return pure
+    return _cells_to_tuples(np.flatnonzero(mask), mask.shape)
 
 
 def _nabla_slab_ranges(params: CurveParams, beta_star: IntTuple, i: int) -> list | None:
@@ -249,14 +289,12 @@ def gaps(params: CurveParams, method: str = "complement",
     if params.m == 1:
         singles = tuple((t,) for t in numerical_gaps(params.a, params.b))
         return _report(params, singles, singles, method, method, "single-point")
-    if method == "complement":
-        mask = _gap_mask_complement(params)
-    elif method == "union_nabla":
-        mask = _gap_mask_union_nabla(params, include_zero_family)
-    else:
-        mask = _gap_mask_explicit_s(params)
-    pure = _mask_to_tuples(_pure_mask_profile(params))
-    return _report(params, _mask_to_tuples(mask), pure, method, method, "profile")
+    gap_tuples, pure = _profile_walk(params)
+    if method == "union_nabla":
+        gap_tuples = _mask_to_tuples(_gap_mask_union_nabla(params, include_zero_family))
+    elif method == "explicit_s":
+        gap_tuples = _mask_to_tuples(_gap_mask_explicit_s(params))
+    return _report(params, gap_tuples, pure, method, method, "profile")
 
 
 def pure_gaps(params: CurveParams, method: str = "profile",
@@ -266,11 +304,9 @@ def pure_gaps(params: CurveParams, method: str = "profile",
         raise BadPointCountError("pure gaps need m >= 2")
     if method not in PURE_METHODS:
         raise WsgapError(f"unknown pure-gap method {method!r}; choose from {PURE_METHODS}")
-    if method == "profile":
-        pure = _mask_to_tuples(_pure_mask_profile(params))
-    else:
+    gap_tuples, pure = _profile_walk(params)
+    if method == "intersection":
         pure = _pure_set_intersection(params, include_zero_family)
-    gap_tuples = _mask_to_tuples(_gap_mask_complement(params))
     return _report(params, gap_tuples, pure, method, "complement", method)
 
 
@@ -301,17 +337,25 @@ def pure_gap_witness(params: CurveParams, alpha: Sequence[int],
     if params.m < 2:
         raise BadPointCountError("pure gaps need m >= 2")
     alpha = check_tuple(params, alpha)
-    lam = mx.lambda_nonneg(params, include_zero_family)
     chosen = []
-    for i in range(params.m):
-        for cand in lam:
-            if cand[i] == alpha[i] and all(cand[j] > alpha[j]
-                                           for j in range(params.m) if j != i):
+    for i, by_value in enumerate(_witness_index(params, include_zero_family)):
+        for cand in by_value.get(alpha[i], ()):
+            if all(cand[j] > alpha[j] for j in range(params.m) if j != i):
                 chosen.append(cand)
                 break
         else:
             return None
     return tuple(chosen)
+
+
+@lru_cache(maxsize=_CURVE_CACHE_SIZE)
+def _witness_index(params: CurveParams, include_zero_family: bool) -> tuple[dict, ...]:
+    """Per coordinate i, the relative maximals by their i-th value, in sorted order."""
+    index: tuple[dict, ...] = tuple({} for _ in range(params.m))
+    for cand in mx.lambda_nonneg(params, include_zero_family):
+        for i, by_value in enumerate(index):
+            by_value.setdefault(cand[i], []).append(cand)
+    return tuple({v: tuple(cands) for v, cands in by_value.items()} for by_value in index)
 
 
 def candidate_superset(params: CurveParams) -> tuple[tuple[int, ...], tuple[int, ...]]:

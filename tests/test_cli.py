@@ -4,6 +4,8 @@ import json
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wsgap as w
 from wsgap import cli
@@ -247,3 +249,113 @@ class TestMaximalsScopes:
                                "--a", "4", "--b", "5", "--m", "3", "--scope", "box")
         assert code == 1
         assert "--lo" in err
+
+
+# The emitters as they rendered tuple lists before the %d templates: one
+# json.dumps over the whole envelope, and a str/join per tuple.
+
+def _reference_json(envelope):
+    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+
+
+def _reference_text(envelope):
+    lines = [f"# {envelope['schema']} tool_version={envelope['tool_version']}"]
+    p = envelope["params"]
+    lines.append("# command: " + envelope["command"])
+    lines.append(f"# params: a={p['a']} b={p['b']} m={p['m']} genus={p['genus']}"
+                 f" field_size={p['field_size']}")
+    for key, value in sorted(envelope["payload"].items()):
+        if key in cli._TUPLE_KEYS:
+            lines.append(f"{key} ({len(value)}):")
+            lines.extend("(" + ", ".join(str(c) for c in t) + ")" for t in value)
+        elif key in cli._LIST_KEYS:
+            lines.append(f"{key}: " + " ".join(str(v) for v in value))
+        elif key == "checks":
+            for chk in value:
+                status = "PASS" if chk["passed"] else "FAIL"
+                detail = f" {chk['detail']}" if chk["detail"] else ""
+                lines.append(f"{status} {chk['name']}{detail}")
+        else:
+            lines.append(f"{key}: {cli._scalar(value)}")
+    lines.append(f"# timing_ms: {envelope['timing_ms']}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_csv(envelope):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["kind", "name", "tuple", "value"])
+    writer.writerow(["meta", "schema", "", envelope["schema"]])
+    writer.writerow(["meta", "tool_version", "", envelope["tool_version"]])
+    writer.writerow(["meta", "command", "", envelope["command"]])
+    for key in ("a", "b", "m", "genus", "field_size"):
+        value = envelope["params"][key]
+        writer.writerow(["meta", key, "", "" if value is None else value])
+    for key, value in sorted(envelope["payload"].items()):
+        if key in cli._TUPLE_KEYS:
+            for t in value:
+                writer.writerow([key, "", ";".join(str(c) for c in t), ""])
+        elif key in cli._LIST_KEYS:
+            for idx, v in enumerate(value, start=1):
+                writer.writerow([key, idx, "", v])
+        elif key == "checks":
+            for chk in value:
+                writer.writerow(["check", chk["name"], "",
+                                 "pass" if chk["passed"] else "fail"])
+                if chk["detail"]:
+                    writer.writerow(["check-detail", chk["name"], "", chk["detail"]])
+        else:
+            writer.writerow([key, "", "", cli._scalar(value)])
+    writer.writerow(["meta", "timing_ms", "", envelope["timing_ms"]])
+    return buf.getvalue()
+
+
+REFERENCE_EMITTERS = {"json": _reference_json, "text": _reference_text, "csv": _reference_csv}
+
+
+def _assert_emitters_match(envelope):
+    for fmt, reference in REFERENCE_EMITTERS.items():
+        assert cli._EMITTERS[fmt](envelope) == reference(envelope), fmt
+
+
+class TestEmitterBytes:
+    """The template emitters print what the per-tuple encoders printed."""
+
+    def _envelope(self, monkeypatch, capsys, *argv):
+        seen = []
+        real = cli._EMITTERS["json"]
+        monkeypatch.setitem(cli._EMITTERS, "json", lambda env: seen.append(env) or real(env))
+        code, _, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        return seen[0]
+
+    @pytest.mark.parametrize("argv", [
+        ("gaps", "--a", "4", "--b", "5", "--m", "1"),                      # 1-tuples
+        ("pure-gaps", "--a", "2", "--b", "3", "--m", "2"),                 # empty list
+        ("maximals", "--kind", "absolute", "--a", "4", "--b", "5", "--m", "3"),  # negatives
+        ("gaps", "--a", "4", "--b", "7", "--m", "3"),
+        ("sigma", "--a", "4", "--b", "5"),
+        ("superset", "--a", "4", "--b", "7", "--m", "3"),
+        ("verify", "--what", "fixtures"),
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_command_envelopes(self, monkeypatch, capsys, argv):
+        envelope = self._envelope(monkeypatch, capsys, *argv)
+        _assert_emitters_match(envelope)
+
+    def test_sigma_list_of_lists(self, monkeypatch, capsys):
+        envelope = self._envelope(monkeypatch, capsys, "sigma", "--a", "4", "--b", "7")
+        envelope["payload"]["gamma_pairs"] = [list(t) for t in envelope["payload"]["gamma_pairs"]]
+        assert isinstance(envelope["payload"]["inversions"][0], tuple)
+        _assert_emitters_match(envelope)
+
+    @given(st.lists(st.lists(st.integers(-10**6, 10**6), max_size=5).map(tuple),
+                    max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_generated_tuple_lists(self, tuples):
+        envelope = {
+            "schema": cli.SCHEMA, "tool_version": w.__version__, "command": "gaps",
+            "params": {"a": 4, "b": 5, "m": 3, "genus": 6, "field_size": None},
+            "payload": {"gaps": tuples, "count": len(tuples), "method": "complement"},
+            "timing_ms": 1.5,
+        }
+        _assert_emitters_match(envelope)

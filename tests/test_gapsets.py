@@ -177,3 +177,64 @@ class TestSingletonProperty:
             if criterion:
                 assert w.glb(list(combo)) == candidate
                 assert candidate in set(w.pure_gaps(P453).pure_gaps)
+
+
+ORACLE_CASES = (
+    [w.hermitian_params(q, m) for q in (3, 4, 5) for m in (2, 3, 4)]
+    + [w.norm_trace_params(2, 3, m) for m in (2, 3)]
+    + [w.curve_params(a, b, m) for a, b, m in [(2, 5, 2), (3, 7, 3), (5, 7, 2), (3, 8, 4)]]
+)
+
+
+class TestProfileEngine:
+    """The slab walk against the scalar oracle, cell by cell."""
+
+    @pytest.mark.parametrize("p", ORACLE_CASES, ids=str)
+    def test_matches_scalar_oracle_over_simplex(self, p):
+        B = 2 * p.genus - 1
+        simplex = [t for t in itertools.product(range(B + 1), repeat=p.m) if sum(t) <= B]
+        expected_gaps = [t for t in simplex if not w.is_member(p, t)]
+        expected_pure = []
+        for t in simplex:
+            pcm = w.per_coord_max(p, t)
+            if pcm is None or all(c < x for c, x in zip(pcm, t)):
+                expected_pure.append(t)
+        # itertools.product walks the simplex in lexicographic order
+        assert list(w.gaps(p).gaps) == expected_gaps
+        assert list(w.pure_gaps(p).pure_gaps) == expected_pure
+
+    def test_cache_stays_bounded(self):
+        maxsize = gs._profile_walk.cache_info().maxsize
+        assert maxsize is not None
+        cells = [w.curve_params(a, b, 2) for a in (2, 3) for b in range(3, 40)
+                 if b % a][:maxsize + 3]
+        assert len(cells) > maxsize
+        for p in cells:
+            w.gaps(p)
+            w.pure_gap_witness(p, (1, 1))
+        assert gs._profile_walk.cache_info().currsize <= maxsize
+        assert gs._witness_index.cache_info().currsize <= \
+            gs._witness_index.cache_info().maxsize
+
+
+def _witness_by_scan(p, alpha, include_zero_family=False):
+    """The witness by a linear scan of the relative maximals."""
+    lam = w.lambda_nonneg(p, include_zero_family)
+    chosen = []
+    for i in range(p.m):
+        for cand in lam:
+            if cand[i] == alpha[i] and all(cand[j] > alpha[j] for j in range(p.m) if j != i):
+                chosen.append(cand)
+                break
+        else:
+            return None
+    return tuple(chosen)
+
+
+@pytest.mark.parametrize("p", SMALL + [P473], ids=str)
+@pytest.mark.parametrize("zero_family", [False, True])
+def test_witness_index_matches_scan(p, zero_family):
+    B = 2 * p.genus - 1
+    for t in itertools.product(range(-1, B + 2), repeat=p.m):
+        if sum(t) <= B + 1:
+            assert w.pure_gap_witness(p, t, zero_family) == _witness_by_scan(p, t, zero_family)
