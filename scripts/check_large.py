@@ -1,22 +1,35 @@
 #!/usr/bin/env python3
-"""Cross-check the gap and pure-gap routes on curves beyond the test sweep.
+"""Cross-check the gap routes, the oracle and the pairing beyond the test sweep.
 
 The test suite and ``wsgap verify`` compare the routes on every coprime
 (a, b, m) with a <= 5, b <= 9.  This script compares them on the larger
-curves people run: Hermitian q = 7, 8 at m = 2..4, q = 9 at m = 2, 3,
-and norm-trace (ell, r) = (2, 4) at m = 2, 3.  On each curve the three
-gap routes (complement, union_nabla, explicit_s) must give the same
-tuples, and the two pure-gap routes (profile, intersection) the same
-pure gaps.  It prints one line per curve with the time of each route
-and exits 1 on any disagreement.  The complement and profile routes
-share one cached walk, which the complement time includes.
+curves people run.
 
-It is not part of the test suite: a run takes about 35 s on two cores,
+* Hermitian q = 7, 8 at m = 2..4, q = 9 at m = 2, 3, and norm-trace
+  (ell, r) = (2, 4) at m = 2, 3: the three gap routes (complement,
+  union_nabla, explicit_s) give the same tuples, the two pure-gap
+  routes (profile, intersection) the same pure gaps, and every axis
+  carries exactly genus gaps.
+* On each of those curves, and on Hermitian q = 16, 32 at m = 2, the
+  oracle (``is_member``, ``dim_L``, ``per_coord_max``) agrees with the
+  explicit enumeration ``local_absolute_maximals`` on a seeded sample of
+  tuples in [-b-2, 2g+b]^m, and the two ``nabla_J_empty`` routes agree
+  on a smaller one.
+* At Hermitian q = 16, 32 (m = 2): ``sigma_pair`` equals the literal
+  pairing ``sigma_literal``, and both axes carry exactly genus gaps.
+
+It prints one line per curve with the time of each part and exits 1 on
+any disagreement.  The complement and profile routes share one cached
+walk, which the complement time includes.
+
+It is not part of the test suite: a run takes about 45 s on two cores,
 most of it in the intersection route at Hermitian q = 8, m = 4.
 
     PYTHONPATH=src python3 scripts/check_large.py
 """
 
+import itertools
+import random
 import sys
 import time
 
@@ -27,12 +40,58 @@ CELLS = (
      for q, ms in ((7, (2, 3, 4)), (8, (2, 3, 4)), (9, (2, 3))) for m in ms]
     + [(f"norm-trace ell=2 r=4 m={m}", w.norm_trace_params(2, 4, m)) for m in (2, 3)]
 )
+PAIRING_CELLS = [(f"hermitian q={q} m=2", w.hermitian_params(q, 2)) for q in (16, 32)]
+KERNEL_SAMPLE = 200
+NABLA_SAMPLE = 20
+SEED = 20240811
 
 
 def timed(fn, *args):
     t0 = time.perf_counter()
     result = fn(*args)
     return result, time.perf_counter() - t0
+
+
+def axis_counts(params, gaps):
+    """Gaps on each coordinate axis, which must each number genus."""
+    counts = [0] * params.m
+    for t in gaps:
+        nonzero = [k for k, c in enumerate(t) if c]
+        if len(nonzero) == 1:
+            counts[nonzero[0]] += 1
+    return counts
+
+
+def check_axes(params, gaps):
+    counts = axis_counts(params, gaps)
+    if any(c != params.genus for c in counts):
+        return [f"axis gap counts {counts}, genus is {params.genus}"]
+    return []
+
+
+def check_kernel(params):
+    """The oracle against the explicit enumeration on seeded tuples."""
+    rng = random.Random(SEED * 1000 + params.a * 100 + params.m)
+    lo, hi = -params.b - 2, 2 * params.genus + params.b
+    for k in range(KERNEL_SAMPLE):
+        beta = tuple(rng.randint(lo, hi) for _ in range(params.m))
+        prof = w.local_absolute_maximals(params, beta)
+        pcm = prof.per_coord_max if prof.gamma_hat_beta else None
+        if w.per_coord_max(params, beta) != pcm:
+            return [f"per_coord_max at {beta} != enumeration {pcm}"]
+        if w.is_member(params, beta) != (pcm == beta):
+            return [f"is_member at {beta} disagrees with the enumeration"]
+        if w.dim_L(params, beta) != len({g[0] for g in prof.gamma_hat_beta}):
+            return [f"dim_L at {beta} disagrees with the enumeration"]
+    subsets = [J for size in range(1, params.m)
+               for J in itertools.combinations(range(1, params.m + 1), size)]
+    for _ in range(NABLA_SAMPLE):
+        alpha = tuple(rng.randint(lo, hi) for _ in range(params.m))
+        J = rng.choice(subsets)
+        if w.nabla_J_empty(params, alpha, J, "profile") != \
+                w.nabla_J_empty(params, alpha, J, "search"):
+            return [f"nabla_J_empty routes disagree at {alpha}, J={J}"]
+    return []
 
 
 def check(params):
@@ -49,21 +108,38 @@ def check(params):
         bad.append("pure gaps intersection != profile")
     if profile.pure_gaps != base.pure_gaps:
         bad.append("pure gaps of the gaps and pure_gaps reports differ")
-    return bad, times
+    bad += check_axes(params, base.gaps)
+    kernel_bad, times["oracle"] = timed(check_kernel, params)
+    return bad + kernel_bad, times
+
+
+def check_pairing(params):
+    """The pairing, the axes and the oracle at a large two-point curve."""
+    bad, times = [], {}
+    table, times["sigma_pair"] = timed(w.sigma_pair, params)
+    literal, times["sigma_literal"] = timed(w.sigma_literal, params)
+    if literal != tuple(table.gaps_q2[s - 1] for s in table.sigma):
+        bad.append("sigma_literal != sigma_pair")
+    report, times["complement"] = timed(w.gaps, params, "complement")
+    bad += check_axes(params, report.gaps)
+    kernel_bad, times["oracle"] = timed(check_kernel, params)
+    return bad + kernel_bad, times
 
 
 def main():
     failed = 0
-    for label, params in CELLS:
+    runs = [(label, params, check) for label, params in CELLS] + \
+        [(label, params, check_pairing) for label, params in PAIRING_CELLS]
+    for label, params, fn in runs:
         t0 = time.perf_counter()
-        bad, times = check(params)
-        routes = " ".join(f"{k}={v:.2f}s" for k, v in times.items())
+        bad, times = fn(params)
+        parts = " ".join(f"{k}={v:.2f}s" for k, v in times.items())
         status = "FAIL" if bad else "ok"
-        print(f"{status:4} {label}: {time.perf_counter() - t0:.2f}s ({routes})", flush=True)
+        print(f"{status:4} {label}: {time.perf_counter() - t0:.2f}s ({parts})", flush=True)
         for line in bad:
             print(f"     {line}", flush=True)
         failed += bool(bad)
-    print(f"{len(CELLS) - failed}/{len(CELLS)} curves agree")
+    print(f"{len(runs) - failed}/{len(runs)} curves agree")
     return 1 if failed else 0
 
 

@@ -144,11 +144,15 @@ def hermitian_params(q: int, m: int) -> CurveParams:
 
 
 def check_tuple(params: CurveParams, t: Sequence[int]) -> IntTuple:
-    """Coerce ``t`` to a tuple and check it has m integer coordinates."""
+    """Coerce ``t`` to a tuple and check it has m integer coordinates.
+
+    Coordinates must be plain ``int``: ``bool`` is an ``int`` subclass,
+    but ``True`` is no coordinate.
+    """
     out = tuple(t)
     if len(out) != params.m:
         raise WsgapError(f"expected a tuple of length m={params.m}, got {out!r}")
-    if not all(isinstance(c, int) for c in out):
+    if not all(type(c) is int for c in out):
         raise WsgapError(f"tuple coordinates must be integers, got {out!r}")
     return out
 

@@ -8,21 +8,37 @@ of the space attached to beta counts the distinct first coordinates of
 the same finite set, and emptiness of the sets nabla_J(alpha) comes down
 to the same profile evaluated at a perturbed target.
 
-For a translate family rep + lattice, the constraints gamma_j <= beta_j
-(j >= 2) cap each shift d_j above at U_j = floor((beta_j - rep_j)/b) and
-gamma_1 <= beta_1 forces sum(d) >= smin = ceil((rep_1 - beta_1)/b), so
-the family contributes iff sum(U) >= smin.  Within a feasible family the
-extremes are attained in closed form, and because the first coordinates
-of distinct representatives fall in distinct residue classes mod b, the
-families never collide; the profile and the dimension count follow from
-b window computations without enumerating anything.  The explicit
-enumeration is kept (``local_absolute_maximals``) and is cross-checked
-against the window arithmetic by the test suite.
+The absolute maximals are b translate families rep + lattice.  Family r
+(r = 0..b-1) is indexed by its residue in coordinates 2..m: its
+representative in the fundamental region is (f_r, r, ..., r), with
+f_0 = 0 and f_r = a(b-r) - b(m-1) otherwise.  A translate by shifts d
+is (f_r - b*sum(d), r + b*d_2, ..., r + b*d_m); it lies below beta iff
+d_j <= floor((beta_j - r)/b) for j >= 2 and sum(d) >= (f_r - beta_1)/b.
+So the family has a member below beta iff
+
+    F_r(beta) = floor((beta_1 - f_r)/b) + sum_{j>=2} floor((beta_j - r)/b) >= 0,
+
+and then its first coordinates below beta form a progression of F_r + 1
+values.  A feasible family reaches, at coordinate k, the largest value
+<= beta_k in its residue class mod b (f_r at k = 1, r otherwise), so the
+componentwise maximum falls short of beta_k by the smallest residue
+distance (beta_k - class) mod b over the feasible families.
+
+Coordinate k reaches beta_k exactly when the one family in the residue
+class of beta_k is feasible: r = beta_k mod b for k >= 2, and for k = 1
+the r with f_r = beta_1 (mod b), which is unique because f_r = -a*r
+(mod b) and gcd(a, b) = 1.  Membership and the nabla tests therefore
+look at no more than m families, the dimension is the sum of
+max(0, F_r + 1) over all b families, and nothing is enumerated.  The
+explicit enumeration (``local_absolute_maximals``) keeps its own window
+loop over the representatives; the test suite checks the two against
+each other.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Literal, Sequence
@@ -50,51 +66,109 @@ class LocalProfile:
     per_coord_max: tuple[int | None, ...]
 
 
-@lru_cache(maxsize=None)
-def _region_reps(params: CurveParams) -> tuple[IntTuple, ...]:
-    return absolute_maximals_region(params).region_reps
+# Residue tables of a few recent curves; like the per-curve caches of
+# ``gapsets``, a long-lived process cannot grow it.
+_TABLE_CACHE_SIZE = 8
 
 
-def _windows(params: CurveParams, beta: IntTuple):
-    """Feasible (rep, smin, U) windows of the translate families under beta."""
-    b, m = params.b, params.m
-    out = []
-    for rep in _region_reps(params):
-        U = [(beta[j] - rep[j]) // b for j in range(1, m)]
-        smin = ceil_div(rep[0] - beta[0], b)
-        if sum(U) >= smin:
-            out.append((rep, smin, U))
-    return out
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _residue_table(params: CurveParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(f, hit)``: ``f[r]`` is the first coordinate of family r's
+    representative (f_r, r, ..., r), read from ``absolute_maximals_region``,
+    and ``hit[s]`` is the one family with f_r congruent to s mod b.
+
+    Raises ``WsgapError`` if the representatives are not of that shape or
+    two families share a first-coordinate residue, which would break the
+    one-family-per-coordinate tests below.
+    """
+    b = params.b
+    f: list[int | None] = [None] * b
+    for rep in absolute_maximals_region(params).region_reps:
+        r = rep[1]
+        if any(c != r for c in rep[2:]) or f[r] is not None:
+            raise WsgapError(f"representative {rep} is not (f_r, r, ..., r) for a new r")
+        f[r] = rep[0]
+    hit: list[int | None] = [None] * b
+    for r, x in enumerate(f):
+        s = x % b
+        if hit[s] is not None:
+            raise WsgapError(f"families {hit[s]} and {r} share the first-coordinate "
+                             f"residue {s} mod {b}")
+        hit[s] = r
+    return tuple(f), tuple(hit)
 
 
-@lru_cache(maxsize=1 << 18)
-def _per_coord_max(params: CurveParams, beta: IntTuple) -> tuple[int, ...] | None:
-    b, m = params.b, params.m
-    best: list[int] | None = None
-    for rep, smin, U in _windows(params, beta):
-        cand = [rep[0] - b * smin] + [rep[j + 1] + b * U[j] for j in range(m - 1)]
-        if best is None:
-            best = cand
-        else:
-            best = [max(x, y) for x, y in zip(best, cand)]
-    return None if best is None else tuple(best)
+def _oracle_args(params: CurveParams, beta: Sequence[int]) -> IntTuple:
+    if params.m < 2:
+        raise BadPointCountError("the oracle needs m >= 2")
+    return check_tuple(params, beta)
+
+
+def _split(b: int, beta: IntTuple) -> tuple[int, list[int]]:
+    """``(t, S)`` with F_r(beta) = floor((t - f_r)/b) - #{s in S : s < r}.
+
+    Writing beta_j = b*q_j + s_j (0 <= s_j < b) for j >= 2, each
+    floor((beta_j - r)/b) is q_j, less one when s_j < r; so S holds the
+    residues s_j in ascending order and t = beta_1 + b*sum(q_j), which
+    is sum(beta) - sum(S).
+    """
+    S = sorted([c % b for c in beta[1:]])
+    return sum(beta) - sum(S), S
+
+
+def _attained(f: tuple[int, ...], hit: tuple[int, ...], b: int,
+              beta: IntTuple, coords: Iterable[int]) -> bool:
+    """Whether, at every coordinate k in ``coords``, some absolute maximal
+    <= beta equals beta_k: the one family in beta_k's residue class must
+    have nonnegative slack F_r(beta)."""
+    t, S = _split(b, beta)
+    for k in coords:
+        r = hit[beta[0] % b] if k == 0 else beta[k] % b
+        if (t - f[r]) // b < bisect_left(S, r):
+            return False
+    return True
+
+
+def _slacks(f: tuple[int, ...], b: int, beta: IntTuple) -> list[int]:
+    """F_r(beta) for r = 0..b-1; family r has an element <= beta iff
+    F_r >= 0, and then F_r + 1 of them, all with distinct first
+    coordinates."""
+    t, S = _split(b, beta)
+    return [(t - x) // b - bisect_left(S, r) for r, x in enumerate(f)]
+
+
+def _distance_below(classes: list[int], s: int, b: int) -> int:
+    """Smallest (s - x) mod b over the nonempty ascending residues x."""
+    return (s - classes[bisect_right(classes, s) - 1]) % b
 
 
 def per_coord_max(params: CurveParams, beta: Sequence[int]) -> tuple[int, ...] | None:
     """Componentwise maximum over the absolute maximals <= beta, or None."""
-    if params.m < 2:
-        raise BadPointCountError("the oracle needs m >= 2")
-    return _per_coord_max(params, check_tuple(params, beta))
+    beta = _oracle_args(params, beta)
+    f, _ = _residue_table(params)
+    b = params.b
+    feasible = [r for r, x in enumerate(_slacks(f, b, beta)) if x >= 0]
+    if not feasible:
+        return None
+    # residue classes of the feasible families: f_r at coordinate 1, r elsewhere
+    classes = [sorted([f[r] % b for r in feasible])] + [feasible] * (params.m - 1)
+    return tuple(c - _distance_below(cl, c % b, b) for c, cl in zip(beta, classes))
 
 
 def local_absolute_maximals(params: CurveParams, beta: Sequence[int]) -> LocalProfile:
-    """Explicit enumeration of every absolute maximal element <= beta."""
-    if params.m < 2:
-        raise BadPointCountError("the oracle needs m >= 2")
-    beta = check_tuple(params, beta)
+    """Explicit enumeration of every absolute maximal element <= beta.
+
+    This is the reference the residue arithmetic above is checked
+    against, so it shares none of it: for each representative it
+    enumerates the shifts d with d_j <= U_j = floor((beta_j - rep_j)/b)
+    and sum(d) >= smin = ceil((rep_1 - beta_1)/b).
+    """
+    beta = _oracle_args(params, beta)
     b, m = params.b, params.m
     found: list[IntTuple] = []
-    for rep, smin, U in _windows(params, beta):
+    for rep in absolute_maximals_region(params).region_reps:
+        U = [(beta[j] - rep[j]) // b for j in range(1, m)]
+        smin = ceil_div(rep[0] - beta[0], b)
         # d_j <= U_j and sum(d) >= smin bound each d_j below as well.
         lo = [smin - (sum(U) - U[j]) for j in range(m - 1)]
         for d in itertools.product(*(range(lo[j], U[j] + 1) for j in range(m - 1))):
@@ -114,34 +188,34 @@ def local_absolute_maximals(params: CurveParams, beta: Sequence[int]) -> LocalPr
 
 def is_member(params: CurveParams, beta: Sequence[int]) -> bool:
     """Whether beta belongs to the generalized semigroup at the m points."""
-    if params.m < 2:
-        raise BadPointCountError("the oracle needs m >= 2")
-    beta = check_tuple(params, beta)
-    return _per_coord_max(params, beta) == beta
+    beta = _oracle_args(params, beta)
+    f, hit = _residue_table(params)
+    return _attained(f, hit, params.b, beta, range(params.m))
 
 
 def dim_L(params: CurveParams, beta: Sequence[int]) -> int:
     """Dimension of the function space attached to beta.
 
     Counts the values t <= beta_1 at which some absolute maximal gamma
-    has gamma_1 = t and gamma_j <= beta_j for j >= 2: within one
-    translate family those t form the arithmetic progression
-    rep_1 - b*s for s in [smin, sum(U)], and families never share a
-    residue class mod b, so the count is a sum of window lengths.
+    has gamma_1 = t and gamma_j <= beta_j for j >= 2: within family r
+    those t form a progression of F_r(beta) + 1 values in the residue
+    class of f_r mod b, and families never share a class, so the count
+    is a sum of window lengths.
     """
-    if params.m < 2:
-        raise BadPointCountError("the oracle needs m >= 2")
-    beta = check_tuple(params, beta)
-    return sum(sum(U) - smin + 1 for _, smin, U in _windows(params, beta))
+    beta = _oracle_args(params, beta)
+    f, _ = _residue_table(params)
+    return sum(x + 1 for x in _slacks(f, params.b, beta) if x >= 0)
 
 
 def _check_J(params: CurveParams, J: Iterable[int], allow_full: bool = False) -> tuple[int, ...]:
     """Validate 1-based point indices and return them 0-based, sorted."""
-    Js = sorted(set(J))
+    Js = list(J)
     if not Js:
         raise WsgapError("J must be nonempty")
-    if any(not isinstance(j, int) or not 1 <= j <= params.m for j in Js):
+    # bool is an int subclass, and True would pass for point 1
+    if any(type(j) is not int or not 1 <= j <= params.m for j in Js):
         raise WsgapError(f"J must contain point indices in 1..{params.m}, got {Js}")
+    Js = sorted(set(Js))
     if len(Js) == params.m and not allow_full:
         raise WsgapError("J must be a proper subset of the point indices")
     return tuple(j - 1 for j in Js)
@@ -162,9 +236,7 @@ def nabla_J_empty(
     is used by the large sweeps.  The two agree, and the test suite
     checks that they do.
     """
-    if params.m < 2:
-        raise BadPointCountError("the oracle needs m >= 2")
-    alpha = check_tuple(params, alpha)
+    alpha = _oracle_args(params, alpha)
     J0 = _check_J(params, J)
     if method == "profile":
         return _nabla_J_empty_profile(params, alpha, J0)
@@ -179,10 +251,8 @@ def _nabla_J_empty_profile(params: CurveParams, alpha: IntTuple, J0: tuple[int, 
     staying <= alpha on J and < alpha elsewhere (componentwise maxima of
     such witnesses assemble the member)."""
     target = tuple(c if k in J0 else c - 1 for k, c in enumerate(alpha))
-    pcm = _per_coord_max(params, target)
-    if pcm is None:
-        return True
-    return any(pcm[j] != alpha[j] for j in J0)
+    f, hit = _residue_table(params)
+    return not _attained(f, hit, params.b, target, J0)
 
 
 def _nabla_J_empty_search(params: CurveParams, alpha: IntTuple, J0: tuple[int, ...]) -> bool:
@@ -269,9 +339,7 @@ class RelMaxEquivalence:
 def check_relmax_equivalence(params: CurveParams, alpha: Sequence[int],
                              method: NablaMethod = "search") -> RelMaxEquivalence:
     """Evaluate the three characterizations of relative maximality."""
-    if params.m < 2:
-        raise BadPointCountError("the oracle needs m >= 2")
-    alpha = check_tuple(params, alpha)
+    alpha = _oracle_args(params, alpha)
     m = params.m
 
     definition = is_relative_maximal(params, alpha, method)

@@ -215,44 +215,61 @@ def _permuted(t: IntTuple, perm: Sequence[int]) -> IntTuple:
     return tuple(t[p] for p in perm)
 
 
-def _cell_prefix(p: CurveParams) -> str:
-    return f"a{p.a}-b{p.b}-m{p.m}"
+class _Stamps:
+    """Names and times the property results of one check on one cell.
+
+    Each result carries the time since the previous result of the check,
+    or since the check began: work several results share is charged to
+    the first that needs it, and the results add up to the check's time.
+    """
+
+    def __init__(self, p: CurveParams) -> None:
+        self.prefix = f"a{p.a}-b{p.b}-m{p.m}"
+        self.t0 = time.perf_counter()
+
+    def result(self, name: str, passed: bool, detail: str = "") -> CheckResult:
+        now = time.perf_counter()
+        ms, self.t0 = (now - self.t0) * 1000, now
+        return CheckResult(f"{self.prefix}:{name}", "property", passed, detail, ms)
 
 
 def _check_gap_methods(p: CurveParams) -> list[CheckResult]:
+    stamps = _Stamps(p)
     base = gs.gaps(p, method="complement").gaps
     results = []
     for method in ("union_nabla", "explicit_s"):
         got = gs.gaps(p, method=method).gaps
         ok = got == base
-        results.append(CheckResult(
-            f"{_cell_prefix(p)}:gap-methods-agree:{method}", "property", ok,
-            "" if ok else _diff_detail(got, base)))
+        results.append(stamps.result(f"gap-methods-agree:{method}", ok,
+                                     "" if ok else _diff_detail(got, base)))
     return results
 
 
 def _check_pure_methods(p: CurveParams) -> list[CheckResult]:
+    stamps = _Stamps(p)
     prof = gs.pure_gaps(p, method="profile").pure_gaps
     inter = gs.pure_gaps(p, method="intersection").pure_gaps
     ok = prof == inter
-    return [CheckResult(f"{_cell_prefix(p)}:pure-methods-agree", "property", ok,
-                        "" if ok else _diff_detail(inter, prof))]
+    return [stamps.result("pure-methods-agree", ok,
+                          "" if ok else _diff_detail(inter, prof))]
 
 
 def _check_zero_family(p: CurveParams) -> list[CheckResult]:
+    stamps = _Stamps(p)
     g_off = gs.gaps(p, method="union_nabla").gaps
     g_on = gs.gaps(p, method="union_nabla", include_zero_family=True).gaps
     p_off = gs.pure_gaps(p, method="intersection").pure_gaps
     p_on = gs.pure_gaps(p, method="intersection", include_zero_family=True).pure_gaps
     ok = g_off == g_on and p_off == p_on
-    return [CheckResult(f"{_cell_prefix(p)}:zero-family-indifferent", "property", ok,
-                        "" if ok else "zero-family translates changed an output")]
+    return [stamps.result("zero-family-indifferent", ok,
+                          "" if ok else "zero-family translates changed an output")]
 
 
 def _check_axis_gaps(p: CurveParams) -> list[CheckResult]:
     """Genus-many gaps along every axis; the first axis recovers the
     numerical semigroup (the later points can carry a different gap
     sequence of the same size)."""
+    stamps = _Stamps(p)
     gap_set = set(gs.gaps(p).gaps)
     expected = gs.numerical_gaps(p.a, p.b)
     results = []
@@ -265,27 +282,28 @@ def _check_axis_gaps(p: CurveParams) -> list[CheckResult]:
             ok, detail = False, f"axis gaps {got} != semigroup gaps {expected}"
         if k >= 1:
             later_axes.add(got)
-        results.append(CheckResult(
-            f"{_cell_prefix(p)}:axis-gaps-coordinate-{k + 1}", "property", ok, detail))
+        results.append(stamps.result(f"axis-gaps-coordinate-{k + 1}", ok, detail))
     if p.m >= 3:
         ok = len(later_axes) == 1
-        results.append(CheckResult(
-            f"{_cell_prefix(p)}:axis-gaps-later-points-agree", "property", ok,
+        results.append(stamps.result(
+            "axis-gaps-later-points-agree", ok,
             "" if ok else f"later axes carry different gap sequences {later_axes}"))
     return results
 
 
 def _check_superset(p: CurveParams) -> list[CheckResult]:
+    stamps = _Stamps(p)
     a_star, a_set = gs.candidate_superset(p)
     star, plain = set(a_star), set(a_set)
     bad = [t for t in gs.pure_gaps(p).pure_gaps
            if t[0] not in star or any(c not in plain for c in t[1:])]
     ok = not bad
-    return [CheckResult(f"{_cell_prefix(p)}:pure-gaps-in-candidate-superset",
-                        "property", ok, "" if ok else f"outliers={bad[:8]}")]
+    return [stamps.result("pure-gaps-in-candidate-superset", ok,
+                          "" if ok else f"outliers={bad[:8]}")]
 
 
 def _check_symmetry(p: CurveParams) -> list[CheckResult]:
+    stamps = _Stamps(p)
     report = gs.gaps(p)
     gap_set, pure_set = set(report.gaps), set(report.pure_gaps)
     ok = True
@@ -298,11 +316,11 @@ def _check_symmetry(p: CurveParams) -> list[CheckResult]:
         if {_permuted(t, perm) for t in pure_set} != pure_set:
             ok, detail = False, f"pure-gap set moved by permutation {perm}"
             break
-    return [CheckResult(f"{_cell_prefix(p)}:coordinate-symmetry", "property",
-                        ok, detail)]
+    return [stamps.result("coordinate-symmetry", ok, detail)]
 
 
 def _check_region_families(p: CurveParams) -> list[CheckResult]:
+    stamps = _Stamps(p)
     absolute = mx.absolute_maximals_region(p)
     relative = mx.relative_maximals_region(p)
     ok = len(absolute.region_reps) == p.b and len(relative.region_reps) == p.b
@@ -316,7 +334,7 @@ def _check_region_families(p: CurveParams) -> list[CheckResult]:
             ok, detail = False, _diff_detail(closed, expanded)
     if ok and mx.lambda_nonneg(p) != mx.expand_positive(relative):
         ok, detail = False, "positive expansion disagrees with the closed formula"
-    return [CheckResult(f"{_cell_prefix(p)}:region-families", "property", ok, detail)]
+    return [stamps.result("region-families", ok, detail)]
 
 
 def _check_formula_classification(p: CurveParams, sample: int = 12,
@@ -326,6 +344,7 @@ def _check_formula_classification(p: CurveParams, sample: int = 12,
     Uses the profile route of the classifiers so the full sweep stays
     fast; the search route is exercised by ``check_definition_level``.
     """
+    stamps = _Stamps(p)
     rng = random.Random(_mix_seed(seed, p.a, p.b, p.m, 4))
     relative = mx.relative_maximals_region(p)
     absolute = mx.absolute_maximals_region(p)
@@ -353,44 +372,43 @@ def _check_formula_classification(p: CurveParams, sample: int = 12,
                     oracle.is_absolute_maximal(p, t, method="profile"):
                 ok, detail = False, f"member {t} outside both families classified maximal"
                 break
-    return [CheckResult(f"{_cell_prefix(p)}:formula-classification", "property",
-                        ok, detail)]
+    return [stamps.result("formula-classification", ok, detail)]
 
 
 def _check_sigma(p: CurveParams) -> list[CheckResult]:
     if p.m != 2:
         return []
+    stamps = _Stamps(p)
     results = []
-    prefix = _cell_prefix(p)
     table = gs.sigma_pair(p)
     g = p.genus
     ok = sorted(table.sigma) == list(range(1, g + 1)) and len(table.gamma_pairs) == g
-    results.append(CheckResult(f"{prefix}:sigma-bijection", "property", ok,
-                               "" if ok else f"sigma={table.sigma}"))
+    results.append(stamps.result("sigma-bijection", ok,
+                                 "" if ok else f"sigma={table.sigma}"))
     literal = gs.sigma_literal(p)
     expected = tuple(table.gaps_q2[s - 1] for s in table.sigma)
     ok = literal == expected
-    results.append(CheckResult(f"{prefix}:sigma-literal-definition", "property", ok,
-                               "" if ok else f"{literal} != {expected}"))
+    results.append(stamps.result("sigma-literal-definition", ok,
+                                 "" if ok else f"{literal} != {expected}"))
     axis2 = tuple(t for t in range(1, 2 * g + 1) if not oracle.is_member(p, (0, t)))
     ok = table.gaps_q2 == axis2
-    results.append(CheckResult(f"{prefix}:sigma-second-point-gap-sequence",
-                               "property", ok,
-                               "" if ok else f"{table.gaps_q2} != {axis2}"))
+    results.append(stamps.result("sigma-second-point-gap-sequence", ok,
+                                 "" if ok else f"{table.gaps_q2} != {axis2}"))
     gaps_pairing = gs.sigma_gap_set(table)
     gaps_generic = gs.gaps(p).gaps
     ok = gaps_pairing == gaps_generic
-    results.append(CheckResult(f"{prefix}:sigma-gap-set", "property", ok,
-                               "" if ok else _diff_detail(gaps_pairing, gaps_generic)))
+    results.append(stamps.result("sigma-gap-set", ok,
+                                 "" if ok else _diff_detail(gaps_pairing, gaps_generic)))
     pure_pairing = gs.sigma_pure_gap_set(table)
     pure_generic = gs.pure_gaps(p).pure_gaps
     ok = pure_pairing == pure_generic and len(pure_generic) == len(table.inversions)
-    results.append(CheckResult(f"{prefix}:sigma-pure-gaps-inversions", "property", ok,
-                               "" if ok else _diff_detail(pure_pairing, pure_generic)))
+    results.append(stamps.result("sigma-pure-gaps-inversions", ok,
+                                 "" if ok else _diff_detail(pure_pairing, pure_generic)))
     return results
 
 
 def _check_witnesses(p: CurveParams) -> list[CheckResult]:
+    stamps = _Stamps(p)
     pure = gs.pure_gaps(p).pure_gaps
     ok, detail = True, ""
     for t in pure:
@@ -410,11 +428,12 @@ def _check_witnesses(p: CurveParams) -> list[CheckResult]:
             if t not in pure and gs.pure_gap_witness(p, t) is not None:
                 ok, detail = False, f"witness found for non-pure gap {t}"
                 break
-    return [CheckResult(f"{_cell_prefix(p)}:witness-coherence", "property", ok, detail)]
+    return [stamps.result("witness-coherence", ok, detail)]
 
 
 def _check_report_sanity(p: CurveParams, sample: int = 50,
                          seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    stamps = _Stamps(p)
     report = gs.gaps(p)
     B = 2 * p.genus - 1
     ok, detail = True, ""
@@ -435,7 +454,7 @@ def _check_report_sanity(p: CurveParams, sample: int = 50,
             if in_gaps == oracle.is_member(p, t):
                 ok, detail = False, f"grid and oracle disagree on {t}"
                 break
-    return [CheckResult(f"{_cell_prefix(p)}:gap-report-sanity", "property", ok, detail)]
+    return [stamps.result("gap-report-sanity", ok, detail)]
 
 
 _PROPERTY_CHECKS: dict[str, Callable[[CurveParams], list[CheckResult]]] = {
@@ -470,11 +489,7 @@ def run_property_sweep(max_a: int = 5, max_b: int = 9, max_m: int = 4,
     report = ConformanceReport()
     for p in cells:
         for name in selected:
-            t0 = time.perf_counter()
-            results = _PROPERTY_CHECKS[name](p)
-            ms = (time.perf_counter() - t0) * 1000 / max(len(results), 1)
-            report.entries.extend(CheckResult(r.name, r.kind, r.passed, r.detail, ms)
-                                  for r in results)
+            report.entries.extend(_PROPERTY_CHECKS[name](p))
     skipped = [(a, b) for a in range(2, max_a + 1) for b in range(2, max_b + 1)
                if math.gcd(a, b) != 1]
     report.entries.append(CheckResult(
@@ -512,15 +527,13 @@ def run_oracle_invariants(max_a: int = 5, max_b: int = 9, max_m: int = 4,
 
 def _oracle_invariants_for(p: CurveParams, trials: int, seed: int) -> list[CheckResult]:
     rng = random.Random(_mix_seed(seed, p.a, p.b, p.m, 1))
-    prefix = _cell_prefix(p)
+    stamps = _Stamps(p)
     results = []
 
-    def record(name: str, failure: str | None, t0: float) -> None:
-        results.append(CheckResult(f"{prefix}:{name}", "property", failure is None,
-                                   failure or "", (time.perf_counter() - t0) * 1000))
+    def record(name: str, failure: str | None) -> None:
+        results.append(stamps.result(name, failure is None, failure or ""))
 
     # lattice invariance of membership (and of the maximal classifiers)
-    t0 = time.perf_counter()
     failure = None
     for k in range(trials):
         alpha = _random_tuple(rng, p)
@@ -538,10 +551,9 @@ def _oracle_invariants_for(p: CurveParams, trials: int, seed: int) -> list[Check
                     oracle.is_absolute_maximal(p, shifted, method="profile"):
                 failure = f"absolute maximality not lattice-invariant at {alpha}"
                 break
-    record("theta-invariance", failure, t0)
+    record("theta-invariance", failure)
 
     # coordinate sum at least 2g forces membership
-    t0 = time.perf_counter()
     failure = None
     for _ in range(max(trials // 5, 1)):
         alpha = list(_random_tuple(rng, p))
@@ -551,10 +563,9 @@ def _oracle_invariants_for(p: CurveParams, trials: int, seed: int) -> list[Check
         if not oracle.is_member(p, tuple(alpha)):
             failure = f"{tuple(alpha)} with sum >= 2g rejected"
             break
-    record("two-genus-rule", failure, t0)
+    record("two-genus-rule", failure)
 
     # members are closed under componentwise maxima
-    t0 = time.perf_counter()
     failure = None
     for _ in range(max(trials // 5, 1)):
         x, y = _random_member(rng, p), _random_member(rng, p)
@@ -564,10 +575,9 @@ def _oracle_invariants_for(p: CurveParams, trials: int, seed: int) -> list[Check
         if not oracle.is_member(p, lub([x, y])):
             failure = f"lub of members {x}, {y} rejected"
             break
-    record("lub-closure", failure, t0)
+    record("lub-closure", failure)
 
     # dimension increments and the membership equivalence
-    t0 = time.perf_counter()
     failure = None
     for _ in range(max(trials // 5, 1)):
         alpha = _random_tuple(rng, p)
@@ -582,10 +592,9 @@ def _oracle_invariants_for(p: CurveParams, trials: int, seed: int) -> list[Check
         if oracle.is_member(p, alpha) != all(s == 1 for s in steps):
             failure = f"membership does not match unit increments at {alpha}"
             break
-    record("dimension-increments", failure, t0)
+    record("dimension-increments", failure)
 
     # exact dimension in the high-degree regime
-    t0 = time.perf_counter()
     failure = None
     for _ in range(max(trials // 5, 1)):
         alpha = list(_random_tuple(rng, p))
@@ -596,10 +605,9 @@ def _oracle_invariants_for(p: CurveParams, trials: int, seed: int) -> list[Check
         if oracle.dim_L(p, tuple(alpha)) != expected:
             failure = f"dimension at {tuple(alpha)} != {expected}"
             break
-    record("riemann-roch-regime", failure, t0)
+    record("riemann-roch-regime", failure)
 
     # closed-form windows against the explicit enumeration
-    t0 = time.perf_counter()
     failure = None
     for _ in range(max(trials // 10, 1)):
         alpha = _random_tuple(rng, p)
@@ -612,10 +620,9 @@ def _oracle_invariants_for(p: CurveParams, trials: int, seed: int) -> list[Check
         if oracle.dim_L(p, alpha) != len(firsts):
             failure = f"window dimension disagrees with enumeration at {alpha}"
             break
-    record("profile-enumeration-agreement", failure, t0)
+    record("profile-enumeration-agreement", failure)
 
     # the two emptiness routes agree
-    t0 = time.perf_counter()
     failure = None
     subsets = [J for size in range(1, p.m)
                for J in itertools.combinations(range(1, p.m + 1), size)]
@@ -626,7 +633,7 @@ def _oracle_invariants_for(p: CurveParams, trials: int, seed: int) -> list[Check
                 oracle.nabla_J_empty(p, alpha, J, "profile"):
             failure = f"nabla emptiness routes disagree at {alpha}, J={J}"
             break
-    record("nabla-routes-agreement", failure, t0)
+    record("nabla-routes-agreement", failure)
 
     return results
 
@@ -647,10 +654,9 @@ def check_definition_level(params: CurveParams, sample_size: int = 50,
     box = Box(lo=(-(p.b + 1),) * p.m, hi=(2 * p.genus,) * p.m)
     relative = mx.relative_maximals_region(p)
     absolute = mx.absolute_maximals_region(p)
-    prefix = _cell_prefix(p)
+    stamps = _Stamps(p)
     report = ConformanceReport()
 
-    t0 = time.perf_counter()
     failure = None
     for t in mx.expand_in_box(relative, box):
         if not oracle.is_relative_maximal(p, t, method="search"):
@@ -659,11 +665,9 @@ def check_definition_level(params: CurveParams, sample_size: int = 50,
         if p.m >= 3 and oracle.is_absolute_maximal(p, t, method="search"):
             failure = f"{t} passes the absolute definition"
             break
-    report.entries.append(CheckResult(
-        f"{prefix}:definition-level-relative", "property", failure is None,
-        failure or "", (time.perf_counter() - t0) * 1000))
+    report.entries.append(stamps.result("definition-level-relative",
+                                        failure is None, failure or ""))
 
-    t0 = time.perf_counter()
     failure = None
     for t in mx.expand_in_box(absolute, box):
         if not oracle.is_absolute_maximal(p, t, method="search"):
@@ -672,11 +676,9 @@ def check_definition_level(params: CurveParams, sample_size: int = 50,
         if p.m >= 3 and oracle.is_relative_maximal(p, t, method="search"):
             failure = f"{t} passes the relative definition"
             break
-    report.entries.append(CheckResult(
-        f"{prefix}:definition-level-absolute", "property", failure is None,
-        failure or "", (time.perf_counter() - t0) * 1000))
+    report.entries.append(stamps.result("definition-level-absolute",
+                                        failure is None, failure or ""))
 
-    t0 = time.perf_counter()
     failure = None
     rng = random.Random(_mix_seed(seed, p.a, p.b, p.m, 3))
     tested = 0
@@ -691,8 +693,7 @@ def check_definition_level(params: CurveParams, sample_size: int = 50,
                 oracle.is_absolute_maximal(p, t, method="search"):
             failure = f"member {t} outside both families passes a definition"
             break
-    report.entries.append(CheckResult(
-        f"{prefix}:definition-level-nonmaximal-sample", "property", failure is None,
-        failure or "", (time.perf_counter() - t0) * 1000))
+    report.entries.append(stamps.result("definition-level-nonmaximal-sample",
+                                        failure is None, failure or ""))
 
     return report.sorted()

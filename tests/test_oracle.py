@@ -1,7 +1,14 @@
+import ast
+import itertools
+import random
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import wsgap as w
+from wsgap import oracle
 from wsgap.core import add
 
 P453 = w.curve_params(4, 5, 3)
@@ -50,6 +57,14 @@ class TestMembership:
         with pytest.raises(w.BadPointCountError):
             w.is_member(w.curve_params(4, 5, 1), (0,))
 
+    def test_rejects_bool_coordinates(self):
+        p = w.hermitian_params(4, 3)
+        for op in (w.is_member, w.dim_L, w.per_coord_max, w.local_absolute_maximals):
+            with pytest.raises(w.WsgapError):
+                op(p, (True, False, False))
+        with pytest.raises(w.WsgapError):
+            w.nabla_J_empty(p, (True, 0, 0), (1,), "profile")
+
 
 class TestDimension:
     @pytest.mark.parametrize("t,expected", [
@@ -86,6 +101,12 @@ class TestNabla:
             w.nabla_J_empty(P453, (3, 3, 3), (0,))
         with pytest.raises(w.WsgapError):
             w.nabla_J_empty(P453, (3, 3, 3), (4,))
+
+    @pytest.mark.parametrize("method", ["search", "profile"])
+    @pytest.mark.parametrize("J", [(True,), (1, True)])
+    def test_J_rejects_non_int_indices(self, method, J):
+        with pytest.raises(w.WsgapError):
+            w.nabla_J_empty(P453, (3, 3, 3), J, method)
 
 
 class TestMaximality:
@@ -208,3 +229,92 @@ class TestOracleProperties:
         attained = prof.gamma_hat_beta and all(
             any(g[k] == beta[k] for g in prof.gamma_hat_beta) for k in range(p.m))
         assert w.is_member(p, beta) == bool(attained)
+
+
+def _box_reference(p, lo, hi):
+    """Membership, dimension and envelope on every tuple of [lo, hi]^m,
+    by filtering the explicit enumeration below the corner (hi, ..., hi):
+    an absolute maximal is <= a tuple of the box exactly when it is in
+    that enumeration and <= the tuple."""
+    m = p.m
+    gammas = np.array(w.local_absolute_maximals(p, (hi,) * m).gamma_hat_beta,
+                      dtype=np.int64).reshape(-1, m)
+    # the enumeration is sorted, so rows with equal first coordinates are adjacent
+    starts = np.flatnonzero(np.r_[True, np.diff(gammas[:, 0]) != 0])
+    betas = np.array(list(itertools.product(range(lo, hi + 1), repeat=m)),
+                     dtype=np.int64).reshape(-1, m)
+    for chunk in np.array_split(betas, max(1, len(betas) // 2048)):
+        below = (gammas[None, :, :] <= chunk[:, None, :]).all(axis=2)
+        dims = (np.logical_or.reduceat(below, starts, axis=1).sum(axis=1)
+                if len(gammas) else np.zeros(len(chunk), dtype=np.int64))
+        none = np.iinfo(np.int64).min
+        tops = np.stack([np.where(below, gammas[:, k], none).max(axis=1, initial=none)
+                         for k in range(m)], axis=1)
+        for beta, dim, top, any_below in zip(chunk.tolist(), dims.tolist(),
+                                             tops.tolist(), below.any(axis=1).tolist()):
+            pcm = tuple(top) if any_below else None
+            yield tuple(beta), pcm == tuple(beta), dim, pcm
+
+
+# Small curves, m = a + 1 included, on the box [-b-2, 2g+b]^m
+KERNEL_CELLS = [w.curve_params(2, 3, 2), w.curve_params(2, 3, 3),
+                w.hermitian_params(3, 2), w.hermitian_params(3, 3), w.hermitian_params(3, 4),
+                w.curve_params(5, 7, 2)]
+
+
+class TestResidueKernel:
+    @pytest.mark.parametrize("p", KERNEL_CELLS, ids=str)
+    def test_matches_enumeration_on_box(self, p):
+        lo, hi = -p.b - 2, 2 * p.genus + p.b
+        for beta, member, dim, pcm in _box_reference(p, lo, hi):
+            assert w.is_member(p, beta) is member, beta
+            assert w.dim_L(p, beta) == dim, beta
+            assert w.per_coord_max(p, beta) == pcm, beta
+
+    def test_box_reference_matches_per_tuple_enumeration(self):
+        p = w.curve_params(2, 3, 3)
+        lo, hi = -p.b - 2, 2 * p.genus + p.b
+        for beta, member, dim, pcm in _box_reference(p, lo, hi):
+            prof = w.local_absolute_maximals(p, beta)
+            assert dim == len({g[0] for g in prof.gamma_hat_beta})
+            assert pcm == (prof.per_coord_max if prof.gamma_hat_beta else None)
+
+    @pytest.mark.parametrize("p", KERNEL_CELLS, ids=str)
+    def test_nabla_profile_matches_search(self, p):
+        rng = random.Random(p.a * 1000 + p.b * 10 + p.m)
+        lo, hi = -p.b - 2, 2 * p.genus + p.b
+        subsets = [J for size in range(1, p.m)
+                   for J in itertools.combinations(range(1, p.m + 1), size)]
+        for _ in range(60):
+            alpha = tuple(rng.randint(lo, hi) for _ in range(p.m))
+            for J in subsets:
+                assert w.nabla_J_empty(p, alpha, J, "profile") == \
+                    w.nabla_J_empty(p, alpha, J, "search"), (alpha, J)
+
+
+class TestOracleCaches:
+    def test_no_unbounded_or_per_tuple_cache(self):
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        cached = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for dec in node.decorator_list:
+                name = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(name, "id", getattr(name, "attr", None)) in ("lru_cache", "cache"):
+                    cached[node.name] = dec
+        # one per-curve table, keyed by the curve alone
+        assert set(cached) == {"_residue_table"}
+        for dec in cached.values():
+            assert isinstance(dec, ast.Call)
+            assert not any(isinstance(kw.value, ast.Constant) and kw.value.value is None
+                           for kw in dec.keywords)
+
+    def test_table_cache_stays_bounded(self):
+        maxsize = oracle._residue_table.cache_info().maxsize
+        cells = [w.curve_params(a, b, 2) for a in (2, 3) for b in range(3, 40)
+                 if b % a][:maxsize + 3]
+        assert len(cells) > maxsize
+        for p in cells:
+            assert w.is_member(p, (0, 0))
+        assert oracle._residue_table.cache_info().currsize <= maxsize

@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import pytest
 
@@ -62,6 +63,25 @@ class TestSweep:
                                       checks=("gap-methods",))
         note = next(e for e in report.entries if e.name == "sweep-coverage")
         assert "(2, 4)" in note.detail
+
+    def test_results_carry_their_own_time(self, monkeypatch):
+        """Each result of a multi-result check is stamped with the time
+        spent on it, not an even share of the check's time."""
+        now = [0.0]
+        monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+        seconds = {"complement": 10.0, "union_nabla": 1.0, "explicit_s": 2.0}
+        real_gaps = verify.gs.gaps
+
+        def slow_gaps(p, method="complement", **kwargs):
+            now[0] += seconds[method]
+            return real_gaps(p, method=method, **kwargs)
+
+        monkeypatch.setattr(verify.gs, "gaps", slow_gaps)
+        report = w.run_property_sweep(max_a=2, max_b=3, max_m=2, checks=("gap-methods",))
+        ms = {e.name: e.ms for e in report.entries}
+        # the shared complement route is charged to the first result
+        assert ms["a2-b3-m2:gap-methods-agree:union_nabla"] == 11000.0
+        assert ms["a2-b3-m2:gap-methods-agree:explicit_s"] == 2000.0
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
