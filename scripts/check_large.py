@@ -22,8 +22,9 @@ It prints one line per curve with the time of each part and exits 1 on
 any disagreement.  The complement and profile routes share one cached
 walk, which the complement time includes.
 
-It is not part of the test suite: a run takes about 45 s on two cores,
-most of it in the intersection route at Hermitian q = 8, m = 4.
+It is not part of the test suite: a run takes about 9 s on two cores,
+the largest part the oracle sample at Hermitian q = 8, m = 4 (about
+2 s; the intersection route takes about 0.7 s there).
 
     PYTHONPATH=src python3 scripts/check_large.py
 """

@@ -33,6 +33,11 @@ IntTuple = tuple[int, ...]
 # would only invite accidental huge sweeps.
 MAX_DEGREE = 1 << 16
 
+# Entries for a few recent curves in every per-curve cache of the
+# package: the calls of one command or one verify cell all hit the same
+# entries, and a long-lived process cannot grow the caches.
+CURVE_CACHE_SIZE = 8
+
 
 class WsgapError(ValueError):
     """Base class for domain errors raised by this package."""
@@ -62,7 +67,9 @@ class CurveParams:
     hand-built instances cannot drift from the derived value.
     ``field_size`` is metadata only: the combinatorics below never look
     at it, but several statements assume the field has at least m
-    elements, hence the warning when it is declared smaller.
+    elements, hence the warning when it is declared smaller.  Every
+    field is a plain ``int``: ``bool`` is an ``int`` subclass, but
+    ``True`` is no point count.
     """
 
     a: int
@@ -73,7 +80,7 @@ class CurveParams:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "m", "genus"):
-            if not isinstance(getattr(self, name), int):
+            if type(getattr(self, name)) is not int:
                 raise WsgapError(f"{name} must be an integer")
         if self.a < 2 or self.b < 2:
             raise WsgapError("degrees a and b must both be at least 2")
@@ -90,7 +97,7 @@ class CurveParams:
                 f"genus must be (a-1)(b-1)/2 = {(self.a - 1) * (self.b - 1) // 2}"
             )
         if self.field_size is not None:
-            if not isinstance(self.field_size, int) or self.field_size < 2:
+            if type(self.field_size) is not int or self.field_size < 2:
                 raise WsgapError("field_size must be an integer >= 2")
             if self.field_size < self.m:
                 warnings.warn(
@@ -102,7 +109,7 @@ class CurveParams:
 
 def curve_params(a: int, b: int, m: int, field_size: int | None = None) -> CurveParams:
     """Validate (a, b, m) and return parameters with the genus filled in."""
-    if not isinstance(a, int) or not isinstance(b, int) or not isinstance(m, int):
+    if not (type(a) is int and type(b) is int and type(m) is int):
         raise WsgapError("a, b and m must be integers")
     if a < 2 or b < 2:
         raise WsgapError("degrees a and b must both be at least 2")

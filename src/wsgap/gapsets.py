@@ -33,7 +33,10 @@ cross-checks.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -41,6 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    CURVE_CACHE_SIZE,
     BadPointCountError,
     CurveParams,
     IntTuple,
@@ -71,7 +75,7 @@ class GapReport:
             raise WsgapError("pure gaps outside the gap set")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CURVE_CACHE_SIZE)
 def numerical_gaps(a: int, b: int) -> tuple[int, ...]:
     """Gaps of the numerical semigroup generated by a and b, ascending."""
     g = (a - 1) * (b - 1) // 2
@@ -88,13 +92,7 @@ def _bound(params: CurveParams) -> int:
     return 2 * params.genus - 1
 
 
-# Entries for a few recent curves in the per-curve caches: ``gaps`` and
-# ``pure_gaps`` on the same parameters, and the checks of one verify
-# cell, all hit the same entry.
-_CURVE_CACHE_SIZE = 8
-
-
-@lru_cache(maxsize=_CURVE_CACHE_SIZE)
+@lru_cache(maxsize=CURVE_CACHE_SIZE)
 def _profile_walk(params: CurveParams) -> tuple[tuple[IntTuple, ...], tuple[IntTuple, ...]]:
     """Gaps and pure gaps of [0, B]^m, walking the first coordinate.
 
@@ -233,28 +231,34 @@ def _pure_set_intersection(params: CurveParams, include_zero_family: bool) -> tu
 
     A combination (beta^1, ..., beta^m) contributes exactly when
     beta^i_i < beta^j_i for every i and j != i, and then its single
-    common point is (beta^1_1, ..., beta^m_m).  The recursion checks the
-    pairwise conditions as soon as both sides are chosen.
+    common point is (beta^1_1, ..., beta^m_m).
+
+    The choices are made coordinate by coordinate, and partial choices
+    that cannot differ later are merged.  Once beta^1..beta^i are fixed,
+    a later choice beta^l (l > i) must satisfy beta^k_k < beta^l_k for
+    every k <= i, which reads only the diagonal (beta^1_1, ..., beta^i_i),
+    and beta^l_l < beta^k_l for every k <= i, which reads only the
+    minimum of beta^k_l over k <= i.  Two partial choices with the same
+    diagonal and the same minima at the later coordinates therefore
+    admit the same completions, and the output only keeps diagonals, so
+    each level walks a set of (diagonal, minima) states.  At coordinate i
+    the candidates come from the relative maximals sorted by coordinate
+    i, cut at the first one not below the minimum there.
     """
     lam = mx.lambda_nonneg(params, include_zero_family)
     m = params.m
-    out: set[IntTuple] = set()
-
-    def rec(i: int, chosen: list[IntTuple]) -> None:
-        if i == m:
-            out.add(tuple(chosen[k][k] for k in range(m)))
-            return
-        for cand in lam:
-            ok = True
-            for j, prev in enumerate(chosen):
-                if not (cand[i] < prev[i] and prev[j] < cand[j]):
-                    ok = False
-                    break
-            if ok:
-                rec(i + 1, chosen + [cand])
-
-    rec(0, [])
-    return sorted_unique(out)
+    # states: (diagonal so far, minima at the coordinates not yet chosen)
+    states: set[tuple] = {((), (math.inf,) * m)}
+    for i in range(m):
+        by_i = sorted(lam, key=lambda t: t[i])
+        keys = [t[i] for t in by_i]
+        nxt = set()
+        for diag, mins in states:
+            for cand in by_i[:bisect.bisect_left(keys, mins[0])]:
+                if all(map(operator.lt, diag, cand)):
+                    nxt.add((diag + (cand[i],), tuple(map(min, mins[1:], cand[i + 1:]))))
+        states = nxt
+    return sorted_unique(diag for diag, _ in states)
 
 
 def _report(params: CurveParams, gap_tuples, pure_tuples, method: str,
@@ -337,10 +341,13 @@ def pure_gap_witness(params: CurveParams, alpha: Sequence[int],
     if params.m < 2:
         raise BadPointCountError("pure gaps need m >= 2")
     alpha = check_tuple(params, alpha)
+    others = params.m - 1
     chosen = []
     for i, by_value in enumerate(_witness_index(params, include_zero_family)):
         for cand in by_value.get(alpha[i], ()):
-            if all(cand[j] > alpha[j] for j in range(params.m) if j != i):
+            # cand_i equals alpha_i, so the others all exceed alpha when
+            # m - 1 coordinates do
+            if sum(map(operator.gt, cand, alpha)) == others:
                 chosen.append(cand)
                 break
         else:
@@ -348,7 +355,7 @@ def pure_gap_witness(params: CurveParams, alpha: Sequence[int],
     return tuple(chosen)
 
 
-@lru_cache(maxsize=_CURVE_CACHE_SIZE)
+@lru_cache(maxsize=CURVE_CACHE_SIZE)
 def _witness_index(params: CurveParams, include_zero_family: bool) -> tuple[dict, ...]:
     """Per coordinate i, the relative maximals by their i-th value, in sorted order."""
     index: tuple[dict, ...] = tuple({} for _ in range(params.m))

@@ -23,6 +23,7 @@ from functools import lru_cache
 from typing import Iterator, Literal, Sequence
 
 from .core import (
+    CURVE_CACHE_SIZE,
     Box,
     BadPointCountError,
     CurveParams,
@@ -57,7 +58,7 @@ class MaximalSet:
             raise WsgapError(f"{self.kind} representative outside the fundamental region")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CURVE_CACHE_SIZE)
 def absolute_maximals_region(params: CurveParams) -> MaximalSet:
     """The b absolute-maximal representatives in the fundamental region."""
     if params.m < 2:
@@ -69,7 +70,7 @@ def absolute_maximals_region(params: CurveParams) -> MaximalSet:
     return MaximalSet(kind="absolute", region_reps=sorted_unique(reps), params=params)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CURVE_CACHE_SIZE)
 def relative_maximals_region(params: CurveParams) -> MaximalSet:
     """The b relative-maximal representatives in the fundamental region."""
     if params.m < 2:
@@ -164,7 +165,7 @@ def expand_positive(ms: MaximalSet) -> tuple[IntTuple, ...]:
     return sorted_unique(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CURVE_CACHE_SIZE)
 def lambda_nonneg(params: CurveParams, include_zero_family: bool = False) -> tuple[IntTuple, ...]:
     """Relative maximal elements by the explicit nonnegative formula.
 

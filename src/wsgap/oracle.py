@@ -44,6 +44,7 @@ from functools import lru_cache
 from typing import Iterable, Literal, Sequence
 
 from .core import (
+    CURVE_CACHE_SIZE,
     BadPointCountError,
     CurveParams,
     IntTuple,
@@ -66,12 +67,7 @@ class LocalProfile:
     per_coord_max: tuple[int | None, ...]
 
 
-# Residue tables of a few recent curves; like the per-curve caches of
-# ``gapsets``, a long-lived process cannot grow it.
-_TABLE_CACHE_SIZE = 8
-
-
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+@lru_cache(maxsize=CURVE_CACHE_SIZE)
 def _residue_table(params: CurveParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``(f, hit)``: ``f[r]`` is the first coordinate of family r's
     representative (f_r, r, ..., r), read from ``absolute_maximals_region``,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -204,15 +205,8 @@ def sweep_cells(max_a: int = 5, max_b: int = 9, max_m: int = 4) -> tuple[CurvePa
 # per-cell property checks
 
 def _axis_set(gap_set: set[IntTuple], m: int, k: int) -> tuple[int, ...]:
-    out = []
-    for t in gap_set:
-        if t[k] > 0 and all(t[j] == 0 for j in range(m) if j != k):
-            out.append(t[k])
-    return tuple(sorted(out))
-
-
-def _permuted(t: IntTuple, perm: Sequence[int]) -> IntTuple:
-    return tuple(t[p] for p in perm)
+    """Positive values at coordinate k of the tuples that are 0 elsewhere."""
+    return tuple(sorted(t[k] for t in gap_set if t[k] > 0 and t.count(0) == m - 1))
 
 
 class _Stamps:
@@ -310,10 +304,12 @@ def _check_symmetry(p: CurveParams) -> list[CheckResult]:
     detail = ""
     for perm_tail in itertools.permutations(range(1, p.m)):
         perm = (0,) + perm_tail
-        if {_permuted(t, perm) for t in gap_set} != gap_set:
+        # m >= 2, so itemgetter returns tuples
+        permuted = operator.itemgetter(*perm)
+        if set(map(permuted, gap_set)) != gap_set:
             ok, detail = False, f"gap set moved by permutation {perm}"
             break
-        if {_permuted(t, perm) for t in pure_set} != pure_set:
+        if set(map(permuted, pure_set)) != pure_set:
             ok, detail = False, f"pure-gap set moved by permutation {perm}"
             break
     return [stamps.result("coordinate-symmetry", ok, detail)]
@@ -410,6 +406,7 @@ def _check_sigma(p: CurveParams) -> list[CheckResult]:
 def _check_witnesses(p: CurveParams) -> list[CheckResult]:
     stamps = _Stamps(p)
     pure = gs.pure_gaps(p).pure_gaps
+    pure_set = set(pure)
     ok, detail = True, ""
     for t in pure:
         witness = gs.pure_gap_witness(p, t)
@@ -425,7 +422,7 @@ def _check_witnesses(p: CurveParams) -> list[CheckResult]:
             break
     if ok:
         for t in gs.gaps(p).gaps:
-            if t not in pure and gs.pure_gap_witness(p, t) is not None:
+            if t not in pure_set and gs.pure_gap_witness(p, t) is not None:
                 ok, detail = False, f"witness found for non-pure gap {t}"
                 break
     return [stamps.result("witness-coherence", ok, detail)]

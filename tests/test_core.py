@@ -63,6 +63,20 @@ class TestCurveParams:
             warnings.simplefilter("error")
             w.curve_params(4, 5, 3, field_size=16)
 
+    # True is 1, a valid m and the genus of (2, 3); the other fields reject
+    # 1 anyway, so the message must name the type
+    @pytest.mark.parametrize("field", ["a", "b", "m", "field_size"])
+    def test_curve_params_rejects_bool(self, field):
+        kwargs = {**dict(a=2, b=3, m=1, field_size=2), field: True}
+        with pytest.raises(w.WsgapError, match="integer"):
+            w.curve_params(**kwargs)
+
+    @pytest.mark.parametrize("field", ["a", "b", "m", "genus", "field_size"])
+    def test_constructor_rejects_bool(self, field):
+        kwargs = {**dict(a=2, b=3, m=1, genus=1, field_size=2), field: True}
+        with pytest.raises(w.WsgapError, match="integer"):
+            w.CurveParams(**kwargs)
+
 
 class TestPresets:
     def test_norm_trace_is_hermitian_at_r2(self):

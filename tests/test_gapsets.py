@@ -1,10 +1,15 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
 import wsgap as w
 from wsgap import fixtures as fx
 from wsgap import gapsets as gs
+from wsgap import maximals as mx
+from wsgap import verify
+from wsgap.core import sorted_unique
 
 P453 = w.curve_params(4, 5, 3)
 P473 = w.curve_params(4, 7, 3)
@@ -212,9 +217,30 @@ class TestProfileEngine:
         for p in cells:
             w.gaps(p)
             w.pure_gap_witness(p, (1, 1))
-        assert gs._profile_walk.cache_info().currsize <= maxsize
-        assert gs._witness_index.cache_info().currsize <= \
-            gs._witness_index.cache_info().maxsize
+            w.sigma_pair(p)
+            w.relative_maximals_region(p)
+        per_curve = (gs._profile_walk, gs._witness_index, gs.numerical_gaps,
+                     mx.absolute_maximals_region, mx.relative_maximals_region,
+                     mx.lambda_nonneg)
+        for cached in per_curve:
+            info = cached.cache_info()
+            assert info.maxsize is not None
+            assert info.currsize <= info.maxsize, cached.__name__
+
+    def test_no_unbounded_cache_in_package(self):
+        """No ``functools.cache`` and no ``lru_cache(None)`` anywhere in the package."""
+        unbounded = []
+        for path in sorted(Path(gs.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                name = node.func if isinstance(node, ast.Call) else node
+                name = getattr(name, "id", getattr(name, "attr", None))
+                if name == "cache":
+                    unbounded.append(f"{path.name}:{node.lineno}")
+                if name == "lru_cache" and isinstance(node, ast.Call):
+                    size = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+                    if any(isinstance(v, ast.Constant) and v.value is None for v in size):
+                        unbounded.append(f"{path.name}:{node.lineno}")
+        assert not unbounded
 
 
 def _witness_by_scan(p, alpha, include_zero_family=False):
@@ -238,3 +264,39 @@ def test_witness_index_matches_scan(p, zero_family):
     for t in itertools.product(range(-1, B + 2), repeat=p.m):
         if sum(t) <= B + 1:
             assert w.pure_gap_witness(p, t, zero_family) == _witness_by_scan(p, t, zero_family)
+
+
+def _pure_set_intersection_recursive(params, include_zero_family):
+    """The intersection route as a plain recursion over one relative
+    maximal per coordinate, checking the pairwise conditions as soon as
+    both sides are chosen; the reference for the merged-state walk."""
+    lam = w.lambda_nonneg(params, include_zero_family)
+    m = params.m
+    out = set()
+
+    def rec(i, chosen):
+        if i == m:
+            out.add(tuple(chosen[k][k] for k in range(m)))
+            return
+        for cand in lam:
+            ok = True
+            for j, prev in enumerate(chosen):
+                if not (cand[i] < prev[i] and prev[j] < cand[j]):
+                    ok = False
+                    break
+            if ok:
+                rec(i + 1, chosen + [cand])
+
+    rec(0, [])
+    return sorted_unique(out)
+
+
+INTERSECTION_CASES = list(verify.sweep_cells()) + [
+    w.hermitian_params(5, 4), w.norm_trace_params(2, 3, 3)]
+
+
+@pytest.mark.parametrize("zero_family", [False, True])
+def test_intersection_matches_recursive_reference(zero_family):
+    for p in INTERSECTION_CASES:
+        assert gs._pure_set_intersection(p, zero_family) == \
+            _pure_set_intersection_recursive(p, zero_family), p

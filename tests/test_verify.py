@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import types
 
 import pytest
@@ -134,3 +135,82 @@ def test_default_sweep_soft_budget():
     elapsed = time.perf_counter() - t0
     assert report.ok
     assert elapsed < 180  # soft 60s budget with a generous multiplier
+
+
+class TestChecksCatchFaults:
+    """Corrupted gap reports make each rewritten check fail with its detail."""
+
+    CELLS = w.sweep_cells(3, 4, 3)
+
+    @staticmethod
+    def _patch(monkeypatch, name, corrupt):
+        real = getattr(verify.gs, name)
+
+        def corrupted(p, *args, **kwargs):
+            return corrupt(real(p, *args, **kwargs))
+
+        monkeypatch.setattr(verify.gs, name, corrupted)
+
+    def _results(self, check, result_name):
+        """(cell, result) of one named result on every cell of a small sweep."""
+        report = w.run_property_sweep(max_a=3, max_b=4, max_m=3, checks=(check,))
+        by_name = {e.name: e for e in report.entries}
+        return [(p, by_name[f"a{p.a}-b{p.b}-m{p.m}:{result_name}"]) for p in self.CELLS]
+
+    def test_symmetry_catches_unpermuted_gap(self, monkeypatch):
+        # (0, B + 1, 0, ...) is no gap, and swapping the later coordinates
+        # moves it to a tuple that is absent
+        def add_gap(report):
+            m, B = report.params.m, 2 * report.params.genus - 1
+            extra = (0, B + 1) + (0,) * (m - 2)
+            return dataclasses.replace(report, gaps=report.gaps + (extra,))
+
+        self._patch(monkeypatch, "gaps", add_gap)
+        for p, e in self._results("symmetry", "coordinate-symmetry"):
+            if p.m == 2:
+                assert e.passed  # the identity is the only permutation
+            else:
+                assert not e.passed
+                assert e.detail == "gap set moved by permutation (0, 2, 1)"
+
+    def test_axis_gaps_catch_dropped_axis_gap(self, monkeypatch):
+        def drop_axis_gap(report):
+            first = (0, 1) + (0,) * (report.params.m - 2)
+            assert first in report.gaps  # 1 is a gap at every point
+            return dataclasses.replace(
+                report, gaps=tuple(t for t in report.gaps if t != first))
+
+        self._patch(monkeypatch, "gaps", drop_axis_gap)
+        for p, e in self._results("axis-gaps", "axis-gaps-coordinate-2"):
+            assert not e.passed
+            assert e.detail == f"{p.genus - 1} axis gaps, genus is {p.genus}"
+
+    def test_witnesses_catch_dropped_pure_gap(self, monkeypatch):
+        pure = {p: w.pure_gaps(p).pure_gaps for p in self.CELLS}
+        assert any(pure.values())
+
+        def drop_pure_gap(report):
+            return dataclasses.replace(report, pure_gaps=report.pure_gaps[1:])
+
+        self._patch(monkeypatch, "pure_gaps", drop_pure_gap)
+        for p, e in self._results("witnesses", "witness-coherence"):
+            if pure[p]:
+                assert not e.passed
+                assert e.detail == f"witness found for non-pure gap {pure[p][0]}"
+            else:
+                assert e.passed
+
+
+# sha256 of (name, kind, passed, detail) over the fixtures, the default
+# property sweep and the oracle invariants at 200 trials, default seed;
+# recorded before the sweep's checks were rewritten with hashed lookups.
+PINNED_PAYLOAD_SHA256 = "be8d25fe03a86781fdc150527ed532f52d7fc8ab4e080dc4a5d2a8cbf39c5ec9"
+
+
+def test_default_payload_is_pinned():
+    entries = (w.run_fixtures().entries + w.run_property_sweep().entries
+               + w.run_oracle_invariants(trials=200).entries)
+    assert len(entries) == 1268
+    digest = hashlib.sha256("\n".join(
+        repr((e.name, e.kind, e.passed, e.detail)) for e in entries).encode()).hexdigest()
+    assert digest == PINNED_PAYLOAD_SHA256
