@@ -5,8 +5,9 @@ The test suite and ``wsgap verify`` compare the routes on every coprime
 (a, b, m) with a <= 5, b <= 9.  This script compares them on the larger
 curves people run.
 
-* Hermitian q = 7, 8 at m = 2..4, q = 9 at m = 2, 3, and norm-trace
-  (ell, r) = (2, 4) at m = 2, 3: the three gap routes (complement,
+* Hermitian q = 7, 8 at m = 2..4, q = 9 at m = 2, 3, q = 11 at m = 3,
+  q = 32 at m = 2, and norm-trace (ell, r) = (2, 4) at m = 2, 3 and
+  (3, 3) at m = 3: the three gap routes (complement,
   union_nabla, explicit_s) give the same tuples, the two pure-gap
   routes (profile, intersection) the same pure gaps, and every axis
   carries exactly genus gaps.
@@ -20,7 +21,7 @@ curves people run.
 
 It prints one line per curve with the time of each part and exits 1 on
 any disagreement.  The complement and profile routes share one cached
-walk, which the complement time includes.
+kernel, which the complement time includes.
 
 It is not part of the test suite: a run takes about 9 s on two cores,
 the largest part the oracle sample at Hermitian q = 8, m = 4 (about
@@ -38,8 +39,10 @@ import wsgap as w
 
 CELLS = (
     [(f"hermitian q={q} m={m}", w.hermitian_params(q, m))
-     for q, ms in ((7, (2, 3, 4)), (8, (2, 3, 4)), (9, (2, 3))) for m in ms]
-    + [(f"norm-trace ell=2 r=4 m={m}", w.norm_trace_params(2, 4, m)) for m in (2, 3)]
+     for q, ms in ((7, (2, 3, 4)), (8, (2, 3, 4)), (9, (2, 3)), (11, (3,)), (32, (2,)))
+     for m in ms]
+    + [(f"norm-trace ell={ell} r={r} m={m}", w.norm_trace_params(ell, r, m))
+       for ell, r, ms in ((2, 4, (2, 3)), (3, 3, (3,))) for m in ms]
 )
 PAIRING_CELLS = [(f"hermitian q={q} m=2", w.hermitian_params(q, 2)) for q in (16, 32)]
 KERNEL_SAMPLE = 200

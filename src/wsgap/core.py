@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Iterable, Iterator, Sequence
 
 IntTuple = tuple[int, ...]
@@ -105,6 +105,19 @@ class CurveParams:
                     FieldTooSmallWarning,
                     stacklevel=3,
                 )
+        object.__setattr__(self, "_hash", hash(astuple(self)))
+
+    # Per-curve caches hash the parameters, so the hash is computed once; it
+    # stays out of pickles, as hash(None) differs between processes (< 3.12).
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return asdict(self)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__dict__["_hash"] = hash(astuple(self))
 
 
 def curve_params(a: int, b: int, m: int, field_size: int | None = None) -> CurveParams:
@@ -166,10 +179,6 @@ def check_tuple(params: CurveParams, t: Sequence[int]) -> IntTuple:
 
 def add(s: IntTuple, t: IntTuple) -> IntTuple:
     return tuple(x + y for x, y in zip(s, t, strict=True))
-
-
-def sub(s: IntTuple, t: IntTuple) -> IntTuple:
-    return tuple(x - y for x, y in zip(s, t, strict=True))
 
 
 def lub(ts: Sequence[IntTuple]) -> IntTuple:

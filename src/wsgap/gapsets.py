@@ -23,12 +23,11 @@ sequences at the two points are matched by a permutation sigma read off
 the relative maximals, gaps are unions over the matched pairs, and pure
 gaps correspond to the inversions of sigma.
 
-The complement gaps and the profile pure gaps come from one walk over
-the first coordinate of [0, 2g-1]^m that keeps a single (m-1)-dimensional
-slab of the envelope in memory and reads both sets off it in
-lexicographic order.  The union_nabla and explicit_s routes mark dense
-boolean cubes over [0, 2g-1]^m and stay independent of that walk, as
-cross-checks.
+The complement gaps and the profile pure gaps come from one kernel on the
+oracle's residue table: per prefix of the first m-1 coordinates and per
+residue class of the last, where the members start and below which no
+coordinate is reached.  The union_nabla and explicit_s routes mark dense
+boolean cubes over [0, 2g-1]^m and stay independent of it, as cross-checks.
 """
 
 from __future__ import annotations
@@ -92,89 +91,75 @@ def _bound(params: CurveParams) -> int:
     return 2 * params.genus - 1
 
 
+# prefixes per block times 2g values of beta_m: temporaries of a few 100 kB
+_BLOCK_CELLS = 1 << 15
+
+
 @lru_cache(maxsize=CURVE_CACHE_SIZE)
-def _profile_walk(params: CurveParams) -> tuple[tuple[IntTuple, ...], tuple[IntTuple, ...]]:
-    """Gaps and pure gaps of [0, B]^m, walking the first coordinate.
+def _residue_gap_sets(params: CurveParams) -> tuple[tuple[IntTuple, ...], tuple[IntTuple, ...]]:
+    """Gaps and pure gaps, row by row from the oracle's residue thresholds.
 
-    Seeds an envelope with the coordinate values of every absolute
-    maximal below (B, ..., B), clamped into the cube, so that after
-    running maxima along all axes cell beta holds the componentwise
-    maximum over the absolute maximals <= beta: beta is a member when
-    that maximum equals beta and a pure gap when it is strictly below
-    beta in every coordinate (or there is no maximal below beta).
+    By ``oracle._attained``, coordinate k of beta is reached iff
+    F_r(beta) = floor((t - f_r)/b) - #{x in S : x < r} >= 0 for r = r_k,
+    where S holds the residues of beta_2..beta_m, t = sum(beta) - sum(S),
+    r_1 = hit[beta_1 mod b] and r_k = beta_k mod b.  For the prefix
+    P = (beta_1, ..., beta_{m-1}) and beta_m = b*q + s (0 <= s < b), S is
+    S' (the residues of beta_2..beta_{m-1}) plus s, t = t' + b*q with
+    t' = sum(P) - sum(S'), and r_m = s; so coordinate k is reached iff
+    q >= need_k(s) = #{x in S' : x < r_k} + [s < r_k] - floor((t' - f[r_k])/b),
+    the bracket 0 for k = m.  beta is a member iff q >= max_k need_k(s),
+    a pure gap iff q < min_k need_k(s), and a gap iff it is no member
+    and beta_m < 2g - sum(P).
 
-    The running maximum along the first axis is kept as one slab of
-    shape (m,) + (B+1,)*(m-1).  At slab s the maximals whose clamped
-    first coordinate is s are maxed in and the running maxima along the
-    other m-1 axes taken again; the slab already holds those maxima for
-    the earlier slabs, so this equals accumulating the new seeds alone
-    and folding them in.  Each slab then yields its gaps (inside the
-    simplex sum <= B and not members) and pure gaps in lexicographic
-    order.  Slabs span the whole cube so that a pure cell outside the
-    simplex is caught.
+    Over every prefix of the whole cube [0, 2g-1]^(m-1), the first
+    beta_m >= 0 in each class s with sum(beta) >= 2g must be a member,
+    or ``WsgapError`` is raised.  Membership in a class only grows with
+    q, so no gap, hence no pure gap, lies outside the simplex, as
+    Riemann-Roch promises.  Prefixes go in lexicographic order, a block
+    at a time, and rows in ascending beta_m: the tuples come out sorted.
     """
-    m, B = params.m, _bound(params)
-    n = B + 1
-    gammas = np.array(oracle.local_absolute_maximals(params, (B,) * m).gamma_hat_beta,
-                      dtype=np.int64).reshape(-1, m)
-    # Against cells >= 0 only the sign of a negative value matters, so
-    # values clamp to -1, which also stands for "no maximal below"; the
-    # smallest signed type holding [-1, B] then suffices.
-    dtype = np.min_scalar_type(-n)
-    gammas = gammas[np.argsort(np.maximum(gammas[:, 0], 0))]
-    cells = np.maximum(gammas, 0)
-    values = np.maximum(gammas, -1).astype(dtype)
-    # seeds of slab s are rows bounds[s]:bounds[s+1]
-    bounds = np.searchsorted(cells[:, 0], np.arange(n + 1))
-
-    envel = np.full((m,) + (n,) * (m - 1), -1, dtype=dtype)
-    grid = np.ogrid[(slice(0, n),) * (m - 1)]
-    coords = [c.astype(dtype) for c in grid]
-    coord_sum = sum(grid)
-    gap_cells, pure_cells = [], []
-    for s in range(n):
-        lo, hi = bounds[s], bounds[s + 1]
-        if hi > lo:
-            idx = tuple(cells[lo:hi, 1:].T)
-            for k in range(m):
-                np.maximum.at(envel[k], idx, values[lo:hi, k])
-            for axis in range(1, m):
-                _running_max(envel, axis)
-        member = envel[0] == s
-        pure = envel[0] < s
-        for k in range(1, m):
-            member &= envel[k] == coords[k - 1]
-            pure &= envel[k] < coords[k - 1]
-        inside = coord_sum <= B - s
-        if (pure & ~inside).any():
-            raise WsgapError("pure-gap cube reaches outside the simplex")
-        offset = s * n ** (m - 1)
-        gap_cells.append(np.flatnonzero(inside & ~member) + offset)
-        pure_cells.append(np.flatnonzero(pure) + offset)
-    shape = (n,) * m
-    return (_cells_to_tuples(np.concatenate(gap_cells), shape),
-            _cells_to_tuples(np.concatenate(pure_cells), shape))
+    b, m, n = params.b, params.m, 2 * params.genus
+    f, hit = (np.array(x) for x in oracle._residue_table(params))
+    s, v = np.arange(b), np.arange(n)
+    v_class = v % b
+    prefixes = n ** (m - 1)
+    rows = max(1, _BLOCK_CELLS // n)
+    gaps, pure_gaps = [], []
+    for start in range(0, prefixes, rows):
+        flat = np.arange(start, min(start + rows, prefixes))
+        prefix = np.unravel_index(flat, (n,) * (m - 1))
+        res = [c % b for c in prefix[1:]]
+        total = sum(prefix)
+        t = total - sum(res)
+        # need_m(s) = base[:, s]; need_k(s) = base[:, r_k] + [s < r_k] for k < m
+        base = sum(x[:, None] < s for x in res) - (t[:, None] - f) // b
+        hi, lo = base.copy(), base.copy()
+        for r in [hit[prefix[0] % b]] + res:
+            step = np.take_along_axis(base, r[:, None], 1) + (s < r[:, None])
+            np.maximum(hi, step, out=hi)
+            np.minimum(lo, step, out=lo)
+        # the first beta_m >= low in class s has quotient ceil((low - s)/b)
+        low = np.maximum(n - total, 0)[:, None]
+        if (-((s - low) // b) < hi).any():
+            raise WsgapError("a tuple with coordinate sum >= 2g is not a member")
+        inside = total < n
+        heads = [c[inside] for c in prefix]
+        gap = (v < (b * hi[inside] + s)[:, v_class]) & (v < n - total[inside, None])
+        pure = gap & (v < (b * lo[inside] + s)[:, v_class])
+        for out, mask in ((gaps, gap), (pure_gaps, pure)):
+            row, last = np.nonzero(mask)
+            out.extend(_index_tuples([c[row] for c in heads] + [last]))
+    return tuple(gaps), tuple(pure_gaps)
 
 
-def _running_max(a: np.ndarray, axis: int) -> None:
-    """Running maximum of ``a`` along ``axis``, in place."""
-    if axis == a.ndim - 1:
-        np.maximum.accumulate(a, axis=axis, out=a)
-        return
-    # Along an outer axis numpy's accumulate runs short strided inner
-    # loops; maxing whole hyperplanes in turn is several times faster.
-    planes = np.moveaxis(a, axis, 0)
-    for i in range(1, planes.shape[0]):
-        np.maximum(planes[i], planes[i - 1], out=planes[i])
-
-
-def _cells_to_tuples(flat: np.ndarray, shape: tuple[int, ...]) -> tuple[IntTuple, ...]:
-    """Index tuples of ascending C-order flat indices, hence in lexicographic order."""
-    return tuple(zip(*(c.tolist() for c in np.unravel_index(flat, shape))))
+def _index_tuples(columns: Sequence[np.ndarray]) -> tuple[IntTuple, ...]:
+    """Tuples from equal-length index columns, row by row."""
+    return tuple(zip(*(c.tolist() for c in columns)))
 
 
 def _mask_to_tuples(mask: np.ndarray) -> tuple[IntTuple, ...]:
-    return _cells_to_tuples(np.flatnonzero(mask), mask.shape)
+    """The set cells of ``mask``, in lexicographic (C) order."""
+    return _index_tuples(np.nonzero(mask))
 
 
 def _nabla_slab_ranges(params: CurveParams, beta_star: IntTuple, i: int) -> list | None:
@@ -293,7 +278,7 @@ def gaps(params: CurveParams, method: str = "complement",
     if params.m == 1:
         singles = tuple((t,) for t in numerical_gaps(params.a, params.b))
         return _report(params, singles, singles, method, method, "single-point")
-    gap_tuples, pure = _profile_walk(params)
+    gap_tuples, pure = _residue_gap_sets(params)
     if method == "union_nabla":
         gap_tuples = _mask_to_tuples(_gap_mask_union_nabla(params, include_zero_family))
     elif method == "explicit_s":
@@ -308,7 +293,7 @@ def pure_gaps(params: CurveParams, method: str = "profile",
         raise BadPointCountError("pure gaps need m >= 2")
     if method not in PURE_METHODS:
         raise WsgapError(f"unknown pure-gap method {method!r}; choose from {PURE_METHODS}")
-    gap_tuples, pure = _profile_walk(params)
+    gap_tuples, pure = _residue_gap_sets(params)
     if method == "intersection":
         pure = _pure_set_intersection(params, include_zero_family)
     return _report(params, gap_tuples, pure, method, "complement", method)

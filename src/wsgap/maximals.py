@@ -165,7 +165,6 @@ def expand_positive(ms: MaximalSet) -> tuple[IntTuple, ...]:
     return sorted_unique(out)
 
 
-@lru_cache(maxsize=CURVE_CACHE_SIZE)
 def lambda_nonneg(params: CurveParams, include_zero_family: bool = False) -> tuple[IntTuple, ...]:
     """Relative maximal elements by the explicit nonnegative formula.
 
@@ -177,6 +176,12 @@ def lambda_nonneg(params: CurveParams, include_zero_family: bool = False) -> tup
     are the same either way because those translates always leave some
     coordinate at zero.
     """
+    # one cache entry per result, whatever the call form
+    return _lambda_nonneg(params, bool(include_zero_family))
+
+
+@lru_cache(maxsize=CURVE_CACHE_SIZE)
+def _lambda_nonneg(params: CurveParams, include_zero_family: bool) -> tuple[IntTuple, ...]:
     if params.m < 2:
         raise BadPointCountError("maximal families need m >= 2")
     a, b, m = params.a, params.b, params.m

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import pickle
 import warnings
 
 import pytest
@@ -76,6 +77,20 @@ class TestCurveParams:
         kwargs = {**dict(a=2, b=3, m=1, genus=1, field_size=2), field: True}
         with pytest.raises(w.WsgapError, match="integer"):
             w.CurveParams(**kwargs)
+
+    @pytest.mark.parametrize("field_size", [None, 16])
+    def test_hash_cached_and_pickled_without_it(self, field_size):
+        p = w.curve_params(4, 5, 3, field_size)
+        q = w.CurveParams(a=4, b=5, m=3, genus=6, field_size=field_size)
+        assert p == q and hash(p) == hash(q)
+        # the value the generated dataclass hash gives
+        assert hash(p) == hash((4, 5, 3, 6, field_size))
+        assert repr(p) == f"CurveParams(a=4, b=5, m=3, genus=6, field_size={field_size})"
+        data = pickle.dumps(p)
+        assert b"_hash" not in data
+        back = pickle.loads(data)
+        assert back == p and hash(back) == hash(p)
+        assert {p: 1}[back] == 1
 
 
 class TestPresets:

@@ -2,12 +2,14 @@ import ast
 import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wsgap as w
 from wsgap import fixtures as fx
 from wsgap import gapsets as gs
 from wsgap import maximals as mx
+from wsgap import oracle
 from wsgap import verify
 from wsgap.core import sorted_unique
 
@@ -192,7 +194,7 @@ ORACLE_CASES = (
 
 
 class TestProfileEngine:
-    """The slab walk against the scalar oracle, cell by cell."""
+    """The residue-threshold kernel against the scalar oracle, cell by cell."""
 
     @pytest.mark.parametrize("p", ORACLE_CASES, ids=str)
     def test_matches_scalar_oracle_over_simplex(self, p):
@@ -209,7 +211,7 @@ class TestProfileEngine:
         assert list(w.pure_gaps(p).pure_gaps) == expected_pure
 
     def test_cache_stays_bounded(self):
-        maxsize = gs._profile_walk.cache_info().maxsize
+        maxsize = gs._residue_gap_sets.cache_info().maxsize
         assert maxsize is not None
         cells = [w.curve_params(a, b, 2) for a in (2, 3) for b in range(3, 40)
                  if b % a][:maxsize + 3]
@@ -219,9 +221,9 @@ class TestProfileEngine:
             w.pure_gap_witness(p, (1, 1))
             w.sigma_pair(p)
             w.relative_maximals_region(p)
-        per_curve = (gs._profile_walk, gs._witness_index, gs.numerical_gaps,
+        per_curve = (gs._residue_gap_sets, gs._witness_index, gs.numerical_gaps,
                      mx.absolute_maximals_region, mx.relative_maximals_region,
-                     mx.lambda_nonneg)
+                     mx._lambda_nonneg)
         for cached in per_curve:
             info = cached.cache_info()
             assert info.maxsize is not None
@@ -241,6 +243,121 @@ class TestProfileEngine:
                     if any(isinstance(v, ast.Constant) and v.value is None for v in size):
                         unbounded.append(f"{path.name}:{node.lineno}")
         assert not unbounded
+
+
+def _profile_walk(params):
+    """Gaps and pure gaps of [0, B]^m by a walk over the first coordinate;
+    the reference for the residue-threshold kernel.
+
+    Seeds an envelope with the coordinate values of every absolute
+    maximal below (B, ..., B), enumerated by ``local_absolute_maximals``
+    and clamped into the cube, so that after running maxima along all
+    axes cell beta holds the componentwise maximum over the absolute
+    maximals <= beta: beta is a member when that maximum equals beta and
+    a pure gap when it is strictly below beta in every coordinate (or
+    there is no maximal below beta).
+
+    The running maximum along the first axis is kept as one slab of
+    shape (m,) + (B+1,)*(m-1).  At slab s the maximals whose clamped
+    first coordinate is s are maxed in and the running maxima along the
+    other m-1 axes taken again; the slab already holds those maxima for
+    the earlier slabs, so this equals accumulating the new seeds alone
+    and folding them in.  Each slab then yields its gaps (inside the
+    simplex sum <= B and not members) and pure gaps in lexicographic
+    order.  Slabs span the whole cube so that a pure cell outside the
+    simplex is caught.
+    """
+    m, B = params.m, 2 * params.genus - 1
+    n = B + 1
+    gammas = np.array(oracle.local_absolute_maximals(params, (B,) * m).gamma_hat_beta,
+                      dtype=np.int64).reshape(-1, m)
+    # Against cells >= 0 only the sign of a negative value matters, so
+    # values clamp to -1, which also stands for "no maximal below".
+    dtype = np.min_scalar_type(-n)
+    gammas = gammas[np.argsort(np.maximum(gammas[:, 0], 0))]
+    cells = np.maximum(gammas, 0)
+    values = np.maximum(gammas, -1).astype(dtype)
+    # seeds of slab s are rows bounds[s]:bounds[s+1]
+    bounds = np.searchsorted(cells[:, 0], np.arange(n + 1))
+
+    envel = np.full((m,) + (n,) * (m - 1), -1, dtype=dtype)
+    grid = np.ogrid[(slice(0, n),) * (m - 1)]
+    coords = [c.astype(dtype) for c in grid]
+    coord_sum = sum(grid)
+    gap_cells, pure_cells = [], []
+    for s in range(n):
+        lo, hi = bounds[s], bounds[s + 1]
+        if hi > lo:
+            idx = tuple(cells[lo:hi, 1:].T)
+            for k in range(m):
+                np.maximum.at(envel[k], idx, values[lo:hi, k])
+            for axis in range(1, m):
+                _running_max(envel, axis)
+        member = envel[0] == s
+        pure = envel[0] < s
+        for k in range(1, m):
+            member &= envel[k] == coords[k - 1]
+            pure &= envel[k] < coords[k - 1]
+        inside = coord_sum <= B - s
+        assert not (pure & ~inside).any(), "pure-gap cube reaches outside the simplex"
+        offset = s * n ** (m - 1)
+        gap_cells.append(np.flatnonzero(inside & ~member) + offset)
+        pure_cells.append(np.flatnonzero(pure) + offset)
+    shape = (n,) * m
+    return tuple(tuple(zip(*(c.tolist() for c in np.unravel_index(np.concatenate(flat), shape))))
+                 for flat in (gap_cells, pure_cells))
+
+
+def _running_max(a, axis):
+    """Running maximum of ``a`` along ``axis``, in place."""
+    if axis == a.ndim - 1:
+        np.maximum.accumulate(a, axis=axis, out=a)
+        return
+    # Along an outer axis numpy's accumulate runs short strided inner
+    # loops; maxing whole hyperplanes in turn is several times faster.
+    planes = np.moveaxis(a, axis, 0)
+    for i in range(1, planes.shape[0]):
+        np.maximum(planes[i], planes[i - 1], out=planes[i])
+
+
+KERNEL_CURVES = [w.hermitian_params(7, 4), w.hermitian_params(8, 4), w.hermitian_params(11, 3),
+                 w.hermitian_params(32, 2), w.norm_trace_params(2, 4, 3),
+                 w.norm_trace_params(3, 3, 3)]
+
+
+class TestResidueGapKernel:
+    """The kernel against the slab walk it replaced, tuple for tuple."""
+
+    def test_matches_walk_on_sweep_cells(self):
+        for p in verify.sweep_cells():
+            assert gs._residue_gap_sets(p) == _profile_walk(p), p
+
+    @pytest.mark.parametrize("p", KERNEL_CURVES, ids=str)
+    def test_matches_walk_on_large_curves(self, p):
+        assert gs._residue_gap_sets(p) == _profile_walk(p)
+
+    # at (4, 5, 3) with r = 3 the first non-member has coordinate sum 2g exactly
+    @pytest.mark.parametrize("p,r", [(P453, 1), (P453, 3), (w.hermitian_params(3, 3), 1)],
+                             ids=["4-5-3-r1", "4-5-3-r3", "3-4-3-r1"])
+    def test_cube_check_catches_a_shifted_family(self, p, r, monkeypatch):
+        f, hit = oracle._residue_table(p)
+        shifted = f[:r] + (f[r] + p.b,) + f[r + 1:]
+        monkeypatch.setattr(oracle, "_residue_table", lambda params: (shifted, hit))
+        gs._residue_gap_sets.cache_clear()
+        with pytest.raises(w.WsgapError, match="not a member"):
+            gs._residue_gap_sets(p)
+
+    def test_routes_skip_the_reference_enumeration(self, monkeypatch):
+        def enumeration(*args):
+            raise AssertionError("local_absolute_maximals called")
+
+        monkeypatch.setattr(oracle, "local_absolute_maximals", enumeration)
+        gs._residue_gap_sets.cache_clear()
+        for p in (P453, w.hermitian_params(4, 2)):
+            for method in gs.GAP_METHODS:
+                w.gaps(p, method)
+            for method in gs.PURE_METHODS:
+                w.pure_gaps(p, method)
 
 
 def _witness_by_scan(p, alpha, include_zero_family=False):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import wsgap as w
 from wsgap import fixtures as fx
+from wsgap import maximals as mx
 from wsgap.core import Box, box_tuples, reduce_to_region
 from wsgap.maximals import family_contains, shift_vectors
 
@@ -142,6 +143,13 @@ class TestLambdaNonneg:
         got = w.lambda_nonneg(w.curve_params(4, 5, 2))
         assert set(got) == {(11, 1), (6, 6), (1, 11), (7, 2), (2, 7), (3, 3)}
         assert len(got) == 6
+
+    def test_one_cache_entry_per_result(self):
+        p = w.curve_params(4, 5, 3)
+        mx._lambda_nonneg.cache_clear()
+        assert w.lambda_nonneg(p) == w.lambda_nonneg(p, False) == \
+            w.lambda_nonneg(p, include_zero_family=False)
+        assert mx._lambda_nonneg.cache_info().currsize == 1
 
     def test_zero_family_4_5_3(self):
         # the zero tuple itself is absolute maximal at three points, so the
