@@ -18,24 +18,32 @@ curves people run.
   on a smaller one.
 * At Hermitian q = 16, 32 (m = 2): ``sigma_pair`` equals the literal
   pairing ``sigma_literal``, and both axes carry exactly genus gaps.
+* On every curve, the command line's row renderer prints the kernel's gap
+  and pure-gap rows in JSON, text and CSV byte for byte as per-tuple
+  encoders print the tuples built from them.
 
 It prints one line per curve with the time of each part and exits 1 on
 any disagreement.  The complement and profile routes share one cached
 kernel, which the complement time includes.
 
-It is not part of the test suite: a run takes about 9 s on two cores,
-the largest part the oracle sample at Hermitian q = 8, m = 4 (about
-2 s; the intersection route takes about 0.7 s there).
+It is not part of the test suite: a run takes about 20 s on two cores,
+the largest parts the per-tuple JSON encoding at Hermitian q = 32, m = 2
+(about 2.4 s, run for both of its entries) and the oracle sample at
+q = 8, m = 4 (about 2 s; the intersection route takes about 0.5 s there).
 
     PYTHONPATH=src python3 scripts/check_large.py
 """
 
+import csv
+import io
 import itertools
+import json
 import random
 import sys
 import time
 
 import wsgap as w
+from wsgap import cli
 
 CELLS = (
     [(f"hermitian q={q} m={m}", w.hermitian_params(q, m))
@@ -98,6 +106,33 @@ def check_kernel(params):
     return []
 
 
+def per_tuple(fmt, key, tuples):
+    """The tuple list as the encoders print it one tuple at a time."""
+    if fmt == "json":  # the list's items as json.dumps(indent=2) nests them in the payload
+        head = '{\n  "payload": {\n    ' + json.dumps(key) + ": [\n"
+        text = json.dumps({"payload": {key: [list(t) for t in tuples]}}, indent=2)
+        return text[len(head):-len("\n    ]\n  }\n}")] if tuples else ""
+    if fmt == "text":
+        return "".join("(" + ", ".join(map(str, t)) + ")\n" for t in tuples)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [key, "", ";".join(map(str, t)), ""] for t in tuples)
+    return buf.getvalue()
+
+
+def check_rendering(report):
+    """The row renderer against per-tuple encoders, in all three formats."""
+    bad = []
+    for key, rows in (("gaps", report.gap_rows), ("pure_gaps", report.pure_rows)):
+        for fmt, template, sep in (("json", cli._json_tuple, ",\n"),
+                                   ("text", cli._text_tuple, ""),
+                                   ("csv", cli._csv_tuple(key), "")):
+            if sep.join(cli._render_rows(rows, template, sep)) != \
+                    per_tuple(fmt, key, rows.tuples):
+                bad.append(f"{fmt} rows of {key} differ from the per-tuple rendering")
+    return bad
+
+
 def check(params):
     """Disagreeing routes and the time of every route, for one curve."""
     bad, times = [], {}
@@ -113,8 +148,9 @@ def check(params):
     if profile.pure_gaps != base.pure_gaps:
         bad.append("pure gaps of the gaps and pure_gaps reports differ")
     bad += check_axes(params, base.gaps)
+    rendering_bad, times["rendering"] = timed(check_rendering, base)
     kernel_bad, times["oracle"] = timed(check_kernel, params)
-    return bad + kernel_bad, times
+    return bad + rendering_bad + kernel_bad, times
 
 
 def check_pairing(params):
@@ -126,8 +162,9 @@ def check_pairing(params):
         bad.append("sigma_literal != sigma_pair")
     report, times["complement"] = timed(w.gaps, params, "complement")
     bad += check_axes(params, report.gaps)
+    rendering_bad, times["rendering"] = timed(check_rendering, report)
     kernel_bad, times["oracle"] = timed(check_kernel, params)
-    return bad + kernel_bad, times
+    return bad + rendering_bad + kernel_bad, times
 
 
 def main():

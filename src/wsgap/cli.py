@@ -10,6 +10,10 @@ envelope is the only varying part).
 
 Exit codes: 0 success, 1 domain error (message on standard error),
 2 usage error.
+
+``gapsets`` and ``verify`` are imported by the subcommands that use them,
+so ``member``, ``dim``, ``maximals``, ``sigma`` and ``superset`` run
+without numpy.
 """
 
 from __future__ import annotations
@@ -17,15 +21,15 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
+import operator
 import sys
 import time
 
 from . import __version__
-from . import gapsets as gs
 from . import maximals as mx
 from . import oracle
-from . import verify
 from .core import (
     Box,
     CurveParams,
@@ -129,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-m", type=int, default=4)
     p.add_argument("--trials", type=int, default=200,
                    help="random trials per parameter cell in the oracle battery")
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the oracle battery (default: the fixed verify seed)")
 
     return parser
 
@@ -200,17 +205,21 @@ def _run_maximals(params: CurveParams, args: argparse.Namespace) -> dict:
 
 
 def _run_gaps(params: CurveParams, args: argparse.Namespace) -> dict:
+    from . import gapsets as gs
+
     _guard_params(params, args.force)
     report = gs.gaps(params, method=args.method.replace("-", "_"))
-    payload = _tuples_payload("gaps", report.gaps)
+    payload = _tuples_payload("gaps", report.gap_rows)
     payload.update({"method": report.method, "stats": report.stats})
     return payload
 
 
 def _run_pure_gaps(params: CurveParams, args: argparse.Namespace) -> dict:
+    from . import gapsets as gs
+
     _guard_params(params, args.force)
     report = gs.pure_gaps(params, method=args.method)
-    payload = _tuples_payload("pure_gaps", report.pure_gaps)
+    payload = _tuples_payload("pure_gaps", report.pure_rows)
     payload.update({"method": report.method, "stats": report.stats})
     return payload
 
@@ -226,6 +235,8 @@ def _run_dim(params: CurveParams, args: argparse.Namespace) -> dict:
 
 
 def _run_sigma(params: CurveParams, args: argparse.Namespace) -> dict:
+    from . import gapsets as gs
+
     table = gs.sigma_pair(params)
     return {
         "gaps_q1": list(table.gaps_q1),
@@ -239,18 +250,23 @@ def _run_sigma(params: CurveParams, args: argparse.Namespace) -> dict:
 
 
 def _run_superset(params: CurveParams, args: argparse.Namespace) -> dict:
+    from . import gapsets as gs
+
     a_star, a_set = gs.candidate_superset(params)
     return {"a_star": list(a_star), "a": list(a_set)}
 
 
 def _run_verify(args: argparse.Namespace) -> dict:
+    from . import verify
+
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
     report = verify.ConformanceReport()
     if args.what in ("fixtures", "all"):
         report.extend(verify.run_fixtures())
     if args.what in ("sweep", "all"):
         report.extend(verify.run_property_sweep(args.max_a, args.max_b, args.max_m))
         report.extend(verify.run_oracle_invariants(args.max_a, args.max_b, args.max_m,
-                                                   trials=args.trials, seed=args.seed))
+                                                   trials=args.trials, seed=seed))
     payload = report.sorted().to_payload()
     payload["what"] = args.what
     payload["bounds"] = {"max_a": args.max_a, "max_b": args.max_b, "max_m": args.max_m}
@@ -269,14 +285,57 @@ _TUPLE_KEYS = ("tuples", "gaps", "pure_gaps", "gamma_pairs", "inversions")
 _LIST_KEYS = ("gaps_q1", "gaps_q2", "sigma", "a_star", "a")
 
 
-def _render_tuples(tuples, template) -> list[str]:
-    """One string per tuple, from the ``%d`` template ``template(len)``.
+_ALL_BUT_LAST = operator.itemgetter(slice(None, -1))
+_LAST = operator.itemgetter(-1)
 
-    Tuple lists run to hundreds of thousands of entries, so each length
-    gets one format string instead of a join per tuple.
+
+def _plain_rows(tuples):
+    """(prefix, last coordinates) of each run of consecutive tuples that
+    share all but their last coordinate; an empty tuple is a row
+    ``((), None)`` of its own."""
+    for prefix, run in itertools.groupby(tuples, _ALL_BUT_LAST):
+        if prefix:
+            yield tuple(prefix), list(map(_LAST, run))
+        else:  # 1-tuples and the empty tuple share the empty prefix
+            for t in run:
+                yield (), t[-1:] or None
+
+
+class _Tails(dict):
+    """``template % v`` for each value v looked up, formatted once."""
+
+    def __init__(self, template: str) -> None:
+        super().__init__()
+        self.template = template
+
+    def __missing__(self, value):
+        text = self[value] = self.template % value
+        return text
+
+
+def _render_rows(tuples, template, sep: str = ""):
+    """The tuple list rendered by the ``%d`` template ``template(len)``,
+    one string per row of tuples that share all but their last coordinate.
+
+    ``tuples`` is a ``gapsets.TupleRows`` or a plain sequence.  Each
+    template is cut before its last ``%d``: a row fills the head with its
+    prefix once and takes each tuple's tail from a per-value table, so
+    a row of k tuples reads head + (sep + head).join(k tails).  Joining
+    the rows with ``sep`` gives the tuples one after another.
     """
-    by_len = {n: template(n) for n in set(map(len, tuples))}
-    return [by_len[len(t)] % tuple(t) for t in tuples]
+    rows = tuples.rows() if hasattr(tuples, "rows") else _plain_rows(tuples)
+    parts = {}
+    for prefix, lasts in rows:
+        if lasts is None:
+            yield template(0)
+            continue
+        part = parts.get(len(prefix))
+        if part is None:
+            full = template(len(prefix) + 1)
+            cut = full.rindex("%d")
+            part = parts[len(prefix)] = (full[:cut], _Tails(full[cut:]))
+        head = part[0] % prefix
+        yield head + (sep + head).join(map(part[1].__getitem__, lasts))
 
 
 def _json_tuple(n: int) -> str:
@@ -286,19 +345,28 @@ def _json_tuple(n: int) -> str:
     return "      [\n" + ",\n".join(["        %d"] * n) + "\n      ]"
 
 
+def _text_tuple(n: int) -> str:
+    return "(" + ", ".join(["%d"] * n) + ")\n"
+
+
+def _csv_tuple(key: str):
+    # rows "key,,c1;c2;...,": no field needs csv quoting
+    return lambda n: f"{key},," + ";".join(["%d"] * n) + ",\n"
+
+
 def _emit_json(envelope: dict) -> str:
     # json.dumps(indent=2) runs the pure-Python encoder, so each tuple list
     # goes in as a placeholder and is spliced back rendered by template.
     payload = dict(envelope["payload"])
-    keys = sorted(key for key in _TUPLE_KEYS if payload.get(key))
+    keys = sorted(key for key in _TUPLE_KEYS if key in payload)
     for key in keys:
         payload[key] = "\0" + key
     rest = json.dumps({**envelope, "payload": payload}, sort_keys=True, indent=2)
     parts = []
     for key in keys:  # sort_keys prints the placeholders in this order
         head, _, rest = rest.partition(json.dumps("\0" + key))
-        rows = ",\n".join(_render_tuples(envelope["payload"][key], _json_tuple))
-        parts += [head, "[\n", rows, "\n    ]"]
+        rows = ",\n".join(_render_rows(envelope["payload"][key], _json_tuple, ",\n"))
+        parts += [head, "[\n", rows, "\n    ]"] if rows else [head, "[]"]
     parts += [rest, "\n"]
     return "".join(parts)
 
@@ -314,27 +382,28 @@ def _scalar(value) -> str:
 
 
 def _emit_text(envelope: dict) -> str:
-    lines = [f"# {envelope['schema']} tool_version={envelope['tool_version']}"]
+    buf = io.StringIO()
     p = envelope["params"]
-    lines.append("# command: " + envelope["command"])
-    lines.append(f"# params: a={p['a']} b={p['b']} m={p['m']} genus={p['genus']}"
-                 f" field_size={p['field_size']}")
+    buf.write(f"# {envelope['schema']} tool_version={envelope['tool_version']}\n"
+              f"# command: {envelope['command']}\n"
+              f"# params: a={p['a']} b={p['b']} m={p['m']} genus={p['genus']}"
+              f" field_size={p['field_size']}\n")
     payload = envelope["payload"]
     for key, value in sorted(payload.items()):
         if key in _TUPLE_KEYS:
-            lines.append(f"{key} ({len(value)}):")
-            lines.extend(_render_tuples(value, lambda n: "(" + ", ".join(["%d"] * n) + ")"))
+            buf.write(f"{key} ({len(value)}):\n")
+            buf.writelines(_render_rows(value, _text_tuple))
         elif key in _LIST_KEYS:
-            lines.append(f"{key}: " + " ".join(str(v) for v in value))
+            buf.write(f"{key}: " + " ".join(str(v) for v in value) + "\n")
         elif key == "checks":
             for chk in value:
                 status = "PASS" if chk["passed"] else "FAIL"
                 detail = f" {chk['detail']}" if chk["detail"] else ""
-                lines.append(f"{status} {chk['name']}{detail}")
+                buf.write(f"{status} {chk['name']}{detail}\n")
         else:
-            lines.append(f"{key}: {_scalar(value)}")
-    lines.append(f"# timing_ms: {envelope['timing_ms']}")
-    return "\n".join(lines) + "\n"
+            buf.write(f"{key}: {_scalar(value)}\n")
+    buf.write(f"# timing_ms: {envelope['timing_ms']}\n")
+    return buf.getvalue()
 
 
 def _emit_csv(envelope: dict) -> str:
@@ -350,9 +419,7 @@ def _emit_csv(envelope: dict) -> str:
     payload = envelope["payload"]
     for key, value in sorted(payload.items()):
         if key in _TUPLE_KEYS:
-            # rows "key,,c1;c2;...,": no field needs csv quoting
-            buf.writelines(_render_tuples(
-                value, lambda n: f"{key},," + ";".join(["%d"] * n) + ",\n"))
+            buf.writelines(_render_rows(value, _csv_tuple(key)))
         elif key in _LIST_KEYS:
             for idx, v in enumerate(value, start=1):
                 writer.writerow([key, idx, "", v])

@@ -28,6 +28,13 @@ oracle's residue table: per prefix of the first m-1 coordinates and per
 residue class of the last, where the members start and below which no
 coordinate is reached.  The union_nabla and explicit_s routes mark dense
 boolean cubes over [0, 2g-1]^m and stay independent of it, as cross-checks.
+
+Kernel and cubes hand their sets over in row form (``TupleRows``): the
+tuples that share their first m-1 coordinates make one row, kept as small
+integer arrays.  The command line renders the rows directly; the tuples
+themselves are built only when a caller reads ``GapReport.gaps`` or
+``.pure_gaps``, and are then kept.  numpy is imported by the functions
+that use it, so the pairing and the candidate superset run without it.
 """
 
 from __future__ import annotations
@@ -38,9 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .core import (
     CURVE_CACHE_SIZE,
@@ -55,23 +60,175 @@ from .core import (
 from . import maximals as mx
 from . import oracle
 
+if TYPE_CHECKING:
+    import numpy as np
+
 GAP_METHODS = ("complement", "union_nabla", "explicit_s")
 PURE_METHODS = ("profile", "intersection")
 
 
+class TupleRows:
+    """Sorted m-tuples in row form: the tuples that share their first m-1
+    coordinates make one row.
+
+    ``prefixes`` holds m-1 integer columns with one entry per row,
+    ``counts`` the number of tuples in each row, and ``lasts`` the last
+    coordinates of all tuples, row after row, ascending within a row.
+    ``tuples`` builds the tuples on first access and keeps them.  The
+    arrays are read-only, since a cache hands the same rows to every caller.
+    """
+
+    __slots__ = ("prefixes", "counts", "lasts", "_tuples")
+
+    def __init__(self, prefixes: Sequence[np.ndarray], counts: np.ndarray,
+                 lasts: np.ndarray) -> None:
+        self.prefixes = tuple(prefixes)
+        self.counts = counts
+        self.lasts = lasts
+        for column in (*self.prefixes, counts, lasts):
+            column.setflags(write=False)
+        self._tuples: tuple[IntTuple, ...] | None = None
+
+    def __len__(self) -> int:
+        return len(self.lasts)
+
+    @property
+    def tuples(self) -> tuple[IntTuple, ...]:
+        """The tuples in order, built on first access and kept."""
+        if self._tuples is None:
+            heads = [c.repeat(self.counts).tolist() for c in self.prefixes]
+            self._tuples = tuple(zip(*heads, self.lasts.tolist()))
+        return self._tuples
+
+    def rows(self) -> Iterator[tuple[IntTuple, list[int]]]:
+        """(prefix, last coordinates) of every row, as Python ints."""
+        lasts = self.lasts.tolist()
+        start = 0
+        for prefix, end in zip(zip(*(c.tolist() for c in self.prefixes)),
+                               itertools.accumulate(self.counts.tolist())):
+            yield prefix, lasts[start:end]
+            start = end
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray, heads: Sequence[np.ndarray]) -> TupleRows:
+        """The set cells of a 2-D ``mask`` whose row i has the prefix
+        ``heads[k][i]`` and whose column j is the last coordinate j; the
+        prefixes lie below the mask's width n, so the smallest signed
+        type holding n holds every array."""
+        import numpy as np
+
+        small = np.min_scalar_type(-mask.shape[1] - 1)
+        counts = mask.sum(axis=1)
+        keep = counts > 0
+        return cls([c[keep].astype(small) for c in heads], counts[keep].astype(small),
+                   mask.nonzero()[1].astype(small))
+
+    @classmethod
+    def concat(cls, parts: Sequence[TupleRows]) -> TupleRows:
+        """One set from row sets whose rows follow each other in order."""
+        import numpy as np
+
+        return cls([np.concatenate(cols) for cols in zip(*(r.prefixes for r in parts))],
+                   np.concatenate([r.counts for r in parts]),
+                   np.concatenate([r.lasts for r in parts]))
+
+
+class _TupleField:
+    """A ``GapReport`` field given as ``TupleRows`` or as tuples, read as tuples.
+
+    The value is stored as given; reading the field returns its tuples,
+    which a ``TupleRows`` builds on first access and keeps.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            raise AttributeError(self.name)  # the dataclass field has no default
+        value = report.__dict__[self.name]
+        return value.tuples if isinstance(value, TupleRows) else value
+
+    def __set__(self, report, value) -> None:
+        report.__dict__[self.name] = value if isinstance(value, TupleRows) else tuple(value)
+
+
 @dataclass(frozen=True)
 class GapReport:
-    """Gap and pure-gap sets for one parameter choice, with provenance."""
+    """Gap and pure-gap sets for one parameter choice, with provenance.
+
+    ``gaps`` and ``pure_gaps`` read as sorted tuples.  The routes hand
+    them over in row form where they have one (``gap_rows``,
+    ``pure_rows``), and the tuples are only built when a field is read.
+    """
 
     params: CurveParams
-    gaps: tuple[IntTuple, ...]
-    pure_gaps: tuple[IntTuple, ...]
+    gaps: tuple[IntTuple, ...] = _TupleField()
+    pure_gaps: tuple[IntTuple, ...] = _TupleField()
     method: str
     stats: dict
 
     def __post_init__(self) -> None:
-        if not set(self.pure_gaps) <= set(self.gaps):
+        if not _is_subset(self.pure_rows, self.gap_rows, self.params.m):
             raise WsgapError("pure gaps outside the gap set")
+
+    @property
+    def gap_rows(self) -> TupleRows | tuple[IntTuple, ...]:
+        """The gaps as handed over: ``TupleRows``, or tuples."""
+        return self.__dict__["gaps"]
+
+    @property
+    def pure_rows(self) -> TupleRows | tuple[IntTuple, ...]:
+        """The pure gaps as handed over: ``TupleRows``, or tuples."""
+        return self.__dict__["pure_gaps"]
+
+
+def _is_subset(small, big, m: int) -> bool:
+    """Whether every m-tuple of ``small`` lies in ``big`` (each ``TupleRows``
+    or tuples), by one merge of their flat indices in a box holding both."""
+    import numpy as np
+
+    if not len(small):
+        return True
+    if not len(big):
+        return False
+    parts = [_row_parts(seq, m) for seq in (small, big)]
+    values = [c for prefixes, _, lasts in parts for c in (*prefixes, lasts)]
+    lo = int(min(c.min() for c in values))
+    side = int(max(c.max() for c in values)) - lo + 1
+    if side ** m >= 1 << 63:  # flat indices would overflow int64
+        return set(_as_tuples(small)) <= set(_as_tuples(big))
+    small_keys, big_keys = (_flat_index(*part, lo, side) for part in parts)
+    if not isinstance(big, TupleRows):
+        big_keys.sort()  # rows are in lexicographic order, plain tuples need not be
+    pos = np.minimum(np.searchsorted(big_keys, small_keys), big_keys.size - 1)
+    return bool((big_keys[pos] == small_keys).all())
+
+
+def _row_parts(seq, m: int):
+    """(prefix columns, row counts or None, last column) of a tuple set."""
+    import numpy as np
+
+    if isinstance(seq, TupleRows):
+        return seq.prefixes, seq.counts, seq.lasts
+    cols = np.array(seq, dtype=np.int64).reshape(-1, m).T
+    return cols[:-1], None, cols[-1]
+
+
+def _flat_index(prefixes, counts, lasts, lo, side):
+    """Index of each tuple in the box [lo, lo + side)^m, in C order, as int64."""
+    import numpy as np
+
+    key = 0
+    for c in prefixes:
+        key = key * side + (c.astype(np.int64) - lo)
+    if counts is not None:
+        key = np.repeat(key, counts)
+    return key * side + (lasts.astype(np.int64) - lo)
+
+
+def _as_tuples(seq) -> tuple[IntTuple, ...]:
+    return seq.tuples if isinstance(seq, TupleRows) else seq
 
 
 @lru_cache(maxsize=CURVE_CACHE_SIZE)
@@ -96,8 +253,8 @@ _BLOCK_CELLS = 1 << 15
 
 
 @lru_cache(maxsize=CURVE_CACHE_SIZE)
-def _residue_gap_sets(params: CurveParams) -> tuple[tuple[IntTuple, ...], tuple[IntTuple, ...]]:
-    """Gaps and pure gaps, row by row from the oracle's residue thresholds.
+def _residue_gap_sets(params: CurveParams) -> tuple[TupleRows, TupleRows]:
+    """Gaps and pure gaps in row form, from the oracle's residue thresholds.
 
     By ``oracle._attained``, coordinate k of beta is reached iff
     F_r(beta) = floor((t - f_r)/b) - #{x in S : x < r} >= 0 for r = r_k,
@@ -116,8 +273,11 @@ def _residue_gap_sets(params: CurveParams) -> tuple[tuple[IntTuple, ...], tuple[
     or ``WsgapError`` is raised.  Membership in a class only grows with
     q, so no gap, hence no pure gap, lies outside the simplex, as
     Riemann-Roch promises.  Prefixes go in lexicographic order, a block
-    at a time, and rows in ascending beta_m: the tuples come out sorted.
+    at a time, and each prefix's row holds its beta_m in ascending order:
+    the sets come out as sorted ``TupleRows``, and no tuple is built here.
     """
+    import numpy as np
+
     b, m, n = params.b, params.m, 2 * params.genus
     f, hit = (np.array(x) for x in oracle._residue_table(params))
     s, v = np.arange(b), np.arange(n)
@@ -146,20 +306,18 @@ def _residue_gap_sets(params: CurveParams) -> tuple[tuple[IntTuple, ...], tuple[
         heads = [c[inside] for c in prefix]
         gap = (v < (b * hi[inside] + s)[:, v_class]) & (v < n - total[inside, None])
         pure = gap & (v < (b * lo[inside] + s)[:, v_class])
-        for out, mask in ((gaps, gap), (pure_gaps, pure)):
-            row, last = np.nonzero(mask)
-            out.extend(_index_tuples([c[row] for c in heads] + [last]))
-    return tuple(gaps), tuple(pure_gaps)
+        gaps.append(TupleRows.from_mask(gap, heads))
+        pure_gaps.append(TupleRows.from_mask(pure, heads))
+    return TupleRows.concat(gaps), TupleRows.concat(pure_gaps)
 
 
-def _index_tuples(columns: Sequence[np.ndarray]) -> tuple[IntTuple, ...]:
-    """Tuples from equal-length index columns, row by row."""
-    return tuple(zip(*(c.tolist() for c in columns)))
+def _cube_rows(mask: np.ndarray) -> TupleRows:
+    """The set cells of an m-dimensional cube ``mask`` in row form."""
+    import numpy as np
 
-
-def _mask_to_tuples(mask: np.ndarray) -> tuple[IntTuple, ...]:
-    """The set cells of ``mask``, in lexicographic (C) order."""
-    return _index_tuples(np.nonzero(mask))
+    n = mask.shape[-1]
+    heads = np.unravel_index(np.arange(mask.size // n), mask.shape[:-1])
+    return TupleRows.from_mask(mask.reshape(-1, n), heads)
 
 
 def _nabla_slab_ranges(params: CurveParams, beta_star: IntTuple, i: int) -> list | None:
@@ -181,6 +339,8 @@ def _nabla_slab_ranges(params: CurveParams, beta_star: IntTuple, i: int) -> list
 
 
 def _gap_mask_union_nabla(params: CurveParams, include_zero_family: bool) -> np.ndarray:
+    import numpy as np
+
     mask = np.zeros(((_bound(params)) + 1,) * params.m, dtype=bool)
     for beta_star in mx.lambda_nonneg(params, include_zero_family):
         for i in range(params.m):
@@ -191,6 +351,8 @@ def _gap_mask_union_nabla(params: CurveParams, include_zero_family: bool) -> np.
 
 
 def _gap_mask_explicit_s(params: CurveParams) -> np.ndarray:
+    import numpy as np
+
     a, b, m, B = params.a, params.b, params.m, _bound(params)
     mask = np.zeros((B + 1,) * m, dtype=bool)
     for i in range(1, b):
@@ -246,17 +408,17 @@ def _pure_set_intersection(params: CurveParams, include_zero_family: bool) -> tu
     return sorted_unique(diag for diag, _ in states)
 
 
-def _report(params: CurveParams, gap_tuples, pure_tuples, method: str,
+def _report(params: CurveParams, gap_set, pure_set, method: str,
             gap_method: str, pure_method: str) -> GapReport:
     B = _bound(params)
     return GapReport(
         params=params,
-        gaps=tuple(gap_tuples),
-        pure_gaps=tuple(pure_tuples),
+        gaps=gap_set,
+        pure_gaps=pure_set,
         method=method,
         stats={
-            "gap_count": len(gap_tuples),
-            "pure_gap_count": len(pure_tuples),
+            "gap_count": len(gap_set),
+            "pure_gap_count": len(pure_set),
             "bounding_box": {"lo": [0] * params.m, "hi": [B] * params.m},
             "gap_method": gap_method,
             "pure_gap_method": pure_method,
@@ -278,12 +440,12 @@ def gaps(params: CurveParams, method: str = "complement",
     if params.m == 1:
         singles = tuple((t,) for t in numerical_gaps(params.a, params.b))
         return _report(params, singles, singles, method, method, "single-point")
-    gap_tuples, pure = _residue_gap_sets(params)
+    gap_rows, pure = _residue_gap_sets(params)
     if method == "union_nabla":
-        gap_tuples = _mask_to_tuples(_gap_mask_union_nabla(params, include_zero_family))
+        gap_rows = _cube_rows(_gap_mask_union_nabla(params, include_zero_family))
     elif method == "explicit_s":
-        gap_tuples = _mask_to_tuples(_gap_mask_explicit_s(params))
-    return _report(params, gap_tuples, pure, method, method, "profile")
+        gap_rows = _cube_rows(_gap_mask_explicit_s(params))
+    return _report(params, gap_rows, pure, method, method, "profile")
 
 
 def pure_gaps(params: CurveParams, method: str = "profile",
@@ -293,10 +455,10 @@ def pure_gaps(params: CurveParams, method: str = "profile",
         raise BadPointCountError("pure gaps need m >= 2")
     if method not in PURE_METHODS:
         raise WsgapError(f"unknown pure-gap method {method!r}; choose from {PURE_METHODS}")
-    gap_tuples, pure = _residue_gap_sets(params)
+    gap_rows, pure = _residue_gap_sets(params)
     if method == "intersection":
         pure = _pure_set_intersection(params, include_zero_family)
-    return _report(params, gap_tuples, pure, method, "complement", method)
+    return _report(params, gap_rows, pure, method, "complement", method)
 
 
 def nabla_bar_nonneg(params: CurveParams, beta_star: Sequence[int]) -> tuple[IntTuple, ...]:

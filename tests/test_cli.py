@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 import wsgap as w
 from wsgap import cli
 from wsgap import fixtures as fx
+from wsgap import gapsets as gs
 
 
 def run_cli(capsys, *argv):
@@ -314,8 +318,12 @@ REFERENCE_EMITTERS = {"json": _reference_json, "text": _reference_text, "csv": _
 
 
 def _assert_emitters_match(envelope):
+    # the reference encoders take the tuple lists that row payloads stand for
+    payload = {key: list(value.tuples) if isinstance(value, gs.TupleRows) else value
+               for key, value in envelope["payload"].items()}
+    as_tuples = {**envelope, "payload": payload}
     for fmt, reference in REFERENCE_EMITTERS.items():
-        assert cli._EMITTERS[fmt](envelope) == reference(envelope), fmt
+        assert cli._EMITTERS[fmt](envelope) == reference(as_tuples), fmt
 
 
 class TestEmitterBytes:
@@ -342,6 +350,21 @@ class TestEmitterBytes:
         envelope = self._envelope(monkeypatch, capsys, *argv)
         _assert_emitters_match(envelope)
 
+    @pytest.mark.parametrize("command", ["gaps", "pure-gaps"])
+    @pytest.mark.parametrize("curve", [
+        ("--preset", "hermitian", "--q", "3", "--m", "2"),
+        ("--preset", "hermitian", "--q", "3", "--m", "3"),
+        ("--preset", "hermitian", "--q", "3", "--m", "4"),
+        ("--a", "4", "--b", "7", "--m", "3"),
+        ("--preset", "norm-trace", "--ell", "2", "--r", "3", "--m", "3"),
+        ("--a", "2", "--b", "3", "--m", "2"),                             # no pure gaps
+    ], ids=lambda curve: "-".join(curve[1::2]))
+    def test_kernel_rows(self, monkeypatch, capsys, command, curve):
+        envelope = self._envelope(monkeypatch, capsys, command, *curve)
+        rows = envelope["payload"]["gaps" if command == "gaps" else "pure_gaps"]
+        assert isinstance(rows, gs.TupleRows)
+        _assert_emitters_match(envelope)
+
     def test_sigma_list_of_lists(self, monkeypatch, capsys):
         envelope = self._envelope(monkeypatch, capsys, "sigma", "--a", "4", "--b", "7")
         envelope["payload"]["gamma_pairs"] = [list(t) for t in envelope["payload"]["gamma_pairs"]]
@@ -359,3 +382,32 @@ class TestEmitterBytes:
             "timing_ms": 1.5,
         }
         _assert_emitters_match(envelope)
+
+
+def test_light_commands_do_not_import_numpy():
+    """Importing the command line and running the commands that need no
+    gap sets leaves numpy unloaded; a gap-set command loads it."""
+    commands = [
+        "sigma --a 4 --b 5",
+        "member --a 4 --b 5 --m 3 --tuple 12,0,0",
+        "dim --a 4 --b 5 --m 3 --tuple 12,0,0",
+        "superset --a 4 --b 7 --m 3",
+        "maximals --kind relative --a 4 --b 7 --m 3 --box-positive",
+        "gaps --a 4 --b 5 --m 2",
+    ]
+    script = f"""
+import contextlib, io, sys
+import wsgap.cli
+print('import', 'numpy' in sys.modules)
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = wsgap.cli.main(argv.split() + ['--format', 'json'])
+    print(argv.split()[0], code, 'numpy' in sys.modules)
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": src, "PATH": ""}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "import False", "sigma 0 False", "member 0 False", "dim 0 False",
+        "superset 0 False", "maximals 0 False", "gaps 0 True"]

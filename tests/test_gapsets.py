@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wsgap as w
 from wsgap import fixtures as fx
@@ -325,16 +327,21 @@ KERNEL_CURVES = [w.hermitian_params(7, 4), w.hermitian_params(8, 4), w.hermitian
                  w.norm_trace_params(3, 3, 3)]
 
 
+def _kernel_tuples(p):
+    """The kernel's gap and pure-gap rows, as tuples."""
+    return tuple(rows.tuples for rows in gs._residue_gap_sets(p))
+
+
 class TestResidueGapKernel:
     """The kernel against the slab walk it replaced, tuple for tuple."""
 
     def test_matches_walk_on_sweep_cells(self):
         for p in verify.sweep_cells():
-            assert gs._residue_gap_sets(p) == _profile_walk(p), p
+            assert _kernel_tuples(p) == _profile_walk(p), p
 
     @pytest.mark.parametrize("p", KERNEL_CURVES, ids=str)
     def test_matches_walk_on_large_curves(self, p):
-        assert gs._residue_gap_sets(p) == _profile_walk(p)
+        assert _kernel_tuples(p) == _profile_walk(p)
 
     # at (4, 5, 3) with r = 3 the first non-member has coordinate sum 2g exactly
     @pytest.mark.parametrize("p,r", [(P453, 1), (P453, 3), (w.hermitian_params(3, 3), 1)],
@@ -358,6 +365,80 @@ class TestResidueGapKernel:
                 w.gaps(p, method)
             for method in gs.PURE_METHODS:
                 w.pure_gaps(p, method)
+
+
+class TestRowForm:
+    """Gap sets stay in row form until a caller reads the tuples."""
+
+    @pytest.mark.parametrize("p", SMALL + [P473, w.hermitian_params(5, 4)], ids=str)
+    def test_rows_spell_the_tuples(self, p):
+        for rows in gs._residue_gap_sets(p) + (gs._cube_rows(gs._gap_mask_explicit_s(p)),):
+            assert len(rows) == int(rows.counts.sum()) == len(rows.tuples)
+            prefixes = list(zip(*(c.tolist() for c in rows.prefixes)))
+            assert prefixes == sorted(set(prefixes))  # one row per prefix, in order
+            assert all(rows.counts > 0)
+            spelled = tuple(prefix + (v,) for prefix, lasts in rows.rows() for v in lasts)
+            assert spelled == rows.tuples == tuple(sorted(set(rows.tuples)))
+
+    def _spy(self, monkeypatch):
+        built = []
+        real = gs.TupleRows.tuples
+
+        def spy(rows):
+            built.append(rows)
+            return real.fget(rows)
+
+        monkeypatch.setattr(gs.TupleRows, "tuples", property(spy))
+        return built
+
+    def test_cube_routes_leave_kernel_gaps_unbuilt(self, monkeypatch):
+        p = w.hermitian_params(4, 3)
+        gs._residue_gap_sets.cache_clear()
+        kernel_gaps, kernel_pure = gs._residue_gap_sets(p)
+        built = self._spy(monkeypatch)
+        for method in ("union_nabla", "explicit_s"):
+            report = w.gaps(p, method)
+            assert report.gap_rows is not kernel_gaps
+            assert report.stats["pure_gap_count"] == len(kernel_pure)
+        assert built == []
+        assert w.gaps(p, "union_nabla").gaps == w.gaps(p).gaps
+        assert any(rows is kernel_gaps for rows in built)
+
+    @pytest.mark.parametrize("argv", [
+        ("pure-gaps",), ("pure-gaps", "--method", "intersection"),
+        ("gaps",), ("gaps", "--method", "union-nabla"),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_cli_builds_no_tuples(self, monkeypatch, capsys, argv, fmt):
+        from wsgap import cli
+
+        built = self._spy(monkeypatch)
+        gs._residue_gap_sets.cache_clear()
+        assert cli.main([*argv, "--preset", "hermitian", "--q", "4", "--m", "3",
+                         "--format", fmt]) == 0
+        assert capsys.readouterr().out
+        assert built == []
+
+    def test_intersection_outside_gaps_raises(self, monkeypatch):
+        real = gs._pure_set_intersection
+        origin = (0,) * P453.m  # a member, so no gap
+        monkeypatch.setattr(gs, "_pure_set_intersection",
+                            lambda params, zero: sorted_unique(real(params, zero) + (origin,)))
+        with pytest.raises(w.WsgapError, match="pure gaps outside the gap set"):
+            w.pure_gaps(P453, "intersection")
+
+    @given(st.lists(st.tuples(*[st.integers(-3, 9)] * 3), max_size=25),
+           st.lists(st.tuples(*[st.integers(-3, 9)] * 3), max_size=25))
+    @settings(max_examples=150, deadline=None)
+    def test_subset_check_matches_sets(self, small, big):
+        # unsorted, repeated and negative tuples as well
+        assert gs._is_subset(small, big, 3) == (set(small) <= set(big))
+        assert gs._is_subset(small, big + small, 3)
+
+    def test_subset_check_far_apart_tuples(self):
+        far = (2**40, 0, 0)
+        assert gs._is_subset([far], [(0, 0, 0), far], 3)
+        assert not gs._is_subset([far, (0, 0, 1)], [(0, 0, 0), far], 3)
 
 
 def _witness_by_scan(p, alpha, include_zero_family=False):
