@@ -26,15 +26,18 @@ gaps correspond to the inversions of sigma.
 The complement gaps and the profile pure gaps come from one kernel on the
 oracle's residue table: per prefix of the first m-1 coordinates and per
 residue class of the last, where the members start and below which no
-coordinate is reached.  The union_nabla and explicit_s routes mark dense
-boolean cubes over [0, 2g-1]^m and stay independent of it, as cross-checks.
+coordinate is reached.  Both depend on the prefix only through its
+residues mod b and the sum of its quotients, so the kernel computes each
+such row once, in pure Python, and walks only the simplex.  The
+union_nabla and explicit_s routes mark dense boolean cubes over
+[0, 2g-1]^m and stay independent of it, as cross-checks.
 
 Kernel and cubes hand their sets over in row form (``TupleRows``): the
-tuples that share their first m-1 coordinates make one row, kept as small
-integer arrays.  The command line renders the rows directly; the tuples
-themselves are built only when a caller reads ``GapReport.gaps`` or
-``.pure_gaps``, and are then kept.  numpy is imported by the functions
-that use it, so the pairing and the candidate superset run without it.
+tuples that share their first m-1 coordinates make one row, a prefix
+tuple and a tuple of last coordinates.  The command line renders the rows
+directly; the tuples themselves are built only when a caller reads
+``GapReport.gaps`` or ``.pure_gaps``, and are then kept.  numpy is
+imported only by the two dense cubes and their conversion to rows.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .core import (
     CURVE_CACHE_SIZE,
@@ -71,66 +74,36 @@ class TupleRows:
     """Sorted m-tuples in row form: the tuples that share their first m-1
     coordinates make one row.
 
-    ``prefixes`` holds m-1 integer columns with one entry per row,
-    ``counts`` the number of tuples in each row, and ``lasts`` the last
-    coordinates of all tuples, row after row, ascending within a row.
-    ``tuples`` builds the tuples on first access and keeps them.  The
-    arrays are read-only, since a cache hands the same rows to every caller.
+    A row is a pair ``(prefix, lasts)``: the m-1 shared coordinates and
+    the last coordinates of the row's tuples, ascending and never empty.
+    Rows come in lexicographic order of their prefixes, and several rows
+    may share one ``lasts`` tuple; the constructor takes the prefixes and
+    the lasts of the rows as two sequences in that order.  Everything is
+    immutable, since a cache hands the same rows to every caller.
+    ``tuples`` builds the tuples on first access and keeps them.
     """
 
-    __slots__ = ("prefixes", "counts", "lasts", "_tuples")
+    __slots__ = ("_prefixes", "_lasts", "_len", "_tuples")
 
-    def __init__(self, prefixes: Sequence[np.ndarray], counts: np.ndarray,
-                 lasts: np.ndarray) -> None:
-        self.prefixes = tuple(prefixes)
-        self.counts = counts
-        self.lasts = lasts
-        for column in (*self.prefixes, counts, lasts):
-            column.setflags(write=False)
+    def __init__(self, prefixes: Iterable[IntTuple], lasts: Iterable[IntTuple]) -> None:
+        self._prefixes = tuple(prefixes)
+        self._lasts = tuple(lasts)
+        self._len = sum(map(len, self._lasts))
         self._tuples: tuple[IntTuple, ...] | None = None
 
     def __len__(self) -> int:
-        return len(self.lasts)
+        return self._len
 
     @property
     def tuples(self) -> tuple[IntTuple, ...]:
         """The tuples in order, built on first access and kept."""
         if self._tuples is None:
-            heads = [c.repeat(self.counts).tolist() for c in self.prefixes]
-            self._tuples = tuple(zip(*heads, self.lasts.tolist()))
+            self._tuples = tuple([prefix + (v,) for prefix, lasts in self.rows() for v in lasts])
         return self._tuples
 
-    def rows(self) -> Iterator[tuple[IntTuple, list[int]]]:
-        """(prefix, last coordinates) of every row, as Python ints."""
-        lasts = self.lasts.tolist()
-        start = 0
-        for prefix, end in zip(zip(*(c.tolist() for c in self.prefixes)),
-                               itertools.accumulate(self.counts.tolist())):
-            yield prefix, lasts[start:end]
-            start = end
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray, heads: Sequence[np.ndarray]) -> TupleRows:
-        """The set cells of a 2-D ``mask`` whose row i has the prefix
-        ``heads[k][i]`` and whose column j is the last coordinate j; the
-        prefixes lie below the mask's width n, so the smallest signed
-        type holding n holds every array."""
-        import numpy as np
-
-        small = np.min_scalar_type(-mask.shape[1] - 1)
-        counts = mask.sum(axis=1)
-        keep = counts > 0
-        return cls([c[keep].astype(small) for c in heads], counts[keep].astype(small),
-                   mask.nonzero()[1].astype(small))
-
-    @classmethod
-    def concat(cls, parts: Sequence[TupleRows]) -> TupleRows:
-        """One set from row sets whose rows follow each other in order."""
-        import numpy as np
-
-        return cls([np.concatenate(cols) for cols in zip(*(r.prefixes for r in parts))],
-                   np.concatenate([r.counts for r in parts]),
-                   np.concatenate([r.lasts for r in parts]))
+    def rows(self) -> Iterator[tuple[IntTuple, IntTuple]]:
+        """(prefix, last coordinates) of every row, in order."""
+        return zip(self._prefixes, self._lasts)
 
 
 class _TupleField:
@@ -169,7 +142,7 @@ class GapReport:
     stats: dict
 
     def __post_init__(self) -> None:
-        if not _is_subset(self.pure_rows, self.gap_rows, self.params.m):
+        if not _is_subset(self.pure_rows, self.gap_rows):
             raise WsgapError("pure gaps outside the gap set")
 
     @property
@@ -183,52 +156,28 @@ class GapReport:
         return self.__dict__["pure_gaps"]
 
 
-def _is_subset(small, big, m: int) -> bool:
-    """Whether every m-tuple of ``small`` lies in ``big`` (each ``TupleRows``
-    or tuples), by one merge of their flat indices in a box holding both."""
-    import numpy as np
-
-    if not len(small):
-        return True
-    if not len(big):
-        return False
-    parts = [_row_parts(seq, m) for seq in (small, big)]
-    values = [c for prefixes, _, lasts in parts for c in (*prefixes, lasts)]
-    lo = int(min(c.min() for c in values))
-    side = int(max(c.max() for c in values)) - lo + 1
-    if side ** m >= 1 << 63:  # flat indices would overflow int64
-        return set(_as_tuples(small)) <= set(_as_tuples(big))
-    small_keys, big_keys = (_flat_index(*part, lo, side) for part in parts)
-    if not isinstance(big, TupleRows):
-        big_keys.sort()  # rows are in lexicographic order, plain tuples need not be
-    pos = np.minimum(np.searchsorted(big_keys, small_keys), big_keys.size - 1)
-    return bool((big_keys[pos] == small_keys).all())
+def _is_subset(small, big) -> bool:
+    """Whether every tuple of ``small`` lies in ``big`` (each ``TupleRows``
+    or tuples), by one merge of their rows in prefix order."""
+    rows = _sorted_rows(big)
+    for prefix, lasts in _sorted_rows(small):
+        for other, others in rows:
+            if other >= prefix:
+                break
+        else:
+            return False
+        if other != prefix or not set(lasts).issubset(others):
+            return False
+    return True
 
 
-def _row_parts(seq, m: int):
-    """(prefix columns, row counts or None, last column) of a tuple set."""
-    import numpy as np
-
+def _sorted_rows(seq) -> Iterator[tuple[IntTuple, Sequence[int]]]:
+    """The rows of a tuple set in prefix order: a ``TupleRows`` as it is,
+    plain tuples (in any order, possibly repeated) sorted and grouped."""
     if isinstance(seq, TupleRows):
-        return seq.prefixes, seq.counts, seq.lasts
-    cols = np.array(seq, dtype=np.int64).reshape(-1, m).T
-    return cols[:-1], None, cols[-1]
-
-
-def _flat_index(prefixes, counts, lasts, lo, side):
-    """Index of each tuple in the box [lo, lo + side)^m, in C order, as int64."""
-    import numpy as np
-
-    key = 0
-    for c in prefixes:
-        key = key * side + (c.astype(np.int64) - lo)
-    if counts is not None:
-        key = np.repeat(key, counts)
-    return key * side + (lasts.astype(np.int64) - lo)
-
-
-def _as_tuples(seq) -> tuple[IntTuple, ...]:
-    return seq.tuples if isinstance(seq, TupleRows) else seq
+        return seq.rows()
+    return ((prefix, [t[-1] for t in run])
+            for prefix, run in itertools.groupby(sorted(set(seq)), key=lambda t: t[:-1]))
 
 
 @lru_cache(maxsize=CURVE_CACHE_SIZE)
@@ -248,10 +197,6 @@ def _bound(params: CurveParams) -> int:
     return 2 * params.genus - 1
 
 
-# prefixes per block times 2g values of beta_m: temporaries of a few 100 kB
-_BLOCK_CELLS = 1 << 15
-
-
 @lru_cache(maxsize=CURVE_CACHE_SIZE)
 def _residue_gap_sets(params: CurveParams) -> tuple[TupleRows, TupleRows]:
     """Gaps and pure gaps in row form, from the oracle's residue thresholds.
@@ -259,65 +204,143 @@ def _residue_gap_sets(params: CurveParams) -> tuple[TupleRows, TupleRows]:
     By ``oracle._attained``, coordinate k of beta is reached iff
     F_r(beta) = floor((t - f_r)/b) - #{x in S : x < r} >= 0 for r = r_k,
     where S holds the residues of beta_2..beta_m, t = sum(beta) - sum(S),
-    r_1 = hit[beta_1 mod b] and r_k = beta_k mod b.  For the prefix
-    P = (beta_1, ..., beta_{m-1}) and beta_m = b*q + s (0 <= s < b), S is
-    S' (the residues of beta_2..beta_{m-1}) plus s, t = t' + b*q with
-    t' = sum(P) - sum(S'), and r_m = s; so coordinate k is reached iff
-    q >= need_k(s) = #{x in S' : x < r_k} + [s < r_k] - floor((t' - f[r_k])/b),
-    the bracket 0 for k = m.  beta is a member iff q >= max_k need_k(s),
-    a pure gap iff q < min_k need_k(s), and a gap iff it is no member
-    and beta_m < 2g - sum(P).
+    r_1 = hit[beta_1 mod b] and r_k = beta_k mod b.  Write the prefix
+    P = (beta_1, ..., beta_{m-1}) as beta_1 = b*q_1 + u and
+    beta_j = b*q_j + s_j (residues below b), call sig = (u, s_2, ...,
+    s_{m-1}) its signature and Q = q_1 + ... + q_{m-1} its quotient sum,
+    and write beta_m = b*q + s.  Then S is S' = {s_2, ..., s_{m-1}} plus s,
+    t = u + b*(Q + q) and r_m = s, so coordinate k is reached iff
+    q >= A_k(s) - Q, where
+
+        A_k(s) = #{x in S' : x < r_k} + [s < r_k] - floor((u - f[r_k])/b),
+
+    the bracket 0 for k = m.  With H(s) = max_k A_k(s) and
+    h(s) = min_k A_k(s), beta is a member iff q >= H(s) - Q, a pure gap
+    iff q < h(s) - Q, and a gap iff it is no member and beta_m < L, where
+    L = 2g - sum(P) = 2g - sum(sig) - b*Q.  So a row depends on (sig, Q)
+    alone.  Taking w = beta_m + b*Q, which keeps the class s and adds Q
+    to the quotient, the gap row of (sig, Q) is the cut list
+    W = {w < 2g - sum(sig) : floor(w/b) < H(w mod b)} from b*Q on, shifted
+    down by b*Q; the pure row is the same with h.  H and h read sig only
+    through u and the multiset S', so signatures that permute
+    s_2..s_{m-1} share one table.  Each row is built once as a tuple and
+    shared by every prefix with the same (sig, Q).
 
     Over every prefix of the whole cube [0, 2g-1]^(m-1), the first
     beta_m >= 0 in each class s with sum(beta) >= 2g must be a member,
     or ``WsgapError`` is raised.  Membership in a class only grows with
     q, so no gap, hence no pure gap, lies outside the simplex, as
-    Riemann-Roch promises.  Prefixes go in lexicographic order, a block
-    at a time, and each prefix's row holds its beta_m in ascending order:
-    the sets come out as sorted ``TupleRows``, and no tuple is built here.
-    """
-    import numpy as np
+    Riemann-Roch promises.  The test is one per signature.  That first
+    beta_m has quotient ceil((max(L, 0) - s)/b), so the test reads
+    ceil((max(L, 0) - s)/b) + Q >= H(s), and the left side equals
+    max(c(s), Q) with c(s) = ceil((2g - sum(sig) - s)/b): if L >= 0 it
+    is c(s), and c(s) >= Q; if L < 0 it is Q, and c(s) <= Q.  It only
+    grows with Q, and Q = 0 occurs for every signature (the prefix sig
+    itself lies in the cube), so the whole cube passes iff every
+    signature has H(s) <= max(c(s), 0) for every s.
 
+    Prefixes of the simplex go in lexicographic order and each row holds
+    its beta_m in ascending order: the sets come out as sorted
+    ``TupleRows``, and no tuple is built here.
+    """
     b, m, n = params.b, params.m, 2 * params.genus
-    f, hit = (np.array(x) for x in oracle._residue_table(params))
-    s, v = np.arange(b), np.arange(n)
-    v_class = v % b
-    prefixes = n ** (m - 1)
-    rows = max(1, _BLOCK_CELLS // n)
-    gaps, pure_gaps = [], []
-    for start in range(0, prefixes, rows):
-        flat = np.arange(start, min(start + rows, prefixes))
-        prefix = np.unravel_index(flat, (n,) * (m - 1))
-        res = [c % b for c in prefix[1:]]
-        total = sum(prefix)
-        t = total - sum(res)
-        # need_m(s) = base[:, s]; need_k(s) = base[:, r_k] + [s < r_k] for k < m
-        base = sum(x[:, None] < s for x in res) - (t[:, None] - f) // b
-        hi, lo = base.copy(), base.copy()
-        for r in [hit[prefix[0] % b]] + res:
-            step = np.take_along_axis(base, r[:, None], 1) + (s < r[:, None])
-            np.maximum(hi, step, out=hi)
-            np.minimum(lo, step, out=lo)
-        # the first beta_m >= low in class s has quotient ceil((low - s)/b)
-        low = np.maximum(n - total, 0)[:, None]
-        if (-((s - low) // b) < hi).any():
-            raise WsgapError("a tuple with coordinate sum >= 2g is not a member")
-        inside = total < n
-        heads = [c[inside] for c in prefix]
-        gap = (v < (b * hi[inside] + s)[:, v_class]) & (v < n - total[inside, None])
-        pure = gap & (v < (b * lo[inside] + s)[:, v_class])
-        gaps.append(TupleRows.from_mask(gap, heads))
-        pure_gaps.append(TupleRows.from_mask(pure, heads))
-    return TupleRows.concat(gaps), TupleRows.concat(pure_gaps)
+    f, hit = oracle._residue_table(params)
+    width = min(b, n)  # the residues of coordinates below 2g
+    values = list(range(n))
+    # A threshold A on class s is kept as its end b*A + s: the w of class s
+    # with floor(w/b) < A are the w < b*A + s.  A_m(s) = base(s) and
+    # A_k(s) = base(r_k) + [s < r_k] for k < m, where
+    # base(r) = #{x in S' : x < r} - floor((u - f[r])/b), and the end of
+    # A_m(s) is below[S'][s] + lift[u][s].
+    lift = [[b * -((u - x) // b) + s for s, x in enumerate(f)] for u in range(width)]
+    steps = [[s + b * (s < cut) for s in range(b)] for cut in range(b + 1)]
+    below: dict[IntTuple, list[int]] = {}
+    shared: dict[tuple, list] = {}
+    leaves = []  # rows by Q, per signature in lexicographic order
+    for u, *others in itertools.product(range(width), repeat=m - 1):
+        rest = tuple(sorted(others))
+        rows = shared.get((u, rest))
+        if rows is None:
+            if rest not in below:
+                below[rest] = [b * bisect.bisect_left(rest, r) for r in range(b)]
+            own = list(map(operator.add, below[rest], lift[u]))
+            rows = shared[u, rest] = _signature_rows(own, (hit[u], *rest), n - u - sum(rest),
+                                                     steps, values)
+        leaves.append(rows)
+
+    gap_prefixes: list[IntTuple] = []
+    gap_lasts: list[IntTuple] = []
+    pure_prefixes: list[IntTuple] = []
+    pure_lasts: list[IntTuple] = []
+    split = [divmod(v, b) for v in values]
+
+    def walk(head: IntTuple, total: int, quot: int, index: int) -> None:
+        inner = len(head) == m - 2
+        for v in range(n - total):
+            q, s = split[v]
+            prefix = head + (v,)
+            if inner:
+                gap, pure = leaves[index + s][quot + q]
+                if gap:
+                    gap_prefixes.append(prefix)
+                    gap_lasts.append(gap)
+                if pure:
+                    pure_prefixes.append(prefix)
+                    pure_lasts.append(pure)
+            else:
+                walk(prefix, total + v, quot + q, (index + s) * width)
+
+    walk((), 0, 0, 0)
+    return TupleRows(gap_prefixes, gap_lasts), TupleRows(pure_prefixes, pure_lasts)
+
+
+def _signature_rows(own: list[int], reach: Sequence[int], room: int, steps: list[list[int]],
+                    values: list[int]) -> list[tuple[IntTuple, IntTuple]]:
+    """(gap row, pure row) by quotient sum Q for the signatures of one table.
+
+    In the terms of ``_residue_gap_sets``: ``own[s]`` is the end of
+    A_m(s), ``reach`` holds r_1, ..., r_{m-1} and ``room`` is
+    2g - sum(sig); ``steps[c][s]`` is s + b*[s < c] and ``values[v]`` is v.
+    Raises ``WsgapError`` if the signatures fail the whole-cube test.
+    """
+    b = len(own)
+    # The largest base(r) + [s < r] over r in reach is top + 1 below the
+    # last r with base(r) = top, the largest, and top from there on; the
+    # smallest is bottom + 1 below the first r with base(r) = bottom, the
+    # smallest, and bottom from there on.  Here at holds b*base(r).
+    reach = sorted(reach)
+    at = [own[r] - r for r in reach]
+    top, bottom = max(at), min(at)
+    top_step = steps[reach[len(at) - 1 - at[::-1].index(top)]]
+    bottom_step = steps[reach[at.index(bottom)]]
+    ends = [x if x > y + top else y + top for x, y in zip(own, top_step)]  # of H(s)
+    # the first w >= max(room, 0) of class s lies below max(room, 0) + b,
+    # and the test H(s) <= max(c(s), 0) says ends[s] is at most that w
+    if max(ends) >= max(room, 0) + b:
+        raise WsgapError("a tuple with coordinate sum >= 2g is not a member")
+    if room <= 0:
+        return []
+    pure_ends = [x if x < y + bottom else y + bottom for x, y in zip(own, bottom_step)]
+    cells = values[:room]
+    gap_cells = bytes(map(operator.lt, cells, itertools.cycle(ends)))
+    pure_cells = bytes(map(operator.lt, cells, itertools.cycle(pure_ends)))
+    # the row of Q holds the cells w >= b*Q, as w - b*Q
+    return [(tuple(itertools.compress(values, gap_cells[shift:])),
+             tuple(itertools.compress(values, pure_cells[shift:])))
+            for shift in range(0, room, b)]
 
 
 def _cube_rows(mask: np.ndarray) -> TupleRows:
     """The set cells of an m-dimensional cube ``mask`` in row form."""
     import numpy as np
 
-    n = mask.shape[-1]
-    heads = np.unravel_index(np.arange(mask.size // n), mask.shape[:-1])
-    return TupleRows.from_mask(mask.reshape(-1, n), heads)
+    row, last = mask.reshape(-1, mask.shape[-1]).nonzero()
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    heads = np.unravel_index(row[starts], mask.shape[:-1])
+    lasts = last.tolist()
+    bounds = starts.tolist() + [len(lasts)]
+    return TupleRows(zip(*(c.tolist() for c in heads)),
+                     map(tuple, map(lasts.__getitem__, map(slice, bounds, bounds[1:]))))
 
 
 def _nabla_slab_ranges(params: CurveParams, beta_star: IntTuple, i: int) -> list | None:
@@ -426,6 +449,11 @@ def _report(params: CurveParams, gap_set, pure_set, method: str,
     )
 
 
+def _single_point_report(params: CurveParams, method: str, gap_method: str) -> GapReport:
+    singles = tuple((t,) for t in numerical_gaps(params.a, params.b))
+    return _report(params, singles, singles, method, gap_method, "single-point")
+
+
 def gaps(params: CurveParams, method: str = "complement",
          include_zero_family: bool = False) -> GapReport:
     """The finite gap set, by the requested route.
@@ -438,8 +466,7 @@ def gaps(params: CurveParams, method: str = "complement",
     if method not in GAP_METHODS:
         raise WsgapError(f"unknown gap method {method!r}; choose from {GAP_METHODS}")
     if params.m == 1:
-        singles = tuple((t,) for t in numerical_gaps(params.a, params.b))
-        return _report(params, singles, singles, method, method, "single-point")
+        return _single_point_report(params, method, method)
     gap_rows, pure = _residue_gap_sets(params)
     if method == "union_nabla":
         gap_rows = _cube_rows(_gap_mask_union_nabla(params, include_zero_family))
@@ -450,11 +477,15 @@ def gaps(params: CurveParams, method: str = "complement",
 
 def pure_gaps(params: CurveParams, method: str = "profile",
               include_zero_family: bool = False) -> GapReport:
-    """The finite pure-gap set, by the requested route."""
-    if params.m < 2:
-        raise BadPointCountError("pure gaps need m >= 2")
+    """The finite pure-gap set, by the requested route.
+
+    For a single point this is the report ``gaps`` builds there: pure
+    gaps and gaps coincide, both being the numerical gaps.
+    """
     if method not in PURE_METHODS:
         raise WsgapError(f"unknown pure-gap method {method!r}; choose from {PURE_METHODS}")
+    if params.m == 1:
+        return _single_point_report(params, method, "complement")
     gap_rows, pure = _residue_gap_sets(params)
     if method == "intersection":
         pure = _pure_set_intersection(params, include_zero_family)

@@ -82,6 +82,15 @@ class TestSubcommands:
         env = run_json(capsys, "gaps", "--a", "4", "--b", "5", "--m", "1")
         assert env["payload"]["gaps"] == [[1], [2], [3], [6], [7], [11]]
 
+    @pytest.mark.parametrize("method", ["profile", "intersection"])
+    def test_pure_gaps_single_point(self, capsys, method):
+        # at one point pure gaps and gaps coincide: the numerical gaps
+        env = run_json(capsys, "pure-gaps", "--a", "4", "--b", "5", "--m", "1",
+                       "--method", method)
+        assert env["payload"]["pure_gaps"] == [[1], [2], [3], [6], [7], [11]]
+        assert env["payload"]["method"] == method
+        assert env["payload"]["stats"]["pure_gap_method"] == "single-point"
+
     def test_sigma(self, capsys):
         env = run_json(capsys, "sigma", "--a", "4", "--b", "5")
         assert env["payload"]["sigma"] == [6, 5, 3, 4, 2, 1]
@@ -172,6 +181,13 @@ class TestErrors:
         code, _, err = run_cli(capsys, "gaps", "--m", "2")
         assert code == 1
         assert "--a" in err
+
+    @pytest.mark.parametrize("command", ["member", "dim"])
+    def test_oracle_needs_two_points(self, capsys, command):
+        code, _, err = run_cli(capsys, command, "--a", "4", "--b", "5", "--m", "1",
+                               "--tuple", "3")
+        assert code == 1
+        assert "m >= 2" in err
 
     def test_sigma_needs_two_points(self, capsys):
         code, _, err = run_cli(capsys, "sigma", "--a", "4", "--b", "5", "--m", "3")
@@ -385,15 +401,18 @@ class TestEmitterBytes:
 
 
 def test_light_commands_do_not_import_numpy():
-    """Importing the command line and running the commands that need no
-    gap sets leaves numpy unloaded; a gap-set command loads it."""
+    """Importing the command line and running every command but the dense
+    gap cubes and verify leaves numpy unloaded; the union-nabla cube loads it."""
     commands = [
-        "sigma --a 4 --b 5",
-        "member --a 4 --b 5 --m 3 --tuple 12,0,0",
-        "dim --a 4 --b 5 --m 3 --tuple 12,0,0",
-        "superset --a 4 --b 7 --m 3",
-        "maximals --kind relative --a 4 --b 7 --m 3 --box-positive",
-        "gaps --a 4 --b 5 --m 2",
+        "sigma --a 4 --b 5 --format json",
+        "member --a 4 --b 5 --m 3 --tuple 12,0,0 --format json",
+        "dim --a 4 --b 5 --m 3 --tuple 12,0,0 --format json",
+        "superset --a 4 --b 7 --m 3 --format json",
+        "maximals --kind relative --a 4 --b 7 --m 3 --box-positive --format json",
+    ] + [f"{command} --a 4 --b 5 --m 3 --format {fmt}"
+         for command in ("gaps", "pure-gaps", "pure-gaps --method intersection")
+         for fmt in ("json", "text", "csv")] + [
+        "gaps --method union-nabla --a 4 --b 5 --m 2 --format json",
     ]
     script = f"""
 import contextlib, io, sys
@@ -401,13 +420,12 @@ import wsgap.cli
 print('import', 'numpy' in sys.modules)
 for argv in {commands!r}:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = wsgap.cli.main(argv.split() + ['--format', 'json'])
-    print(argv.split()[0], code, 'numpy' in sys.modules)
+        code = wsgap.cli.main(argv.split())
+    print(argv, code, 'numpy' in sys.modules)
 """
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={"PYTHONPATH": src, "PATH": ""}, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
-        "import False", "sigma 0 False", "member 0 False", "dim 0 False",
-        "superset 0 False", "maximals 0 False", "gaps 0 True"]
+    assert done.stdout.splitlines() == ["import False"] + [
+        f"{argv} 0 {argv.startswith('gaps --method union-nabla')}" for argv in commands]

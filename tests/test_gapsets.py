@@ -1,5 +1,6 @@
 import ast
 import itertools
+import random
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +43,19 @@ class TestSinglePoint:
         assert w.gaps(p, "union_nabla").gaps == w.gaps(p, "explicit_s").gaps == \
             w.gaps(p, "complement").gaps
 
-    def test_pure_gaps_rejects_single_point(self):
-        with pytest.raises(w.BadPointCountError):
-            w.pure_gaps(w.curve_params(4, 5, 1))
+    @pytest.mark.parametrize("method", gs.PURE_METHODS)
+    def test_pure_gaps_single_point(self, method):
+        p = w.curve_params(4, 5, 1)
+        report = w.pure_gaps(p, method)
+        assert report.pure_gaps == report.gaps == w.gaps(p).gaps
+        assert report.method == method
+        assert report.stats["pure_gap_method"] == "single-point"
+
+    def test_oracle_rejects_single_point(self):
+        p = w.curve_params(4, 5, 1)
+        for query in (w.is_member, w.dim_L):
+            with pytest.raises(w.BadPointCountError):
+                query(p, (3,))
 
 
 class TestGaps453:
@@ -332,6 +343,23 @@ def _kernel_tuples(p):
     return tuple(rows.tuples for rows in gs._residue_gap_sets(p))
 
 
+CHECK_CURVES = [P453, w.hermitian_params(3, 3), w.curve_params(2, 5, 2),
+                w.curve_params(3, 5, 4), w.curve_params(5, 6, 2), P473]
+
+
+def _per_prefix_check_fails(p):
+    """The whole-cube check prefix by prefix, as first written: over every
+    prefix of [0, 2g-1]^(m-1) and every class s mod b, the first
+    beta_m >= 0 of class s with sum(beta) >= 2g must be a member."""
+    n = 2 * p.genus
+    for prefix in itertools.product(range(n), repeat=p.m - 1):
+        low = max(n - sum(prefix), 0)
+        for s in range(p.b):
+            if not oracle.is_member(p, prefix + (low + (s - low) % p.b,)):
+                return True
+    return False
+
+
 class TestResidueGapKernel:
     """The kernel against the slab walk it replaced, tuple for tuple."""
 
@@ -354,6 +382,32 @@ class TestResidueGapKernel:
         with pytest.raises(w.WsgapError, match="not a member"):
             gs._residue_gap_sets(p)
 
+    @pytest.mark.parametrize("p", CHECK_CURVES, ids=str)
+    def test_cube_check_matches_per_prefix_check(self, p, monkeypatch):
+        """The kernel raises exactly when the per-prefix check over the whole
+        cube fails, on tables with families shifted by multiples of b."""
+        f, hit = oracle._residue_table(p)
+        rng = random.Random(p.a * 100 + p.b * 10 + p.m)
+        tables = [f[:r] + (f[r] + k * p.b,) + f[r + 1:]
+                  for r in range(p.b) for k in (-2, -1, 1, 2)]
+        tables += [tuple(x + rng.randint(-2, 2) * p.b for x in f) for _ in range(8)]
+        outcomes = set()
+        try:
+            for table in tables:
+                monkeypatch.setattr(oracle, "_residue_table", lambda params: (table, hit))
+                gs._residue_gap_sets.cache_clear()
+                try:
+                    gs._residue_gap_sets(p)
+                    raised = False
+                except w.WsgapError as exc:
+                    assert "not a member" in str(exc)
+                    raised = True
+                assert raised == _per_prefix_check_fails(p), table
+                outcomes.add(raised)
+        finally:
+            gs._residue_gap_sets.cache_clear()
+        assert outcomes == {False, True}
+
     def test_routes_skip_the_reference_enumeration(self, monkeypatch):
         def enumeration(*args):
             raise AssertionError("local_absolute_maximals called")
@@ -373,12 +427,27 @@ class TestRowForm:
     @pytest.mark.parametrize("p", SMALL + [P473, w.hermitian_params(5, 4)], ids=str)
     def test_rows_spell_the_tuples(self, p):
         for rows in gs._residue_gap_sets(p) + (gs._cube_rows(gs._gap_mask_explicit_s(p)),):
-            assert len(rows) == int(rows.counts.sum()) == len(rows.tuples)
-            prefixes = list(zip(*(c.tolist() for c in rows.prefixes)))
+            pairs = list(rows.rows())
+            assert len(rows) == sum(len(lasts) for _, lasts in pairs) == len(rows.tuples)
+            prefixes = [prefix for prefix, _ in pairs]
             assert prefixes == sorted(set(prefixes))  # one row per prefix, in order
-            assert all(rows.counts > 0)
-            spelled = tuple(prefix + (v,) for prefix, lasts in rows.rows() for v in lasts)
+            assert all(len(prefix) == p.m - 1 for prefix in prefixes)
+            assert all(lasts and type(lasts) is tuple for _, lasts in pairs)  # no empty rows
+            spelled = tuple(prefix + (v,) for prefix, lasts in pairs for v in lasts)
             assert spelled == rows.tuples == tuple(sorted(set(rows.tuples)))
+
+    @pytest.mark.parametrize("p", [P473, w.hermitian_params(5, 4), w.hermitian_params(8, 3)],
+                             ids=str)
+    def test_equal_signature_rows_share_lasts(self, p):
+        """Prefixes with the same residues and quotient sum share one row."""
+        shared = []
+        for rows in gs._residue_gap_sets(p):
+            by_key = {}
+            for prefix, lasts in rows.rows():
+                key = (tuple(c % p.b for c in prefix), sum(c // p.b for c in prefix))
+                assert by_key.setdefault(key, lasts) is lasts, prefix
+            shared.append(len(by_key) < sum(1 for _ in rows.rows()))
+        assert shared[0]  # some gap rows are shared
 
     def _spy(self, monkeypatch):
         built = []
@@ -431,14 +500,33 @@ class TestRowForm:
            st.lists(st.tuples(*[st.integers(-3, 9)] * 3), max_size=25))
     @settings(max_examples=150, deadline=None)
     def test_subset_check_matches_sets(self, small, big):
-        # unsorted, repeated and negative tuples as well
-        assert gs._is_subset(small, big, 3) == (set(small) <= set(big))
-        assert gs._is_subset(small, big + small, 3)
+        # unsorted, repeated and negative tuples as well, plain or as rows
+        expected = set(small) <= set(big)
+        for left in (small, _as_rows(small)):
+            for right in (big, _as_rows(big)):
+                assert gs._is_subset(left, right) == expected
+            assert gs._is_subset(left, big + small)
+            assert gs._is_subset(left, _as_rows(big + small))
 
     def test_subset_check_far_apart_tuples(self):
         far = (2**40, 0, 0)
-        assert gs._is_subset([far], [(0, 0, 0), far], 3)
-        assert not gs._is_subset([far, (0, 0, 1)], [(0, 0, 0), far], 3)
+        assert gs._is_subset([far], [(0, 0, 0), far])
+        assert not gs._is_subset([far, (0, 0, 1)], [(0, 0, 0), far])
+
+    @pytest.mark.parametrize("p", [P473, w.hermitian_params(5, 4)], ids=str)
+    def test_subset_check_on_kernel_rows(self, p):
+        gap_rows, pure_rows = gs._residue_gap_sets(p)
+        assert gs._is_subset(pure_rows, gap_rows)
+        assert not gs._is_subset(gap_rows, pure_rows)
+        assert gs._is_subset(pure_rows.tuples[::-1], gap_rows)
+        assert not gs._is_subset(gap_rows.tuples[:-1] + ((0,) * p.m,), gap_rows)
+
+
+def _as_rows(tuples):
+    """The tuples as ``TupleRows``, sorted and grouped by all but the last coordinate."""
+    rows = [(prefix, tuple(t[-1] for t in run)) for prefix, run in
+            itertools.groupby(sorted(set(tuples)), key=lambda t: t[:-1])]
+    return gs.TupleRows([prefix for prefix, _ in rows], [lasts for _, lasts in rows])
 
 
 def _witness_by_scan(p, alpha, include_zero_family=False):
