@@ -14,8 +14,7 @@ import importlib
 
 # Public names by defining module.  They are looked up on first access
 # (PEP 562), so that importing the package, ``wsgap.oracle`` or the
-# command line loads only the modules in use; numpy comes in only with
-# the dense gap cubes of ``gapsets`` and with ``verify``.
+# command line loads only the modules in use.
 _EXPORTS = {
     "core": (
         "Box", "BadPointCountError", "CurveParams", "EmptyInputError",

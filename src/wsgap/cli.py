@@ -12,8 +12,6 @@ Exit codes: 0 success, 1 domain error (message on standard error),
 2 usage error.
 
 ``gapsets`` and ``verify`` are imported by the subcommands that use them.
-numpy is loaded only by ``verify`` and by the ``union-nabla`` and
-``explicit-s`` gap routes; every other command runs without it.
 """
 
 from __future__ import annotations

@@ -29,15 +29,15 @@ residue class of the last, where the members start and below which no
 coordinate is reached.  Both depend on the prefix only through its
 residues mod b and the sum of its quotients, so the kernel computes each
 such row once, in pure Python, and walks only the simplex.  The
-union_nabla and explicit_s routes mark dense boolean cubes over
-[0, 2g-1]^m and stay independent of it, as cross-checks.
+union_nabla and explicit_s routes stay independent of it, as
+cross-checks: each lists its sets as slabs of [0, 2g-1]^m, and one
+builder marks the slabs in byte blocks kept only where slabs touch.
 
-Kernel and cubes hand their sets over in row form (``TupleRows``): the
+Kernel and builder hand their sets over in row form (``TupleRows``): the
 tuples that share their first m-1 coordinates make one row, a prefix
 tuple and a tuple of last coordinates.  The command line renders the rows
 directly; the tuples themselves are built only when a caller reads
-``GapReport.gaps`` or ``.pure_gaps``, and are then kept.  numpy is
-imported only by the two dense cubes and their conversion to rows.
+``GapReport.gaps`` or ``.pure_gaps``, and are then kept.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     CURVE_CACHE_SIZE,
@@ -57,14 +57,10 @@ from .core import (
     IntTuple,
     WsgapError,
     check_tuple,
-    glb,
     sorted_unique,
 )
 from . import maximals as mx
 from . import oracle
-
-if TYPE_CHECKING:
-    import numpy as np
 
 GAP_METHODS = ("complement", "union_nabla", "explicit_s")
 PURE_METHODS = ("profile", "intersection")
@@ -191,10 +187,6 @@ def numerical_gaps(a: int, b: int) -> tuple[int, ...]:
     if len(out) != g:
         raise WsgapError(f"{len(out)} numerical gaps of <{a}, {b}>, genus is {g}")
     return tuple(out)
-
-
-def _bound(params: CurveParams) -> int:
-    return 2 * params.genus - 1
 
 
 @lru_cache(maxsize=CURVE_CACHE_SIZE)
@@ -330,70 +322,76 @@ def _signature_rows(own: list[int], reach: Sequence[int], room: int, steps: list
             for shift in range(0, room, b)]
 
 
-def _cube_rows(mask: np.ndarray) -> TupleRows:
-    """The set cells of an m-dimensional cube ``mask`` in row form."""
-    import numpy as np
+def _cube_rows(m: int, n: int, slabs: Iterable[Sequence[int | range]]) -> TupleRows:
+    """The union of ``slabs`` in the cube [0, n-1]^m, in row form.
 
-    row, last = mask.reshape(-1, mask.shape[-1]).nonzero()
-    starts = np.flatnonzero(np.diff(row, prepend=-1))
-    heads = np.unravel_index(row[starts], mask.shape[:-1])
-    lasts = last.tolist()
-    bounds = starts.tolist() + [len(lasts)]
-    return TupleRows(zip(*(c.tolist() for c in heads)),
-                     map(tuple, map(lasts.__getitem__, map(slice, bounds, bounds[1:]))))
-
-
-def _nabla_slab_ranges(params: CurveParams, beta_star: IntTuple, i: int) -> list | None:
-    """Index ranges of {x >= 0 : x_i = beta*_i, x_j < beta*_j} in the cube.
-
-    Returns None when the set is empty (the fixed coordinate negative or
-    some other coordinate nonpositive).  Nonempty slabs always fit the
-    cube: every family member with positive surroundings stays below 2g.
+    A slab gives each coordinate a pinned value or a ``range(0, hi)``, and
+    raises ``WsgapError`` if it leaves the cube.  The rows that share their
+    first m-2 coordinates make one ``bytearray(n * n)`` block, kept once a
+    slab touches it; a slab sets a rectangle in it one slice per line
+    along the shorter side, a row or a column with stride n.
     """
-    m, B = params.m, _bound(params)
-    if beta_star[i] < 0:
-        return None
-    if any(beta_star[j] < 1 for j in range(m) if j != i):
-        return None
-    if beta_star[i] > B:
-        raise WsgapError(f"nabla slab of {beta_star} leaves the cube")
-    return [slice(0, min(beta_star[j], B + 1)) if j != i else beta_star[i]
-            for j in range(m)]
+    blocks: dict[IntTuple, bytearray] = {}
+    for slab in slabs:
+        box = [c if isinstance(c, range) else range(c, c + 1) for c in slab]
+        if any(r.start < 0 or r.stop > n for r in box):
+            raise WsgapError(f"slab {slab} leaves the cube [0, {n - 1}]^{m}")
+        *heads, down, across = box
+        if len(down) <= len(across):
+            cuts = [slice(x * n + across.start, x * n + across.stop) for x in down]
+            fill = b"\x01" * len(across)
+        else:
+            cuts = [slice(down.start * n + y, down.stop * n, n) for y in across]
+            fill = b"\x01" * len(down)
+        for head in itertools.product(*heads):
+            block = blocks.get(head)
+            if block is None:
+                block = blocks[head] = bytearray(n * n)
+            for cut in cuts:
+                block[cut] = fill
+    shared: dict[bytes, IntTuple] = {}  # equal rows share one tuple
+    prefixes: list[IntTuple] = []
+    lasts: list[IntTuple] = []
+    for head in sorted(blocks):
+        cells = bytes(blocks.pop(head))
+        for x in range(n):
+            row = cells[x * n:(x + 1) * n]
+            if 1 in row:
+                if row not in shared:
+                    shared[row] = tuple(itertools.compress(range(n), row))
+                prefixes.append(head + (x,))
+                lasts.append(shared[row])
+    return TupleRows(prefixes, lasts)
 
 
-def _gap_mask_union_nabla(params: CurveParams, include_zero_family: bool) -> np.ndarray:
-    import numpy as np
-
-    mask = np.zeros(((_bound(params)) + 1,) * params.m, dtype=bool)
+def _union_nabla_slabs(params: CurveParams, include_zero_family: bool) -> Iterator[list]:
+    """The slabs {x >= 0 : x_i = beta*_i, x_j < beta*_j} over the
+    nonnegative relative maximals beta* and the coordinates i, leaving out
+    the empty ones (beta*_i negative or some other beta*_j nonpositive)."""
+    n = 2 * params.genus
     for beta_star in mx.lambda_nonneg(params, include_zero_family):
-        for i in range(params.m):
-            idx = _nabla_slab_ranges(params, beta_star, i)
-            if idx is not None:
-                mask[tuple(idx)] = True
-    return mask
+        for i, pin in enumerate(beta_star):
+            if pin >= 0 and min(beta_star[:i] + beta_star[i + 1:]) >= 1:
+                yield [pin if j == i else range(min(c, n)) for j, c in enumerate(beta_star)]
 
 
-def _gap_mask_explicit_s(params: CurveParams) -> np.ndarray:
-    import numpy as np
-
-    a, b, m, B = params.a, params.b, params.m, _bound(params)
-    mask = np.zeros((B + 1,) * m, dtype=bool)
+def _explicit_s_slabs(params: CurveParams) -> Iterator[list]:
+    """The slabs of the index families S_{i,k}, written in (a, b, m)."""
+    a, b, m, n = params.a, params.b, params.m, 2 * params.genus
     for i in range(1, b):
         jmax = (a * (b - i) - b) // b
         for d in mx.shift_vectors((0,) * (m - 1), jmax):
-            j = sum(d)
-            first = a * (b - i) - b * (1 + j)
-            others = [slice(0, min(i + b * dt, B + 1)) for dt in d]
-            # family with the first coordinate pinned to a(b-i) - b(1+j)
-            mask[tuple([first] + others)] = True
+            first = a * (b - i) - b * (1 + sum(d))
+            others = [range(min(i + b * dt, n)) for dt in d]
+            # family with the first coordinate pinned to a(b-i) - b(1+j), j = sum(d)
+            yield [first] + others
             if first < 1:
                 continue
             # families with coordinate k >= 2 pinned to i + b*d_k
             for k in range(1, m):
-                idx = [slice(0, min(first, B + 1))] + others
+                idx = [range(min(first, n))] + others
                 idx[k] = i + b * d[k - 1]
-                mask[tuple(idx)] = True
-    return mask
+                yield idx
 
 
 def _pure_set_intersection(params: CurveParams, include_zero_family: bool) -> tuple[IntTuple, ...]:
@@ -433,7 +431,7 @@ def _pure_set_intersection(params: CurveParams, include_zero_family: bool) -> tu
 
 def _report(params: CurveParams, gap_set, pure_set, method: str,
             gap_method: str, pure_method: str) -> GapReport:
-    B = _bound(params)
+    B = 2 * params.genus - 1
     return GapReport(
         params=params,
         gaps=gap_set,
@@ -468,10 +466,11 @@ def gaps(params: CurveParams, method: str = "complement",
     if params.m == 1:
         return _single_point_report(params, method, method)
     gap_rows, pure = _residue_gap_sets(params)
+    n = 2 * params.genus
     if method == "union_nabla":
-        gap_rows = _cube_rows(_gap_mask_union_nabla(params, include_zero_family))
+        gap_rows = _cube_rows(params.m, n, _union_nabla_slabs(params, include_zero_family))
     elif method == "explicit_s":
-        gap_rows = _cube_rows(_gap_mask_explicit_s(params))
+        gap_rows = _cube_rows(params.m, n, _explicit_s_slabs(params))
     return _report(params, gap_rows, pure, method, method, "profile")
 
 

@@ -401,8 +401,8 @@ class TestEmitterBytes:
 
 
 def test_light_commands_do_not_import_numpy():
-    """Importing the command line and running every command but the dense
-    gap cubes and verify leaves numpy unloaded; the union-nabla cube loads it."""
+    """Importing the command line and running any command, the gap routes
+    and verify included, leaves numpy unloaded."""
     commands = [
         "sigma --a 4 --b 5 --format json",
         "member --a 4 --b 5 --m 3 --tuple 12,0,0 --format json",
@@ -413,6 +413,8 @@ def test_light_commands_do_not_import_numpy():
          for command in ("gaps", "pure-gaps", "pure-gaps --method intersection")
          for fmt in ("json", "text", "csv")] + [
         "gaps --method union-nabla --a 4 --b 5 --m 2 --format json",
+        "gaps --method explicit-s --a 4 --b 5 --m 3 --format json",
+        "verify --what sweep --max-a 3 --max-b 4 --max-m 3 --format json",
     ]
     script = f"""
 import contextlib, io, sys
@@ -428,4 +430,4 @@ for argv in {commands!r}:
                           env={"PYTHONPATH": src, "PATH": ""}, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["import False"] + [
-        f"{argv} 0 {argv.startswith('gaps --method union-nabla')}" for argv in commands]
+        f"{argv} 0 False" for argv in commands]

@@ -426,7 +426,10 @@ class TestRowForm:
 
     @pytest.mark.parametrize("p", SMALL + [P473, w.hermitian_params(5, 4)], ids=str)
     def test_rows_spell_the_tuples(self, p):
-        for rows in gs._residue_gap_sets(p) + (gs._cube_rows(gs._gap_mask_explicit_s(p)),):
+        cubes = tuple(gs._cube_rows(p.m, 2 * p.genus, slabs)
+                      for slabs in (gs._union_nabla_slabs(p, False),
+                                    gs._union_nabla_slabs(p, True), gs._explicit_s_slabs(p)))
+        for rows in gs._residue_gap_sets(p) + cubes:
             pairs = list(rows.rows())
             assert len(rows) == sum(len(lasts) for _, lasts in pairs) == len(rows.tuples)
             prefixes = [prefix for prefix, _ in pairs]
@@ -435,6 +438,28 @@ class TestRowForm:
             assert all(lasts and type(lasts) is tuple for _, lasts in pairs)  # no empty rows
             spelled = tuple(prefix + (v,) for prefix, lasts in pairs for v in lasts)
             assert spelled == rows.tuples == tuple(sorted(set(rows.tuples)))
+
+    @given(st.integers(2, 4).flatmap(lambda m: st.lists(
+        st.lists(st.one_of(st.integers(0, 4), st.integers(0, 5).map(range)),
+                 min_size=m, max_size=m), max_size=6).map(lambda slabs: (m, slabs))))
+    @settings(max_examples=80, deadline=None)
+    def test_cube_rows_are_the_union_of_the_slabs(self, case):
+        m, slabs = case
+        union = set()
+        for slab in slabs:
+            union.update(itertools.product(*[c if isinstance(c, range) else (c,)
+                                              for c in slab]))
+        rows = gs._cube_rows(m, 5, slabs)
+        assert all(lasts for _, lasts in rows.rows())
+        assert rows.tuples == tuple(sorted(union))
+
+    @pytest.mark.parametrize("k", range(3))
+    @pytest.mark.parametrize("pinned", [-1, 6])
+    def test_cube_rows_reject_pinned_values_outside_the_cube(self, pinned, k):
+        slab = [range(2), range(3), range(4)]
+        slab[k] = pinned
+        with pytest.raises(w.WsgapError, match="leaves the cube"):
+            gs._cube_rows(3, 6, [slab])
 
     @pytest.mark.parametrize("p", [P473, w.hermitian_params(5, 4), w.hermitian_params(8, 3)],
                              ids=str)
