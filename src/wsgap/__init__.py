@@ -20,7 +20,7 @@ _EXPORTS = {
         "Box", "BadPointCountError", "CurveParams", "EmptyInputError",
         "FieldTooSmallWarning", "NotCoprimeError", "WsgapError", "box_tuples",
         "curve_params", "glb", "hermitian_params", "is_prime_power", "lub",
-        "norm_trace_params", "reduce_to_region", "theta_vector",
+        "norm_trace_params", "reduce_to_region", "theta_vector", "TupleRows",
     ),
     "maximals": (
         "MaximalSet", "absolute_maximals_region", "expand_in_box", "expand_nonneg",
@@ -32,7 +32,7 @@ _EXPORTS = {
         "local_absolute_maximals", "nabla_J_empty", "per_coord_max",
     ),
     "gapsets": (
-        "GapReport", "SigmaTable", "TupleRows", "candidate_superset", "gaps",
+        "GapReport", "SigmaTable", "candidate_superset", "gaps",
         "nabla_bar_nonneg", "numerical_gaps", "pure_gap_witness", "pure_gaps",
         "sigma_gap_set", "sigma_literal", "sigma_pair", "sigma_pure_gap_set",
     ),

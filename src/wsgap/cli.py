@@ -19,9 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
-import operator
 import sys
 import time
 
@@ -31,6 +29,7 @@ from . import oracle
 from .core import (
     Box,
     CurveParams,
+    TupleRows,
     WsgapError,
     check_tuple,
     curve_params,
@@ -174,8 +173,8 @@ def _guard_params(params: CurveParams, force: bool) -> None:
 # ---------------------------------------------------------------------------
 # payload builders
 
-def _tuples_payload(key: str, tuples) -> dict:
-    return {key: tuples, "count": len(tuples)}
+def _tuples_payload(key: str, rows: TupleRows) -> dict:
+    return {key: rows, "count": len(rows)}
 
 
 def _run_maximals(params: CurveParams, args: argparse.Namespace) -> dict:
@@ -197,7 +196,7 @@ def _run_maximals(params: CurveParams, args: argparse.Namespace) -> dict:
         box = Box(lo=_parse_tuple(params, args.lo), hi=_parse_tuple(params, args.hi))
         _guard_cells(box.cell_count(), args.force)
         tuples = mx.expand_in_box(ms, box)
-    payload = _tuples_payload("tuples", tuples)
+    payload = _tuples_payload("tuples", TupleRows.of(tuples))
     payload.update({"kind": args.kind, "scope": scope})
     return payload
 
@@ -240,8 +239,8 @@ def _run_sigma(params: CurveParams, args: argparse.Namespace) -> dict:
         "gaps_q1": list(table.gaps_q1),
         "gaps_q2": list(table.gaps_q2),
         "sigma": list(table.sigma),
-        "gamma_pairs": table.gamma_pairs,
-        "inversions": table.inversions,
+        "gamma_pairs": TupleRows.of(table.gamma_pairs),
+        "inversions": TupleRows.of(table.inversions),
         "genus": params.genus,
         "pure_gap_count": len(table.inversions),
     }
@@ -257,6 +256,9 @@ def _run_superset(params: CurveParams, args: argparse.Namespace) -> dict:
 def _run_verify(args: argparse.Namespace) -> dict:
     from . import verify
 
+    if args.what in ("sweep", "all"):
+        for params in verify.sweep_cells(args.max_a, args.max_b, args.max_m):
+            _guard_params(params, args.force)
     seed = verify.DEFAULT_SEED if args.seed is None else args.seed
     report = verify.ConformanceReport()
     if args.what in ("fixtures", "all"):
@@ -283,22 +285,6 @@ _TUPLE_KEYS = ("tuples", "gaps", "pure_gaps", "gamma_pairs", "inversions")
 _LIST_KEYS = ("gaps_q1", "gaps_q2", "sigma", "a_star", "a")
 
 
-_ALL_BUT_LAST = operator.itemgetter(slice(None, -1))
-_LAST = operator.itemgetter(-1)
-
-
-def _plain_rows(tuples):
-    """(prefix, last coordinates) of each run of consecutive tuples that
-    share all but their last coordinate; an empty tuple is a row
-    ``((), None)`` of its own."""
-    for prefix, run in itertools.groupby(tuples, _ALL_BUT_LAST):
-        if prefix:
-            yield tuple(prefix), list(map(_LAST, run))
-        else:  # 1-tuples and the empty tuple share the empty prefix
-            for t in run:
-                yield (), t[-1:] or None
-
-
 class _Tails(dict):
     """``template % v`` for each value v looked up, formatted once."""
 
@@ -311,22 +297,17 @@ class _Tails(dict):
         return text
 
 
-def _render_rows(tuples, template, sep: str = ""):
-    """The tuple list rendered by the ``%d`` template ``template(len)``,
-    one string per row of tuples that share all but their last coordinate.
+def _render_rows(rows: TupleRows, template, sep: str = ""):
+    """The tuples of ``rows`` rendered by the ``%d`` template
+    ``template(len)``, one string per row.
 
-    ``tuples`` is a ``gapsets.TupleRows`` or a plain sequence.  Each
-    template is cut before its last ``%d``: a row fills the head with its
-    prefix once and takes each tuple's tail from a per-value table, so
-    a row of k tuples reads head + (sep + head).join(k tails).  Joining
-    the rows with ``sep`` gives the tuples one after another.
+    Each template is cut before its last ``%d``: a row fills the head
+    with its prefix once and takes each tuple's tail from a per-value
+    table, so a row of k tuples reads head + (sep + head).join(k tails).
+    Joining the rows with ``sep`` gives the tuples one after another.
     """
-    rows = tuples.rows() if hasattr(tuples, "rows") else _plain_rows(tuples)
     parts = {}
-    for prefix, lasts in rows:
-        if lasts is None:
-            yield template(0)
-            continue
+    for prefix, lasts in rows.rows():
         part = parts.get(len(prefix))
         if part is None:
             full = template(len(prefix) + 1)
@@ -338,8 +319,6 @@ def _render_rows(tuples, template, sep: str = ""):
 
 def _json_tuple(n: int) -> str:
     # a tuple as json.dumps(indent=2) lays it out inside envelope["payload"]
-    if n == 0:
-        return "      []"
     return "      [\n" + ",\n".join(["        %d"] * n) + "\n      ]"
 
 

@@ -12,8 +12,9 @@ provides:
 * the rank m-1 translation lattice generated by (0,..,-b,b,..,0) steps,
   written in shift coordinates by ``theta_vector``,
 * canonical reduction into the fundamental region where coordinates
-  2..m lie in [0, b), and
-* deterministic iteration over integer boxes.
+  2..m lie in [0, b),
+* deterministic iteration over integer boxes, and
+* the row form in which every tuple set moves between modules.
 
 All types are immutable and all functions are pure, so everything here
 is safe to use from concurrent callers.
@@ -283,3 +284,54 @@ def ceil_div(p: int, q: int) -> int:
 def sorted_unique(ts: Iterable[IntTuple]) -> tuple[IntTuple, ...]:
     """Canonical form for returned sets: sorted and duplicate-free."""
     return tuple(sorted(set(ts)))
+
+
+class TupleRows:
+    """A list of tuples in row form: consecutive tuples that share all but
+    their last coordinate make one row.
+
+    A row is a pair ``(prefix, lasts)``: the shared coordinates and the
+    last coordinates of the row's tuples, never empty.  The gap routes
+    hand over sorted m-tuples, so their rows come in lexicographic order
+    of their prefixes and each ``lasts`` ascends; several rows may share
+    one ``lasts`` tuple.  The constructor takes the prefixes and the lasts
+    of the rows as two sequences in order; ``of`` groups a list of tuples.
+    Everything is immutable, since a cache hands the same rows to every
+    caller.  ``tuples`` builds the tuples on first access and keeps them.
+    """
+
+    __slots__ = ("_prefixes", "_lasts", "_len", "_tuples")
+
+    def __init__(self, prefixes: Iterable[IntTuple], lasts: Iterable[IntTuple]) -> None:
+        self._prefixes = tuple(prefixes)
+        self._lasts = tuple(lasts)
+        self._len = sum(map(len, self._lasts))
+        self._tuples: tuple[IntTuple, ...] | None = None
+
+    @classmethod
+    def of(cls, tuples: Iterable[IntTuple]) -> TupleRows:
+        """The rows of ``tuples`` in the given order, unsorted: each run of
+        consecutive tuples that share all but their last coordinate."""
+        tuples = tuple(tuples)
+        prefixes: list[IntTuple] = []
+        lasts: list[IntTuple] = []
+        for prefix, run in itertools.groupby(tuples, lambda t: t[:-1]):
+            prefixes.append(prefix)
+            lasts.append(tuple([t[-1] for t in run]))
+        rows = cls(prefixes, lasts)
+        rows._tuples = tuples
+        return rows
+
+    def __len__(self) -> int:
+        return self._len
+
+    @property
+    def tuples(self) -> tuple[IntTuple, ...]:
+        """The tuples in order, built on first access and kept."""
+        if self._tuples is None:
+            self._tuples = tuple([prefix + (v,) for prefix, lasts in self.rows() for v in lasts])
+        return self._tuples
+
+    def rows(self) -> Iterator[tuple[IntTuple, IntTuple]]:
+        """(prefix, last coordinates) of every row, in order."""
+        return zip(self._prefixes, self._lasts)

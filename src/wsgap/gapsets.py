@@ -33,11 +33,13 @@ union_nabla and explicit_s routes stay independent of it, as
 cross-checks: each lists its sets as slabs of [0, 2g-1]^m, and one
 builder marks the slabs in byte blocks kept only where slabs touch.
 
-Kernel and builder hand their sets over in row form (``TupleRows``): the
+Every route hands its sets over in row form (``core.TupleRows``): the
 tuples that share their first m-1 coordinates make one row, a prefix
-tuple and a tuple of last coordinates.  The command line renders the rows
-directly; the tuples themselves are built only when a caller reads
-``GapReport.gaps`` or ``.pure_gaps``, and are then kept.
+tuple and a tuple of last coordinates.  The kernel and the builder make
+their rows directly; the intersection route and the single-point report
+group their sorted tuples with ``TupleRows.of``.  The command line
+renders the rows; the tuples themselves are built only when a caller
+reads ``GapReport.gaps`` or ``.pure_gaps``, and are then kept.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .core import (
     BadPointCountError,
     CurveParams,
     IntTuple,
+    TupleRows,
     WsgapError,
     check_tuple,
     sorted_unique,
@@ -66,74 +69,18 @@ GAP_METHODS = ("complement", "union_nabla", "explicit_s")
 PURE_METHODS = ("profile", "intersection")
 
 
-class TupleRows:
-    """Sorted m-tuples in row form: the tuples that share their first m-1
-    coordinates make one row.
-
-    A row is a pair ``(prefix, lasts)``: the m-1 shared coordinates and
-    the last coordinates of the row's tuples, ascending and never empty.
-    Rows come in lexicographic order of their prefixes, and several rows
-    may share one ``lasts`` tuple; the constructor takes the prefixes and
-    the lasts of the rows as two sequences in that order.  Everything is
-    immutable, since a cache hands the same rows to every caller.
-    ``tuples`` builds the tuples on first access and keeps them.
-    """
-
-    __slots__ = ("_prefixes", "_lasts", "_len", "_tuples")
-
-    def __init__(self, prefixes: Iterable[IntTuple], lasts: Iterable[IntTuple]) -> None:
-        self._prefixes = tuple(prefixes)
-        self._lasts = tuple(lasts)
-        self._len = sum(map(len, self._lasts))
-        self._tuples: tuple[IntTuple, ...] | None = None
-
-    def __len__(self) -> int:
-        return self._len
-
-    @property
-    def tuples(self) -> tuple[IntTuple, ...]:
-        """The tuples in order, built on first access and kept."""
-        if self._tuples is None:
-            self._tuples = tuple([prefix + (v,) for prefix, lasts in self.rows() for v in lasts])
-        return self._tuples
-
-    def rows(self) -> Iterator[tuple[IntTuple, IntTuple]]:
-        """(prefix, last coordinates) of every row, in order."""
-        return zip(self._prefixes, self._lasts)
-
-
-class _TupleField:
-    """A ``GapReport`` field given as ``TupleRows`` or as tuples, read as tuples.
-
-    The value is stored as given; reading the field returns its tuples,
-    which a ``TupleRows`` builds on first access and keeps.
-    """
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, report, owner=None):
-        if report is None:
-            raise AttributeError(self.name)  # the dataclass field has no default
-        value = report.__dict__[self.name]
-        return value.tuples if isinstance(value, TupleRows) else value
-
-    def __set__(self, report, value) -> None:
-        report.__dict__[self.name] = value if isinstance(value, TupleRows) else tuple(value)
-
-
 @dataclass(frozen=True)
 class GapReport:
     """Gap and pure-gap sets for one parameter choice, with provenance.
 
-    ``gaps`` and ``pure_gaps`` read as sorted tuples.  The routes hand
-    them over in row form where they have one (``gap_rows``,
-    ``pure_rows``), and the tuples are only built when a field is read.
+    Every route hands its sets over as sorted ``TupleRows``: ``gap_rows``
+    and ``pure_rows``.  ``gaps`` and ``pure_gaps`` read them as sorted
+    tuples, which are built on first read and kept.
     """
 
     params: CurveParams
-    gaps: tuple[IntTuple, ...] = _TupleField()
-    pure_gaps: tuple[IntTuple, ...] = _TupleField()
+    gap_rows: TupleRows
+    pure_rows: TupleRows
     method: str
     stats: dict
 
@@ -142,21 +89,24 @@ class GapReport:
             raise WsgapError("pure gaps outside the gap set")
 
     @property
-    def gap_rows(self) -> TupleRows | tuple[IntTuple, ...]:
-        """The gaps as handed over: ``TupleRows``, or tuples."""
-        return self.__dict__["gaps"]
+    def gaps(self) -> tuple[IntTuple, ...]:
+        return self.gap_rows.tuples
 
     @property
-    def pure_rows(self) -> TupleRows | tuple[IntTuple, ...]:
-        """The pure gaps as handed over: ``TupleRows``, or tuples."""
-        return self.__dict__["pure_gaps"]
+    def pure_gaps(self) -> tuple[IntTuple, ...]:
+        return self.pure_rows.tuples
 
 
-def _is_subset(small, big) -> bool:
-    """Whether every tuple of ``small`` lies in ``big`` (each ``TupleRows``
-    or tuples), by one merge of their rows in prefix order."""
-    rows = _sorted_rows(big)
-    for prefix, lasts in _sorted_rows(small):
+def _is_subset(small: TupleRows, big: TupleRows) -> bool:
+    """Whether every tuple of ``small`` lies in ``big``, by one merge of
+    their rows.
+
+    True only if every row of ``small`` lies inside a row of ``big`` with
+    the same prefix, whatever the order of the rows; exact when both come
+    in lexicographic order, as every route hands them over.
+    """
+    rows = big.rows()
+    for prefix, lasts in small.rows():
         for other, others in rows:
             if other >= prefix:
                 break
@@ -165,15 +115,6 @@ def _is_subset(small, big) -> bool:
         if other != prefix or not set(lasts).issubset(others):
             return False
     return True
-
-
-def _sorted_rows(seq) -> Iterator[tuple[IntTuple, Sequence[int]]]:
-    """The rows of a tuple set in prefix order: a ``TupleRows`` as it is,
-    plain tuples (in any order, possibly repeated) sorted and grouped."""
-    if isinstance(seq, TupleRows):
-        return seq.rows()
-    return ((prefix, [t[-1] for t in run])
-            for prefix, run in itertools.groupby(sorted(set(seq)), key=lambda t: t[:-1]))
 
 
 @lru_cache(maxsize=CURVE_CACHE_SIZE)
@@ -429,17 +370,17 @@ def _pure_set_intersection(params: CurveParams, include_zero_family: bool) -> tu
     return sorted_unique(diag for diag, _ in states)
 
 
-def _report(params: CurveParams, gap_set, pure_set, method: str,
+def _report(params: CurveParams, gap_rows: TupleRows, pure_rows: TupleRows, method: str,
             gap_method: str, pure_method: str) -> GapReport:
     B = 2 * params.genus - 1
     return GapReport(
         params=params,
-        gaps=gap_set,
-        pure_gaps=pure_set,
+        gap_rows=gap_rows,
+        pure_rows=pure_rows,
         method=method,
         stats={
-            "gap_count": len(gap_set),
-            "pure_gap_count": len(pure_set),
+            "gap_count": len(gap_rows),
+            "pure_gap_count": len(pure_rows),
             "bounding_box": {"lo": [0] * params.m, "hi": [B] * params.m},
             "gap_method": gap_method,
             "pure_gap_method": pure_method,
@@ -448,7 +389,7 @@ def _report(params: CurveParams, gap_set, pure_set, method: str,
 
 
 def _single_point_report(params: CurveParams, method: str, gap_method: str) -> GapReport:
-    singles = tuple((t,) for t in numerical_gaps(params.a, params.b))
+    singles = TupleRows.of((t,) for t in numerical_gaps(params.a, params.b))
     return _report(params, singles, singles, method, gap_method, "single-point")
 
 
@@ -487,7 +428,7 @@ def pure_gaps(params: CurveParams, method: str = "profile",
         return _single_point_report(params, method, "complement")
     gap_rows, pure = _residue_gap_sets(params)
     if method == "intersection":
-        pure = _pure_set_intersection(params, include_zero_family)
+        pure = TupleRows.of(_pure_set_intersection(params, include_zero_family))
     return _report(params, gap_rows, pure, method, "complement", method)
 
 

@@ -222,6 +222,31 @@ class TestGuardsAndThreads:
         assert code == 1
         assert "--force" in err
 
+    @pytest.mark.parametrize("what", ["sweep", "all"])
+    def test_verify_sweep_refused_before_any_work(self, capsys, monkeypatch, what):
+        from wsgap import verify as verify_mod
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("verify ran before the guard")
+
+        for name in ("run_fixtures", "run_property_sweep", "run_oracle_invariants"):
+            monkeypatch.setattr(verify_mod, name, no_work)
+        code, out, err = run_cli(capsys, "verify", "--what", what, "--max-a", "20",
+                                 "--max-b", "21", "--max-m", "4")
+        assert (code, out) == (1, "")
+        assert "exceeds the 100000000 guard" in err and "--force" in err
+
+    def test_verify_force_passes_the_guard(self, capsys, monkeypatch):
+        # (a, b, m) = (2, 3, 2) has genus 1, so its one cell counts (2g)^m = 4
+        monkeypatch.setattr(cli, "BOX_CELL_LIMIT", 3)
+        argv = ("verify", "--what", "sweep", "--max-a", "2", "--max-b", "3", "--max-m", "2",
+                "--trials", "5")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and "sweep of 4 cells exceeds the 3 guard" in err
+        code, out, err = run_cli(capsys, *argv, "--force")
+        assert code == 0, err
+        assert "PASS a2-b3-m2:" in out
+
     def test_box_guard(self, capsys):
         code, _, err = run_cli(capsys, "maximals", "--kind", "relative",
                                "--a", "4", "--b", "5", "--m", "3", "--scope", "box",
@@ -381,20 +406,15 @@ class TestEmitterBytes:
         assert isinstance(rows, gs.TupleRows)
         _assert_emitters_match(envelope)
 
-    def test_sigma_list_of_lists(self, monkeypatch, capsys):
-        envelope = self._envelope(monkeypatch, capsys, "sigma", "--a", "4", "--b", "7")
-        envelope["payload"]["gamma_pairs"] = [list(t) for t in envelope["payload"]["gamma_pairs"]]
-        assert isinstance(envelope["payload"]["inversions"][0], tuple)
-        _assert_emitters_match(envelope)
-
-    @given(st.lists(st.lists(st.integers(-10**6, 10**6), max_size=5).map(tuple),
+    @given(st.lists(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=5).map(tuple),
                     max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_generated_tuple_lists(self, tuples):
         envelope = {
             "schema": cli.SCHEMA, "tool_version": w.__version__, "command": "gaps",
             "params": {"a": 4, "b": 5, "m": 3, "genus": 6, "field_size": None},
-            "payload": {"gaps": tuples, "count": len(tuples), "method": "complement"},
+            "payload": {"gaps": w.TupleRows.of(tuples), "count": len(tuples),
+                        "method": "complement"},
             "timing_ms": 1.5,
         }
         _assert_emitters_match(envelope)

@@ -242,3 +242,18 @@ def test_library_has_no_assert():
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def test_library_has_no_unused_import():
+    # a top-level import that no name in its module reads is a leftover
+    offenders = []
+    for path in sorted(pathlib.Path(w.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                offenders += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                              if (alias.asname or alias.name.partition(".")[0]) not in used]
+    assert offenders == []

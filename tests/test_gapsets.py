@@ -525,33 +525,57 @@ class TestRowForm:
            st.lists(st.tuples(*[st.integers(-3, 9)] * 3), max_size=25))
     @settings(max_examples=150, deadline=None)
     def test_subset_check_matches_sets(self, small, big):
-        # unsorted, repeated and negative tuples as well, plain or as rows
+        # negative tuples as well; sorted rows, where the merge is exact
         expected = set(small) <= set(big)
-        for left in (small, _as_rows(small)):
-            for right in (big, _as_rows(big)):
-                assert gs._is_subset(left, right) == expected
-            assert gs._is_subset(left, big + small)
-            assert gs._is_subset(left, _as_rows(big + small))
+        left, right = _set_rows(small), _set_rows(big)
+        assert gs._is_subset(left, right) == expected
+        assert gs._is_subset(left, _set_rows(big + small))
+
+    @given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=25), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_subset_check_is_sound_on_unsorted_rows(self, big, data):
+        # unsorted and repeated tuples, grouped as given; most drawn from big
+        small = data.draw(st.lists(st.one_of(st.sampled_from(big),
+                                             st.tuples(*[st.integers(0, 3)] * 3)), max_size=25))
+        if gs._is_subset(gs.TupleRows.of(small), gs.TupleRows.of(big)):
+            assert set(small) <= set(big)
 
     def test_subset_check_far_apart_tuples(self):
         far = (2**40, 0, 0)
-        assert gs._is_subset([far], [(0, 0, 0), far])
-        assert not gs._is_subset([far, (0, 0, 1)], [(0, 0, 0), far])
+        assert gs._is_subset(gs.TupleRows.of([far]), gs.TupleRows.of([(0, 0, 0), far]))
+        assert not gs._is_subset(gs.TupleRows.of([far, (0, 0, 1)]),
+                                 gs.TupleRows.of([(0, 0, 0), far]))
 
     @pytest.mark.parametrize("p", [P473, w.hermitian_params(5, 4)], ids=str)
     def test_subset_check_on_kernel_rows(self, p):
         gap_rows, pure_rows = gs._residue_gap_sets(p)
         assert gs._is_subset(pure_rows, gap_rows)
         assert not gs._is_subset(gap_rows, pure_rows)
-        assert gs._is_subset(pure_rows.tuples[::-1], gap_rows)
-        assert not gs._is_subset(gap_rows.tuples[:-1] + ((0,) * p.m,), gap_rows)
+        assert gs._is_subset(_set_rows(pure_rows.tuples[::-1]), gap_rows)
+        assert not gs._is_subset(_set_rows(gap_rows.tuples[:-1] + ((0,) * p.m,)), gap_rows)
+
+    def test_rows_of_group_runs_in_the_given_order(self):
+        tuples = ((2, 1), (2, 0), (1, 5), (2, 3), (7,), (7,), (3,), (1, 5, 0))
+        rows = gs.TupleRows.of(tuples)
+        assert list(rows.rows()) == [((2,), (1, 0)), ((1,), (5,)), ((2,), (3,)),
+                                     ((), (7, 7, 3)), ((1, 5), (0,))]
+        assert len(rows) == len(tuples) and rows.tuples == tuples
+        assert list(gs.TupleRows.of([]).rows()) == []
+
+    @pytest.mark.parametrize("p", [w.curve_params(4, 5, 1), w.curve_params(2, 3, 2), P473,
+                                   w.hermitian_params(4, 4)], ids=str)
+    def test_reports_hold_rows_for_every_method(self, p):
+        reports = ([w.gaps(p, method) for method in gs.GAP_METHODS]
+                   + [w.pure_gaps(p, method) for method in gs.PURE_METHODS])
+        for report in reports:
+            assert type(report.gap_rows) is type(report.pure_rows) is w.TupleRows
+            assert report.gaps == report.gap_rows.tuples
+            assert report.pure_gaps == report.pure_rows.tuples
 
 
-def _as_rows(tuples):
-    """The tuples as ``TupleRows``, sorted and grouped by all but the last coordinate."""
-    rows = [(prefix, tuple(t[-1] for t in run)) for prefix, run in
-            itertools.groupby(sorted(set(tuples)), key=lambda t: t[:-1])]
-    return gs.TupleRows([prefix for prefix, _ in rows], [lasts for _, lasts in rows])
+def _set_rows(tuples):
+    """The tuples as ``TupleRows``, sorted and without repeats."""
+    return gs.TupleRows.of(sorted(set(tuples)))
 
 
 def _witness_by_scan(p, alpha, include_zero_family=False):

@@ -163,7 +163,7 @@ class TestChecksCatchFaults:
         def add_gap(report):
             m, B = report.params.m, 2 * report.params.genus - 1
             extra = (0, B + 1) + (0,) * (m - 2)
-            return dataclasses.replace(report, gaps=report.gaps + (extra,))
+            return dataclasses.replace(report, gap_rows=w.TupleRows.of(report.gaps + (extra,)))
 
         self._patch(monkeypatch, "gaps", add_gap)
         for p, e in self._results("symmetry", "coordinate-symmetry"):
@@ -178,7 +178,7 @@ class TestChecksCatchFaults:
             first = (0, 1) + (0,) * (report.params.m - 2)
             assert first in report.gaps  # 1 is a gap at every point
             return dataclasses.replace(
-                report, gaps=tuple(t for t in report.gaps if t != first))
+                report, gap_rows=w.TupleRows.of(t for t in report.gaps if t != first))
 
         self._patch(monkeypatch, "gaps", drop_axis_gap)
         for p, e in self._results("axis-gaps", "axis-gaps-coordinate-2"):
@@ -190,7 +190,7 @@ class TestChecksCatchFaults:
         assert any(pure.values())
 
         def drop_pure_gap(report):
-            return dataclasses.replace(report, pure_gaps=report.pure_gaps[1:])
+            return dataclasses.replace(report, pure_rows=w.TupleRows.of(report.pure_gaps[1:]))
 
         self._patch(monkeypatch, "pure_gaps", drop_pure_gap)
         for p, e in self._results("witnesses", "witness-coherence"):
