@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 domain error (message on standard error),
 2 usage error.
 
 ``gapsets`` and ``verify`` are imported by the subcommands that use them.
+Payload tuple lists are ``core.TupleRows``, which the emitters render by row.
 """
 
 from __future__ import annotations
