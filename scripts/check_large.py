@@ -18,17 +18,18 @@ curves people run.
   on a smaller one.
 * At Hermitian q = 16, 32 (m = 2): ``sigma_pair`` equals the literal
   pairing ``sigma_literal``, and both axes carry exactly genus gaps.
-* On every curve, the command line's row renderer prints the kernel's gap
-  and pure-gap rows in JSON, text and CSV byte for byte as per-tuple
-  encoders print the tuples built from them.
+* On every curve, the command line's emitters, streaming into a sink,
+  print an envelope of the kernel's gap rows, and one of its pure-gap
+  rows, in JSON, text and CSV byte for byte as per-tuple encoders print
+  the same envelope with the tuples built from the rows.
 
 It prints one line per curve with the time of each part and exits 1 on
 any disagreement.  The complement and profile routes share one cached
 kernel, which the complement time includes.
 
 It is not part of the test suite: a run takes about 20 s on two cores,
-the largest parts the per-tuple JSON encoding at Hermitian q = 32, m = 2
-(about 2.4 s, run for both of its entries) and the oracle sample at
+the largest parts the render check at Hermitian q = 32, m = 2 (about
+2.5 s, run for both of its entries) and the oracle sample at
 q = 8, m = 4 (about 2 s; the intersection route takes about 0.5 s there).
 
     PYTHONPATH=src python3 scripts/check_large.py
@@ -106,30 +107,56 @@ def check_kernel(params):
     return []
 
 
-def per_tuple(fmt, key, tuples):
-    """The tuple list as the encoders print it one tuple at a time."""
-    if fmt == "json":  # the list's items as json.dumps(indent=2) nests them in the payload
-        head = '{\n  "payload": {\n    ' + json.dumps(key) + ": [\n"
-        text = json.dumps({"payload": {key: [list(t) for t in tuples]}}, indent=2)
-        return text[len(head):-len("\n    ]\n  }\n}")] if tuples else ""
+def envelope(params, key, rows):
+    """A command-line envelope carrying one tuple list."""
+    return {"schema": cli.SCHEMA, "tool_version": w.__version__, "command": "gaps",
+            "params": cli._params_echo(params),
+            "payload": {key: rows, "count": len(rows), "method": "complement"},
+            "timing_ms": 1.5}
+
+
+def per_tuple(fmt, env, key):
+    """The envelope as the encoders print it one tuple at a time."""
+    payload, p = env["payload"], env["params"]
+    tuples = payload[key].tuples
+    if fmt == "json":
+        listed = {**payload, key: [list(t) for t in tuples]}
+        return json.dumps({**env, "payload": listed}, sort_keys=True, indent=2) + "\n"
     if fmt == "text":
-        return "".join("(" + ", ".join(map(str, t)) + ")\n" for t in tuples)
+        lines = [f"# {env['schema']} tool_version={env['tool_version']}",
+                 f"# command: {env['command']}",
+                 "# params: " + " ".join(f"{k}={p[k]}" for k in p)]
+        for k, value in sorted(payload.items()):
+            if k == key:
+                lines.append(f"{key} ({len(tuples)}):")
+                lines += ["(" + ", ".join(map(str, t)) + ")" for t in tuples]
+            else:
+                lines.append(f"{k}: {value}")
+        return "\n".join(lines + [f"# timing_ms: {env['timing_ms']}"]) + "\n"
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(
-        [key, "", ";".join(map(str, t)), ""] for t in tuples)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["kind", "name", "tuple", "value"])
+    writer.writerows(["meta", k, "", env[k]] for k in ("schema", "tool_version", "command"))
+    writer.writerows(["meta", k, "", "" if v is None else v] for k, v in p.items())
+    for k, value in sorted(payload.items()):
+        if k == key:
+            writer.writerows([key, "", ";".join(map(str, t)), ""] for t in tuples)
+        else:
+            writer.writerow([k, "", "", value])
+    writer.writerow(["meta", "timing_ms", "", env["timing_ms"]])
     return buf.getvalue()
 
 
-def check_rendering(report):
-    """The row renderer against per-tuple encoders, in all three formats."""
+def check_rendering(params, report):
+    """The streaming emitters against per-tuple encoders, in all three formats."""
     bad = []
     for key, rows in (("gaps", report.gap_rows), ("pure_gaps", report.pure_rows)):
-        for fmt, template, sep in (("json", cli._json_tuple, ",\n"),
-                                   ("text", cli._text_tuple, ""),
-                                   ("csv", cli._csv_tuple(key), "")):
-            if sep.join(cli._render_rows(rows, template, sep)) != \
-                    per_tuple(fmt, key, rows.tuples):
-                bad.append(f"{fmt} rows of {key} differ from the per-tuple rendering")
+        env = envelope(params, key, rows)
+        for fmt, emit in cli._EMITTERS.items():
+            sink = io.StringIO()
+            emit(env, sink)
+            if sink.getvalue() != per_tuple(fmt, env, key):
+                bad.append(f"{fmt} envelope of {key} differs from the per-tuple encoding")
     return bad
 
 
@@ -148,7 +175,7 @@ def check(params):
     if profile.pure_gaps != base.pure_gaps:
         bad.append("pure gaps of the gaps and pure_gaps reports differ")
     bad += check_axes(params, base.gaps)
-    rendering_bad, times["rendering"] = timed(check_rendering, base)
+    rendering_bad, times["rendering"] = timed(check_rendering, params, base)
     kernel_bad, times["oracle"] = timed(check_kernel, params)
     return bad + rendering_bad + kernel_bad, times
 
@@ -162,7 +189,7 @@ def check_pairing(params):
         bad.append("sigma_literal != sigma_pair")
     report, times["complement"] = timed(w.gaps, params, "complement")
     bad += check_axes(params, report.gaps)
-    rendering_bad, times["rendering"] = timed(check_rendering, report)
+    rendering_bad, times["rendering"] = timed(check_rendering, params, report)
     kernel_bad, times["oracle"] = timed(check_kernel, params)
     return bad + rendering_bad + kernel_bad, times
 

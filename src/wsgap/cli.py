@@ -12,15 +12,18 @@ Exit codes: 0 success, 1 domain error (message on standard error),
 2 usage error.
 
 ``gapsets`` and ``verify`` are imported by the subcommands that use them.
-Payload tuple lists are ``core.TupleRows``, which the emitters render by row.
+Payload tuple lists are ``core.TupleRows``.  The payload is computed and
+checked whole, then the envelope is streamed to standard output row by
+row, so no copy of the whole output is held; a reader that closes the
+pipe early leaves exit status 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
 import time
 
@@ -241,7 +244,7 @@ def _run_sigma(params: CurveParams, args: argparse.Namespace) -> dict:
         "gaps_q2": list(table.gaps_q2),
         "sigma": list(table.sigma),
         "gamma_pairs": TupleRows.of(table.gamma_pairs),
-        "inversions": TupleRows.of(table.inversions),
+        "inversions": table.inversions,
         "genus": params.genus,
         "pure_gap_count": len(table.inversions),
     }
@@ -332,7 +335,7 @@ def _csv_tuple(key: str):
     return lambda n: f"{key},," + ";".join(["%d"] * n) + ",\n"
 
 
-def _emit_json(envelope: dict) -> str:
+def _emit_json(envelope: dict, out) -> None:
     # json.dumps(indent=2) runs the pure-Python encoder, so each tuple list
     # goes in as a placeholder and is spliced back rendered by template.
     payload = dict(envelope["payload"])
@@ -340,13 +343,19 @@ def _emit_json(envelope: dict) -> str:
     for key in keys:
         payload[key] = "\0" + key
     rest = json.dumps({**envelope, "payload": payload}, sort_keys=True, indent=2)
-    parts = []
     for key in keys:  # sort_keys prints the placeholders in this order
         head, _, rest = rest.partition(json.dumps("\0" + key))
-        rows = ",\n".join(_render_rows(envelope["payload"][key], _json_tuple, ",\n"))
-        parts += [head, "[\n", rows, "\n    ]"] if rows else [head, "[]"]
-    parts += [rest, "\n"]
-    return "".join(parts)
+        out.write(head)
+        rows = _render_rows(envelope["payload"][key], _json_tuple, ",\n")
+        first = next(rows, None)
+        if first is None:
+            out.write("[]")
+            continue
+        out.write("[\n" + first)
+        for row in rows:
+            out.write(",\n" + row)
+        out.write("\n    ]")
+    out.write(rest + "\n")
 
 
 def _scalar(value) -> str:
@@ -359,34 +368,31 @@ def _scalar(value) -> str:
     return json.dumps(value, sort_keys=True)
 
 
-def _emit_text(envelope: dict) -> str:
-    buf = io.StringIO()
+def _emit_text(envelope: dict, out) -> None:
     p = envelope["params"]
-    buf.write(f"# {envelope['schema']} tool_version={envelope['tool_version']}\n"
+    out.write(f"# {envelope['schema']} tool_version={envelope['tool_version']}\n"
               f"# command: {envelope['command']}\n"
               f"# params: a={p['a']} b={p['b']} m={p['m']} genus={p['genus']}"
               f" field_size={p['field_size']}\n")
     payload = envelope["payload"]
     for key, value in sorted(payload.items()):
         if key in _TUPLE_KEYS:
-            buf.write(f"{key} ({len(value)}):\n")
-            buf.writelines(_render_rows(value, _text_tuple))
+            out.write(f"{key} ({len(value)}):\n")
+            out.writelines(_render_rows(value, _text_tuple))
         elif key in _LIST_KEYS:
-            buf.write(f"{key}: " + " ".join(str(v) for v in value) + "\n")
+            out.write(f"{key}: " + " ".join(str(v) for v in value) + "\n")
         elif key == "checks":
             for chk in value:
                 status = "PASS" if chk["passed"] else "FAIL"
                 detail = f" {chk['detail']}" if chk["detail"] else ""
-                buf.write(f"{status} {chk['name']}{detail}\n")
+                out.write(f"{status} {chk['name']}{detail}\n")
         else:
-            buf.write(f"{key}: {_scalar(value)}\n")
-    buf.write(f"# timing_ms: {envelope['timing_ms']}\n")
-    return buf.getvalue()
+            out.write(f"{key}: {_scalar(value)}\n")
+    out.write(f"# timing_ms: {envelope['timing_ms']}\n")
 
 
-def _emit_csv(envelope: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _emit_csv(envelope: dict, out) -> None:
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["kind", "name", "tuple", "value"])
     writer.writerow(["meta", "schema", "", envelope["schema"]])
     writer.writerow(["meta", "tool_version", "", envelope["tool_version"]])
@@ -397,7 +403,7 @@ def _emit_csv(envelope: dict) -> str:
     payload = envelope["payload"]
     for key, value in sorted(payload.items()):
         if key in _TUPLE_KEYS:
-            buf.writelines(_render_rows(value, _csv_tuple(key)))
+            out.writelines(_render_rows(value, _csv_tuple(key)))
         elif key in _LIST_KEYS:
             for idx, v in enumerate(value, start=1):
                 writer.writerow([key, idx, "", v])
@@ -410,7 +416,6 @@ def _emit_csv(envelope: dict) -> str:
         else:
             writer.writerow([key, "", "", _scalar(value)])
     writer.writerow(["meta", "timing_ms", "", envelope["timing_ms"]])
-    return buf.getvalue()
 
 
 _EMITTERS = {"json": _emit_json, "text": _emit_text, "csv": _emit_csv}
@@ -448,7 +453,16 @@ def main(argv=None) -> int:
         "payload": payload,
         "timing_ms": round((time.perf_counter() - t0) * 1000, 3),
     }
-    sys.stdout.write(_EMITTERS[args.format](envelope))
+    try:
+        _EMITTERS[args.format](envelope, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe, as `wsgap gaps ... | head` does: the
+        # rest was not wanted, so succeed, with fd 1 pointed at devnull to
+        # keep the flush at exit silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if args.command == "verify" and not payload["ok"]:
         return 1
     return 0

@@ -507,7 +507,8 @@ class SigmaTable:
 
     ``sigma`` is 1-based as a permutation of {1..g}: sigma[i-1] is the
     index paired with gap index i.  ``inversions`` holds the pairs
-    (i, j) with i < j and sigma(i) > sigma(j); each inversion yields the
+    (i, j) with i < j and sigma(i) > sigma(j), in row form: one row per i
+    that has inversions, with its j ascending.  Each inversion yields the
     pure gap (gaps_q1[i-1], gaps_q2[sigma(j)-1]).
     """
 
@@ -516,7 +517,7 @@ class SigmaTable:
     gaps_q2: tuple[int, ...]
     sigma: tuple[int, ...]
     gamma_pairs: tuple[IntTuple, ...]
-    inversions: tuple[tuple[int, int], ...]
+    inversions: TupleRows
 
 
 def sigma_pair(params: CurveParams) -> SigmaTable:
@@ -539,14 +540,15 @@ def sigma_pair(params: CurveParams) -> SigmaTable:
     index = {v: k + 1 for k, v in enumerate(seq2)}
     partner = dict(pairs)
     sigma = tuple(index[partner[ell]] for ell in seq)
-    inversions = tuple(
-        (i, j)
-        for i in range(1, params.genus + 1)
-        for j in range(i + 1, params.genus + 1)
-        if sigma[i - 1] > sigma[j - 1]
-    )
+    ids = list(enumerate(sigma, 1))
+    prefixes, lasts = [], []
+    for i, s in ids:
+        row = tuple([j for j, t in ids[i:] if s > t])
+        if row:
+            prefixes.append((i,))
+            lasts.append(row)
     return SigmaTable(params=params, gaps_q1=seq, gaps_q2=seq2, sigma=sigma,
-                      gamma_pairs=pairs, inversions=inversions)
+                      gamma_pairs=pairs, inversions=TupleRows(prefixes, lasts))
 
 
 def sigma_gap_set(table: SigmaTable) -> tuple[IntTuple, ...]:
@@ -562,8 +564,9 @@ def sigma_gap_set(table: SigmaTable) -> tuple[IntTuple, ...]:
 def sigma_pure_gap_set(table: SigmaTable) -> tuple[IntTuple, ...]:
     """Pure gaps of the pair from the inversions of sigma."""
     out = set()
-    for i, j in table.inversions:
-        out.add((table.gaps_q1[i - 1], table.gaps_q2[table.sigma[j - 1] - 1]))
+    for (i,), js in table.inversions.rows():
+        ell = table.gaps_q1[i - 1]
+        out.update((ell, table.gaps_q2[table.sigma[j - 1] - 1]) for j in js)
     return sorted_unique(out)
 
 

@@ -364,17 +364,32 @@ def _assert_emitters_match(envelope):
                for key, value in envelope["payload"].items()}
     as_tuples = {**envelope, "payload": payload}
     for fmt, reference in REFERENCE_EMITTERS.items():
-        assert cli._EMITTERS[fmt](envelope) == reference(as_tuples), fmt
+        out = io.StringIO()
+        cli._EMITTERS[fmt](envelope, out)
+        assert out.getvalue() == reference(as_tuples), fmt
+
+
+class _WriteSizes(io.StringIO):
+    """A text sink that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
 
 
 class TestEmitterBytes:
     """The template emitters print what the per-tuple encoders printed."""
 
-    def _envelope(self, monkeypatch, capsys, *argv):
+    def _envelope(self, monkeypatch, capsys, *argv, fmt="json"):
         seen = []
-        real = cli._EMITTERS["json"]
-        monkeypatch.setitem(cli._EMITTERS, "json", lambda env: seen.append(env) or real(env))
-        code, _, err = run_cli(capsys, *argv, "--format", "json")
+        real = cli._EMITTERS[fmt]
+        monkeypatch.setitem(cli._EMITTERS, fmt,
+                            lambda env, out: seen.append(env) or real(env, out))
+        code, _, err = run_cli(capsys, *argv, "--format", fmt)
         assert code == 0, err
         return seen[0]
 
@@ -406,6 +421,18 @@ class TestEmitterBytes:
         assert isinstance(rows, gs.TupleRows)
         _assert_emitters_match(envelope)
 
+    @pytest.mark.parametrize("fmt, q, m", [("json", "32", "2"), ("text", "8", "4"),
+                                           ("csv", "8", "4")])
+    def test_large_envelopes_stream_row_by_row(self, monkeypatch, capsys, fmt, q, m):
+        # 10.4 MB of JSON, 2.7 MB of text, 3.0 MB of CSV
+        envelope = self._envelope(monkeypatch, capsys, "gaps", "--preset", "hermitian",
+                                  "--q", q, "--m", m, fmt=fmt)
+        sink = _WriteSizes()
+        cli._EMITTERS[fmt](envelope, sink)
+        payload = {**envelope["payload"], "gaps": list(envelope["payload"]["gaps"].tuples)}
+        assert sink.getvalue() == REFERENCE_EMITTERS[fmt]({**envelope, "payload": payload})
+        assert max(sink.sizes) < 64 * 1024
+
     @given(st.lists(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=5).map(tuple),
                     max_size=30))
     @settings(max_examples=60, deadline=None)
@@ -418,6 +445,25 @@ class TestEmitterBytes:
             "timing_ms": 1.5,
         }
         _assert_emitters_match(envelope)
+
+
+def test_closed_pipe_exits_cleanly():
+    """A reader that stops early, as `wsgap gaps ... | head` does, leaves
+    exit status 0 and nothing on standard error."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(  # 0.94 MB of CSV, more than a pipe holds
+        [sys.executable, "-m", "wsgap.cli", "gaps", "--preset", "hermitian", "--q", "7",
+         "--m", "4", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={"PYTHONPATH": src, "PATH": ""})
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
 
 
 def test_light_commands_do_not_import_numpy():

@@ -421,6 +421,34 @@ class TestResidueGapKernel:
                 w.pure_gaps(p, method)
 
 
+# Coprime (a, b, m) outside the a <= 5, b <= 9 sweep box, drawn once from
+# random.Random(20261018) until 18 were kept: randint(2, 12) for a and
+# randint(2, 40) for b, dropped if a == b, gcd(a, b) > 1, (a, b) lies in the
+# box, or a > b after three such cells; then randint(2, min(4, a + 1)) for
+# m, dropped if (2g)^m > 3e6 or the cell repeats.
+OUTSIDE_BOX = [(5, 23, 2), (3, 16, 2), (2, 17, 2), (2, 23, 2), (11, 5, 2), (9, 35, 2),
+               (10, 9, 3), (5, 37, 3), (9, 22, 2), (4, 19, 3), (2, 33, 3), (5, 24, 2),
+               (5, 11, 2), (3, 29, 2), (11, 4, 4), (11, 20, 2), (2, 31, 2), (2, 11, 3)]
+
+
+@pytest.mark.parametrize("spec", OUTSIDE_BOX, ids=lambda spec: "-".join(map(str, spec)))
+def test_routes_agree_outside_the_sweep_box(spec):
+    p = w.curve_params(*spec)
+    base = w.gaps(p, "complement").gap_rows.tuples
+    for method in ("union_nabla", "explicit_s"):
+        assert w.gaps(p, method).gap_rows.tuples == base, method
+    pure = w.pure_gaps(p, "profile").pure_rows.tuples
+    assert w.pure_gaps(p, "intersection").pure_rows.tuples == pure
+    axes = [0] * p.m
+    for t in base:
+        nonzero = [k for k, c in enumerate(t) if c]
+        if len(nonzero) == 1:
+            axes[nonzero[0]] += 1
+    assert axes == [p.genus] * p.m
+    if p.m == 2:
+        assert len(pure) == len(w.sigma_pair(p).inversions)
+
+
 class TestRowForm:
     """Gap sets stay in row form until a caller reads the tuples."""
 

@@ -67,3 +67,20 @@ def test_sigma_requires_two_points():
         w.sigma_pair(w.curve_params(4, 5, 3))
     with pytest.raises(w.BadPointCountError):
         w.sigma_literal(w.curve_params(4, 5, 3))
+
+
+def _inversions_by_double_loop(table):
+    """The pairs (i, j), i < j, with sigma(i) > sigma(j), in order."""
+    g = len(table.sigma)
+    return tuple((i, j) for i in range(1, g + 1) for j in range(i + 1, g + 1)
+                 if table.sigma[i - 1] > table.sigma[j - 1])
+
+
+@pytest.mark.parametrize("p", [p for p in w.sweep_cells() if p.m == 2]
+                         + [w.hermitian_params(q, 2) for q in (16, 32)],
+                         ids=lambda p: f"{p.a}-{p.b}")
+def test_inversion_rows_spell_the_double_loop(p):
+    table = w.sigma_pair(p)
+    assert isinstance(table.inversions, w.TupleRows)
+    assert table.inversions.tuples == _inversions_by_double_loop(table)
+    assert all(lasts for _, lasts in table.inversions.rows())
