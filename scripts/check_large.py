@@ -11,11 +11,12 @@ curves people run.
   union_nabla, explicit_s) give the same tuples, the two pure-gap
   routes (profile, intersection) the same pure gaps, and every axis
   carries exactly genus gaps.
-* On each of those curves, and on Hermitian q = 16, 32 at m = 2, the
-  oracle (``is_member``, ``dim_L``, ``per_coord_max``) agrees with the
-  explicit enumeration ``local_absolute_maximals`` on a seeded sample of
-  tuples in [-b-2, 2g+b]^m, and the two ``nabla_J_empty`` routes agree
-  on a smaller one.
+* On each of those curves, on Hermitian q = 16, 32 at m = 2, and on
+  Hermitian q = 5 and norm-trace (2, 4) at m = 4 (the benchmark's oracle
+  curves), the oracle (``is_member``, ``dim_L``, ``per_coord_max``)
+  agrees with the explicit enumeration ``local_absolute_maximals`` on a
+  seeded sample of tuples in [-b-2, 2g+b]^m, and the two
+  ``nabla_J_empty`` routes agree on a smaller one.
 * At Hermitian q = 16, 32 (m = 2): ``sigma_pair`` equals the literal
   pairing ``sigma_literal``, and both axes carry exactly genus gaps.
 * On every curve, the command line's emitters, streaming into a sink,
@@ -23,22 +24,32 @@ curves people run.
   rows, in JSON, text and CSV byte for byte as per-tuple encoders print
   the same envelope with the tuples built from the rows.
 
+With ``--seed N`` it checks, in place of those curves, 12 coprime cells
+drawn from N outside the a <= 5, b <= 9 sweep box (a <= 12, b <= 40,
+a != b, m <= min(4, a + 1), (2g)^m <= 10^7): the routes, the axes, the
+emitters and the oracle sample as above, the sample seeded from N too.
+Each line names the cell and the seed, so a disagreement can be rerun.
+
 It prints one line per curve with the time of each part and exits 1 on
 any disagreement.  The complement and profile routes share one cached
 kernel, which the complement time includes.
 
-It is not part of the test suite: a run takes about 20 s on two cores,
-the largest parts the render check at Hermitian q = 32, m = 2 (about
-2.5 s, run for both of its entries) and the oracle sample at
-q = 8, m = 4 (about 2 s; the intersection route takes about 0.5 s there).
+It is not part of the test suite: a run takes about 30 s on two cores,
+the largest parts the oracle sample at norm-trace (2, 4), m = 4 (about
+4.5 s), the render check at Hermitian q = 32, m = 2 (about 3 s, run for
+both of its entries) and the oracle sample at q = 8, m = 4 (about 2 s;
+the intersection route takes about 0.5 s there).  A seeded run takes
+5 to 20 s.
 
-    PYTHONPATH=src python3 scripts/check_large.py
+    PYTHONPATH=src python3 scripts/check_large.py [--seed N]
 """
 
+import argparse
 import csv
 import io
 import itertools
 import json
+import math
 import random
 import sys
 import time
@@ -54,9 +65,14 @@ CELLS = (
        for ell, r, ms in ((2, 4, (2, 3)), (3, 3, (3,))) for m in ms]
 )
 PAIRING_CELLS = [(f"hermitian q={q} m=2", w.hermitian_params(q, 2)) for q in (16, 32)]
+# curves of the benchmark's oracle stream that the lists above leave out
+ORACLE_CELLS = [("hermitian q=5 m=4", w.hermitian_params(5, 4)),
+                ("norm-trace ell=2 r=4 m=4", w.norm_trace_params(2, 4, 4))]
 KERNEL_SAMPLE = 200
 NABLA_SAMPLE = 20
 SEED = 20240811
+SEEDED_CELLS = 12
+SEEDED_CUBE = 10**7
 
 
 def timed(fn, *args):
@@ -82,9 +98,9 @@ def check_axes(params, gaps):
     return []
 
 
-def check_kernel(params):
+def check_kernel(params, seed=SEED):
     """The oracle against the explicit enumeration on seeded tuples."""
-    rng = random.Random(SEED * 1000 + params.a * 100 + params.m)
+    rng = random.Random(seed * 1000 + params.a * 100 + params.m)
     lo, hi = -params.b - 2, 2 * params.genus + params.b
     for k in range(KERNEL_SAMPLE):
         beta = tuple(rng.randint(lo, hi) for _ in range(params.m))
@@ -160,7 +176,7 @@ def check_rendering(params, report):
     return bad
 
 
-def check(params):
+def check(params, seed=SEED):
     """Disagreeing routes and the time of every route, for one curve."""
     bad, times = [], {}
     base, times["complement"] = timed(w.gaps, params, "complement")
@@ -176,7 +192,7 @@ def check(params):
         bad.append("pure gaps of the gaps and pure_gaps reports differ")
     bad += check_axes(params, base.gaps)
     rendering_bad, times["rendering"] = timed(check_rendering, params, base)
-    kernel_bad, times["oracle"] = timed(check_kernel, params)
+    kernel_bad, times["oracle"] = timed(check_kernel, params, seed)
     return bad + rendering_bad + kernel_bad, times
 
 
@@ -194,10 +210,41 @@ def check_pairing(params):
     return bad + rendering_bad + kernel_bad, times
 
 
-def main():
+def check_oracle(params):
+    """The oracle sample alone, for one curve."""
+    bad, seconds = timed(check_kernel, params)
+    return bad, {"oracle": seconds}
+
+
+def seeded_cells(seed):
+    """``SEEDED_CELLS`` coprime (a, b, m) drawn from ``random.Random(seed)``,
+    outside the a <= 5, b <= 9 sweep box: a <= 12, b <= 40, a != b,
+    m <= min(4, a + 1), no repeats and (2g)^m <= ``SEEDED_CUBE``."""
+    rng = random.Random(seed)
+    cells = []
+    while len(cells) < SEEDED_CELLS:
+        a, b = rng.randint(2, 12), rng.randint(2, 40)
+        if a == b or math.gcd(a, b) > 1 or (a <= 5 and b <= 9):
+            continue
+        p = w.curve_params(a, b, rng.randint(2, min(4, a + 1)))
+        if (2 * p.genus) ** p.m <= SEEDED_CUBE and p not in cells:
+            cells.append(p)
+    return cells
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int,
+                        help="check cells drawn from this seed instead of the fixed curves")
+    args = parser.parse_args(argv)
+    if args.seed is None:
+        runs = [(label, params, check) for label, params in CELLS] + \
+            [(label, params, check_pairing) for label, params in PAIRING_CELLS] + \
+            [(label, params, check_oracle) for label, params in ORACLE_CELLS]
+    else:
+        runs = [(f"a={p.a} b={p.b} m={p.m} seed={args.seed}", p,
+                 lambda p: check(p, args.seed)) for p in seeded_cells(args.seed)]
     failed = 0
-    runs = [(label, params, check) for label, params in CELLS] + \
-        [(label, params, check_pairing) for label, params in PAIRING_CELLS]
     for label, params, fn in runs:
         t0 = time.perf_counter()
         bad, times = fn(params)

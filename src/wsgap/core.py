@@ -173,7 +173,7 @@ def check_tuple(params: CurveParams, t: Sequence[int]) -> IntTuple:
     out = tuple(t)
     if len(out) != params.m:
         raise WsgapError(f"expected a tuple of length m={params.m}, got {out!r}")
-    if not all(type(c) is int for c in out):
+    if {*map(type, out)} != {int}:
         raise WsgapError(f"tuple coordinates must be integers, got {out!r}")
     return out
 

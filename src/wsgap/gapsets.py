@@ -134,7 +134,7 @@ def numerical_gaps(a: int, b: int) -> tuple[int, ...]:
 def _residue_gap_sets(params: CurveParams) -> tuple[TupleRows, TupleRows]:
     """Gaps and pure gaps in row form, from the oracle's residue thresholds.
 
-    By ``oracle._attained``, coordinate k of beta is reached iff
+    By ``oracle._reached``, coordinate k of beta is reached iff
     F_r(beta) = floor((t - f_r)/b) - #{x in S : x < r} >= 0 for r = r_k,
     where S holds the residues of beta_2..beta_m, t = sum(beta) - sum(S),
     r_1 = hit[beta_1 mod b] and r_k = beta_k mod b.  Write the prefix

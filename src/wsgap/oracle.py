@@ -24,15 +24,22 @@ values.  A feasible family reaches, at coordinate k, the largest value
 componentwise maximum falls short of beta_k by the smallest residue
 distance (beta_k - class) mod b over the feasible families.
 
-Coordinate k reaches beta_k exactly when the one family in the residue
-class of beta_k is feasible: r = beta_k mod b for k >= 2, and for k = 1
-the r with f_r = beta_1 (mod b), which is unique because f_r = -a*r
-(mod b) and gcd(a, b) = 1.  Membership and the nabla tests therefore
-look at no more than m families, the dimension is the sum of
-max(0, F_r + 1) over all b families, and nothing is enumerated.  The
-explicit enumeration (``local_absolute_maximals``) keeps its own window
-loop over the representatives; the test suite checks the two against
-each other.
+Each query sorts the residues S of beta_2..beta_m once.  Writing
+beta_j = b*q_j + s_j with 0 <= s_j < b, floor((beta_j - r)/b) is q_j,
+less one when s_j < r; so with t = beta_1 + b*sum(q_j) = sum(beta) - sum(S),
+F_r >= 0 iff t - f_r >= b*#{s in S : s < r}.  Coordinate k reaches beta_k
+exactly when the one family in the residue class of beta_k is feasible:
+r = beta_k mod b for k >= 2, whose count is the index of r's first
+occurrence in S, and for k = 1 the r with f_r = beta_1 (mod b), unique
+because f_r = -a*r (mod b) and gcd(a, b) = 1, whose count one bisection
+finds.  So membership and the nabla tests read at most m families.  The
+dimension, the sum of max(0, F_r + 1), and the envelope read all b
+families, walked in the m blocks that S cuts 0..b-1 into: the count is
+constant on a block and grows by one from each block to the next.  A
+query thus costs O(m log m), plus O(b + m log b) for those two, and
+nothing is enumerated.  The explicit enumeration (``local_absolute_maximals``)
+keeps its own window loop over the representatives; the test suite
+checks the two against each other.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Literal, Sequence
+from typing import Container, Iterable, Literal, Sequence
 
 from .core import (
     CURVE_CACHE_SIZE,
@@ -100,42 +107,23 @@ def _oracle_args(params: CurveParams, beta: Sequence[int]) -> IntTuple:
     return check_tuple(params, beta)
 
 
-def _split(b: int, beta: IntTuple) -> tuple[int, list[int]]:
-    """``(t, S)`` with F_r(beta) = floor((t - f_r)/b) - #{s in S : s < r}.
-
-    Writing beta_j = b*q_j + s_j (0 <= s_j < b) for j >= 2, each
-    floor((beta_j - r)/b) is q_j, less one when s_j < r; so S holds the
-    residues s_j in ascending order and t = beta_1 + b*sum(q_j), which
-    is sum(beta) - sum(S).
-    """
+def _reached(params: CurveParams, beta: Sequence[int], J: Container[int] | None = None) -> bool:
+    """Whether, at every point k in ``J`` (1-based, all of them when None),
+    some absolute maximal <= beta equals beta_k."""
+    f, hit = _residue_table(params)
+    b = params.b
     S = sorted([c % b for c in beta[1:]])
-    return sum(beta) - sum(S), S
-
-
-def _attained(f: tuple[int, ...], hit: tuple[int, ...], b: int,
-              beta: IntTuple, coords: Iterable[int]) -> bool:
-    """Whether, at every coordinate k in ``coords``, some absolute maximal
-    <= beta equals beta_k: the one family in beta_k's residue class must
-    have nonnegative slack F_r(beta)."""
-    t, S = _split(b, beta)
-    for k in coords:
-        r = hit[beta[0] % b] if k == 0 else beta[k] % b
-        if (t - f[r]) // b < bisect_left(S, r):
+    t = sum(beta) - sum(S)
+    if J is None or 1 in J:
+        r = hit[beta[0] % b]
+        if t - f[r] < b * bisect_left(S, r):
+            return False
+    need = S if J is None else {beta[k - 1] % b for k in J if k > 1}  # tested, k >= 2
+    for i, s in enumerate(S):
+        # family s's count is the index of its first occurrence in S
+        if t - f[s] < b * i and s in need and (not i or S[i - 1] < s):
             return False
     return True
-
-
-def _slacks(f: tuple[int, ...], b: int, beta: IntTuple) -> list[int]:
-    """F_r(beta) for r = 0..b-1; family r has an element <= beta iff
-    F_r >= 0, and then F_r + 1 of them, all with distinct first
-    coordinates."""
-    t, S = _split(b, beta)
-    return [(t - x) // b - bisect_left(S, r) for r, x in enumerate(f)]
-
-
-def _distance_below(classes: list[int], s: int, b: int) -> int:
-    """Smallest (s - x) mod b over the nonempty ascending residues x."""
-    return (s - classes[bisect_right(classes, s) - 1]) % b
 
 
 def per_coord_max(params: CurveParams, beta: Sequence[int]) -> tuple[int, ...] | None:
@@ -143,12 +131,22 @@ def per_coord_max(params: CurveParams, beta: Sequence[int]) -> tuple[int, ...] |
     beta = _oracle_args(params, beta)
     f, _ = _residue_table(params)
     b = params.b
-    feasible = [r for r, x in enumerate(_slacks(f, b, beta)) if x >= 0]
+    S = sorted([c % b for c in beta[1:]])
+    t = sum(beta) - sum(S)
+    feasible = []
+    lo = 0
+    for hi in S + [b - 1]:  # family r is feasible iff f_r <= t on its block
+        for r in range(lo, hi + 1):
+            if f[r] <= t:
+                feasible.append(r)
+        lo = hi + 1
+        t -= b
     if not feasible:
         return None
-    # residue classes of the feasible families: f_r at coordinate 1, r elsewhere
-    classes = [sorted([f[r] % b for r in feasible])] + [feasible] * (params.m - 1)
-    return tuple(c - _distance_below(cl, c % b, b) for c, cl in zip(beta, classes))
+    c = beta[0]
+    # at k >= 2 the class is the nearest feasible r at or below beta_k mod b, cyclically
+    return (c - min([(c - f[r]) % b for r in feasible]),
+            *[c - (c - feasible[bisect_right(feasible, c % b) - 1]) % b for c in beta[1:]])
 
 
 def local_absolute_maximals(params: CurveParams, beta: Sequence[int]) -> LocalProfile:
@@ -184,9 +182,7 @@ def local_absolute_maximals(params: CurveParams, beta: Sequence[int]) -> LocalPr
 
 def is_member(params: CurveParams, beta: Sequence[int]) -> bool:
     """Whether beta belongs to the generalized semigroup at the m points."""
-    beta = _oracle_args(params, beta)
-    f, hit = _residue_table(params)
-    return _attained(f, hit, params.b, beta, range(params.m))
+    return _reached(params, _oracle_args(params, beta))
 
 
 def dim_L(params: CurveParams, beta: Sequence[int]) -> int:
@@ -200,21 +196,31 @@ def dim_L(params: CurveParams, beta: Sequence[int]) -> int:
     """
     beta = _oracle_args(params, beta)
     f, _ = _residue_table(params)
-    return sum(x + 1 for x in _slacks(f, params.b, beta) if x >= 0)
+    b = params.b
+    S = sorted([c % b for c in beta[1:]])
+    u = sum(beta) - sum(S) + b  # (u - f_r) // b is F_r + 1 on each block
+    total = lo = 0
+    for hi in S + [b - 1]:
+        for x in f[lo:hi + 1]:
+            if x < u:
+                total += (u - x) // b
+        lo = hi + 1
+        u -= b
+    return total
 
 
-def _check_J(params: CurveParams, J: Iterable[int], allow_full: bool = False) -> tuple[int, ...]:
-    """Validate 1-based point indices and return them 0-based, sorted."""
+def _check_J(params: CurveParams, J: Iterable[int]) -> set[int]:
+    """Validate 1-based point indices and return them as a set."""
     Js = list(J)
     if not Js:
         raise WsgapError("J must be nonempty")
     # bool is an int subclass, and True would pass for point 1
-    if any(type(j) is not int or not 1 <= j <= params.m for j in Js):
+    if {*map(type, Js)} != {int} or min(Js) < 1 or max(Js) > params.m:
         raise WsgapError(f"J must contain point indices in 1..{params.m}, got {Js}")
-    Js = sorted(set(Js))
-    if len(Js) == params.m and not allow_full:
+    Jset = {*Js}
+    if len(Jset) == params.m:
         raise WsgapError("J must be a proper subset of the point indices")
-    return tuple(j - 1 for j in Js)
+    return Jset
 
 
 def nabla_J_empty(
@@ -233,29 +239,23 @@ def nabla_J_empty(
     checks that they do.
     """
     alpha = _oracle_args(params, alpha)
-    J0 = _check_J(params, J)
+    J = _check_J(params, J)
     if method == "profile":
-        return _nabla_J_empty_profile(params, alpha, J0)
+        # A member of nabla_J exists iff, for every j in J, some absolute
+        # maximal reaches alpha_j at coordinate j while staying <= alpha on
+        # J and < alpha elsewhere (componentwise maxima of such witnesses
+        # assemble the member).
+        return not _reached(params, [c if k in J else c - 1 for k, c in enumerate(alpha, 1)], J)
     if method != "search":
         raise WsgapError(f"unknown nabla method {method!r}")
-    return _nabla_J_empty_search(params, alpha, J0)
+    return _nabla_J_empty_search(params, alpha, J)
 
 
-def _nabla_J_empty_profile(params: CurveParams, alpha: IntTuple, J0: tuple[int, ...]) -> bool:
-    """Profile characterization: a member of nabla_J exists iff, for every
-    j in J, some absolute maximal reaches alpha_j at coordinate j while
-    staying <= alpha on J and < alpha elsewhere (componentwise maxima of
-    such witnesses assemble the member)."""
-    target = tuple(c if k in J0 else c - 1 for k, c in enumerate(alpha))
-    f, hit = _residue_table(params)
-    return not _attained(f, hit, params.b, target, J0)
-
-
-def _nabla_J_empty_search(params: CurveParams, alpha: IntTuple, J0: tuple[int, ...]) -> bool:
+def _nabla_J_empty_search(params: CurveParams, alpha: IntTuple, J: set[int]) -> bool:
     m = params.m
-    free = [k for k in range(m) if k not in J0]
+    free = [k for k in range(m) if k + 1 not in J]
     his = [alpha[k] - 1 for k in free]
-    fixed_sum = sum(alpha[k] for k in J0)
+    fixed_sum = sum(alpha[k - 1] for k in J)
     # The corner candidate has the largest coordinate sum; at or above 2g
     # it is a member outright.
     if fixed_sum + sum(his) >= 2 * params.genus:

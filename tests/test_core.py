@@ -228,10 +228,15 @@ class TestBox:
 def test_check_tuple_validates_length_and_type():
     p = w.curve_params(4, 5, 3)
     assert check_tuple(p, [1, 2, 3]) == (1, 2, 3)
-    with pytest.raises(w.WsgapError):
+    assert check_tuple(p, (c for c in (1, 2, 3))) == (1, 2, 3)
+    with pytest.raises(w.WsgapError, match=r"^expected a tuple of length m=3, got \(1, 2\)$"):
         check_tuple(p, (1, 2))
-    with pytest.raises(w.WsgapError):
-        check_tuple(p, (1, 2, "x"))
+    # the length is checked before the coordinates
+    with pytest.raises(w.WsgapError, match=r"^expected a tuple of length m=3, got \(1, 'x'\)$"):
+        check_tuple(p, (1, "x"))
+    for bad in [(1, 2, "x"), (1, 2, 3.0), (True, 2, 3), (1, 2, None)]:
+        with pytest.raises(w.WsgapError, match=r"^tuple coordinates must be integers, got \("):
+            check_tuple(p, bad)
 
 
 def test_library_has_no_assert():

@@ -292,6 +292,119 @@ class TestResidueKernel:
                     w.nabla_J_empty(p, alpha, J, "search"), (alpha, J)
 
 
+# The curves of the benchmark's oracle query stream
+STREAM_CURVES = [w.hermitian_params(8, 3), w.hermitian_params(16, 2), w.hermitian_params(5, 4),
+                 w.norm_trace_params(2, 4, 4)]
+
+
+def _stream_sample(p, count):
+    """``count`` seeded tuples of [-b-2, 2g+b]^m, then ``count`` whose
+    coordinates 2..m take at most two residues mod b, mostly one: a
+    residue's count is the index of its first occurrence among them."""
+    rng = random.Random(p.a * 1000 + p.b * 10 + p.m)
+    lo, hi = -p.b - 2, 2 * p.genus + p.b
+    out = [tuple(rng.randint(lo, hi) for _ in range(p.m)) for _ in range(count)]
+    for _ in range(count):
+        pair = rng.sample(range(p.b), 2)
+        residues = [rng.choice(pair[:1] * 2 + pair[1:]) for _ in range(p.m - 1)]
+        out.append((rng.randint(lo, hi),
+                    *[rng.choice(range(lo + (s - lo) % p.b, hi + 1, p.b)) for s in residues]))
+    return out
+
+
+@pytest.mark.parametrize("p,count", list(zip(STREAM_CURVES, (60, 60, 60, 20))), ids=str)
+def test_stream_curves_match_enumeration(p, count):
+    subsets = [J for size in range(1, p.m)
+               for J in itertools.combinations(range(1, p.m + 1), size)]
+    for beta in _stream_sample(p, count):
+        prof = w.local_absolute_maximals(p, beta)
+        pcm = prof.per_coord_max if prof.gamma_hat_beta else None
+        assert w.per_coord_max(p, beta) == pcm, beta
+        assert w.is_member(p, beta) is (pcm == beta), beta
+        assert w.dim_L(p, beta) == len({g[0] for g in prof.gamma_hat_beta}), beta
+        for J in subsets:
+            assert w.nabla_J_empty(p, beta, J, "profile") == \
+                w.nabla_J_empty(p, beta, J, "search"), (beta, J)
+
+
+ORACLE_OPS = {
+    "is_member": w.is_member,
+    "dim_L": w.dim_L,
+    "per_coord_max": w.per_coord_max,
+    "nabla_search": lambda p, beta: w.nabla_J_empty(p, beta, (2,), "search"),
+    "nabla_profile": lambda p, beta: w.nabla_J_empty(p, beta, (2,), "profile"),
+}
+
+
+class TestInputForms:
+    @pytest.mark.parametrize("op", ORACLE_OPS.values(), ids=ORACLE_OPS)
+    def test_one_point_raises(self, op):
+        with pytest.raises(w.BadPointCountError, match="^the oracle needs m >= 2$"):
+            op(w.curve_params(4, 5, 1), (0,))
+
+    @pytest.mark.parametrize("op", ORACLE_OPS.values(), ids=ORACLE_OPS)
+    @pytest.mark.parametrize("beta", [(1, 2), (1, 2, 3, 4), ()])
+    def test_wrong_length_message(self, op, beta):
+        with pytest.raises(w.WsgapError) as err:
+            op(P453, beta)
+        assert str(err.value) == f"expected a tuple of length m=3, got {beta!r}"
+
+    @pytest.mark.parametrize("op", ORACLE_OPS.values(), ids=ORACLE_OPS)
+    def test_non_int_coordinate_message(self, op):
+        with pytest.raises(w.WsgapError) as err:
+            op(P453, [2, 3.0, 3])
+        assert str(err.value) == "tuple coordinates must be integers, got (2, 3.0, 3)"
+
+    @pytest.mark.parametrize("op", ORACLE_OPS.values(), ids=ORACLE_OPS)
+    def test_list_and_one_shot_generator(self, op):
+        # a second pass over a generator would see no coordinates
+        for beta in [(2, 3, 3), (1, 1, 1), (12, 0, 0), (-1, 4, 9), (3, 3, 8)]:
+            want = op(P453, beta)
+            assert op(P453, list(beta)) == want
+            assert op(P453, (c for c in beta)) == want
+
+    @pytest.mark.parametrize("method", ["search", "profile"])
+    def test_J_forms(self, method):
+        for alpha in [(3, 3, 3), (0, 0, 0), (2, 3, 3), (6, 1, 1), (11, 1, 1)]:
+            for J in [(2, 3), (1,), (1, 3)]:
+                want = w.nabla_J_empty(P453, alpha, J, method)
+                assert w.nabla_J_empty(P453, alpha, set(J), method) is want
+                assert w.nabla_J_empty(P453, alpha, (j for j in reversed(J)), method) is want
+                assert w.nabla_J_empty(P453, alpha, J + J[:1], method) is want
+
+    @pytest.mark.parametrize("method", ["search", "profile", "bogus"])
+    @pytest.mark.parametrize("J,message", [
+        ((), "J must be nonempty"),
+        ((0,), "J must contain point indices in 1..3, got [0]"),
+        ((4, 1), "J must contain point indices in 1..3, got [4, 1]"),
+        ((1, True), "J must contain point indices in 1..3, got [1, True]"),
+        ((1, 2, 3), "J must be a proper subset of the point indices"),
+        ((3, 1, 2, 3), "J must be a proper subset of the point indices"),
+    ])
+    def test_J_messages_before_method(self, method, J, message):
+        for form in (tuple, list, iter):
+            with pytest.raises(w.WsgapError) as err:
+                w.nabla_J_empty(P453, (3, 3, 3), form(J), method)
+            assert str(err.value) == message
+
+    def test_unknown_method_after_J(self):
+        with pytest.raises(w.WsgapError) as err:
+            w.nabla_J_empty(P453, (3, 3, 3), (1,), "bogus")
+        assert str(err.value) == "unknown nabla method 'bogus'"
+
+    @pytest.mark.parametrize("method", ["search", "profile"])
+    def test_alpha_checked_before_J(self, method):
+        for alpha, message in [((1, 2), "expected a tuple of length m=3, got (1, 2)"),
+                               ((True, 0, 0), "tuple coordinates must be integers, "
+                                              "got (True, 0, 0)")]:
+            for J in [(), (0,), (1, 2, 3)]:
+                with pytest.raises(w.WsgapError) as err:
+                    w.nabla_J_empty(P453, alpha, J, method)
+                assert str(err.value) == message
+        with pytest.raises(w.BadPointCountError):
+            w.nabla_J_empty(w.curve_params(4, 5, 1), (0,), (), method)
+
+
 class TestOracleCaches:
     def test_no_unbounded_or_per_tuple_cache(self):
         tree = ast.parse(Path(oracle.__file__).read_text())
