@@ -305,8 +305,8 @@ def _stream_sample(p, count):
     lo, hi = -p.b - 2, 2 * p.genus + p.b
     out = [tuple(rng.randint(lo, hi) for _ in range(p.m)) for _ in range(count)]
     for _ in range(count):
-        pair = rng.sample(range(p.b), 2)
-        residues = [rng.choice(pair[:1] * 2 + pair[1:]) for _ in range(p.m - 1)]
+        first, other = rng.sample(range(p.b), 2)
+        residues = [rng.choice((first, first, other)) for _ in range(p.m - 1)]
         out.append((rng.randint(lo, hi),
                     *[rng.choice(range(lo + (s - lo) % p.b, hi + 1, p.b)) for s in residues]))
     return out
