@@ -32,6 +32,8 @@ such row once, in pure Python, and walks only the simplex.  The
 union_nabla and explicit_s routes stay independent of it, as
 cross-checks: each lists its sets as slabs of [0, 2g-1]^m, and one
 builder marks the slabs in byte blocks kept only where slabs touch.
+Their rows, and those of the intersection route, are cached per curve,
+so that callers comparing the routes build each one once.
 
 Every route hands its sets over in row form (``core.TupleRows``): the
 tuples that share their first m-1 coordinates make one row, a prefix
@@ -370,6 +372,23 @@ def _pure_set_intersection(params: CurveParams, include_zero_family: bool) -> tu
     return sorted_unique(diag for diag, _ in states)
 
 
+@lru_cache(maxsize=CURVE_CACHE_SIZE)
+def _route_rows(params: CurveParams, method: str, include_zero_family: bool) -> TupleRows:
+    """The rows of one cross-check route: the ``union_nabla`` or
+    ``explicit_s`` gaps, or the ``intersection`` pure gaps.
+
+    Cached, so that the checks of one verify cell that read the same
+    route share one build.
+    """
+    if method == "union_nabla":
+        slabs = _union_nabla_slabs(params, include_zero_family)
+    elif method == "explicit_s":
+        slabs = _explicit_s_slabs(params)
+    else:
+        return TupleRows.of(_pure_set_intersection(params, include_zero_family))
+    return _cube_rows(params.m, 2 * params.genus, slabs)
+
+
 def _report(params: CurveParams, gap_rows: TupleRows, pure_rows: TupleRows, method: str,
             gap_method: str, pure_method: str) -> GapReport:
     B = 2 * params.genus - 1
@@ -407,11 +426,9 @@ def gaps(params: CurveParams, method: str = "complement",
     if params.m == 1:
         return _single_point_report(params, method, method)
     gap_rows, pure = _residue_gap_sets(params)
-    n = 2 * params.genus
-    if method == "union_nabla":
-        gap_rows = _cube_rows(params.m, n, _union_nabla_slabs(params, include_zero_family))
-    elif method == "explicit_s":
-        gap_rows = _cube_rows(params.m, n, _explicit_s_slabs(params))
+    if method != "complement":
+        # explicit_s builds no zero family, so both flags share its entry
+        gap_rows = _route_rows(params, method, include_zero_family and method == "union_nabla")
     return _report(params, gap_rows, pure, method, method, "profile")
 
 
@@ -428,7 +445,7 @@ def pure_gaps(params: CurveParams, method: str = "profile",
         return _single_point_report(params, method, "complement")
     gap_rows, pure = _residue_gap_sets(params)
     if method == "intersection":
-        pure = TupleRows.of(_pure_set_intersection(params, include_zero_family))
+        pure = _route_rows(params, method, include_zero_family)
     return _report(params, gap_rows, pure, method, "complement", method)
 
 
@@ -459,18 +476,28 @@ def pure_gap_witness(params: CurveParams, alpha: Sequence[int],
     if params.m < 2:
         raise BadPointCountError("pure gaps need m >= 2")
     alpha = check_tuple(params, alpha)
+    return next(_witnesses(params, (alpha,), include_zero_family))
+
+
+def _witnesses(params: CurveParams, alphas: Iterable[IntTuple],
+               include_zero_family: bool) -> Iterator[tuple[IntTuple, ...] | None]:
+    """``pure_gap_witness`` of each of ``alphas``, checked m-tuples, in order."""
+    index = tuple(enumerate(_witness_index(params, include_zero_family)))
     others = params.m - 1
-    chosen = []
-    for i, by_value in enumerate(_witness_index(params, include_zero_family)):
-        for cand in by_value.get(alpha[i], ()):
-            # cand_i equals alpha_i, so the others all exceed alpha when
-            # m - 1 coordinates do
-            if sum(map(operator.gt, cand, alpha)) == others:
-                chosen.append(cand)
+    for alpha in alphas:
+        chosen = []
+        for i, by_value in index:
+            for cand in by_value.get(alpha[i], ()):
+                # cand_i equals alpha_i, so the others all exceed alpha when
+                # m - 1 coordinates do
+                if sum(map(operator.gt, cand, alpha)) == others:
+                    chosen.append(cand)
+                    break
+            else:
+                yield None
                 break
         else:
-            return None
-    return tuple(chosen)
+            yield tuple(chosen)
 
 
 @lru_cache(maxsize=CURVE_CACHE_SIZE)

@@ -48,7 +48,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Container, Iterable, Literal, Sequence
+from typing import Collection, Container, Iterable, Literal, Sequence
 
 from .core import (
     CURVE_CACHE_SIZE,
@@ -163,13 +163,14 @@ def local_absolute_maximals(params: CurveParams, beta: Sequence[int]) -> LocalPr
     for rep in absolute_maximals_region(params).region_reps:
         U = [(beta[j] - rep[j]) // b for j in range(1, m)]
         smin = ceil_div(rep[0] - beta[0], b)
-        # d_j <= U_j and sum(d) >= smin bound each d_j below as well.
+        # d_j <= U_j and sum(d) >= smin bound each d_j below as well; the
+        # last shift starts where the sum of all of them reaches smin.
         lo = [smin - (sum(U) - U[j]) for j in range(m - 1)]
-        for d in itertools.product(*(range(lo[j], U[j] + 1) for j in range(m - 1))):
-            if sum(d) < smin:
-                continue
-            found.append(tuple([rep[0] - b * sum(d)]
-                               + [rep[j + 1] + b * d[j] for j in range(m - 1)]))
+        for head in itertools.product(*(range(lo[j], U[j] + 1) for j in range(m - 2))):
+            partial = sum(head)
+            middle = [rep[j + 1] + b * d for j, d in enumerate(head)]
+            for last in range(max(lo[-1], smin - partial), U[-1] + 1):
+                found.append((rep[0] - b * (partial + last), *middle, rep[-1] + b * last))
     gammas = sorted_unique(found)
     if gammas:
         pcm: tuple[int | None, ...] = tuple(
@@ -194,7 +195,10 @@ def dim_L(params: CurveParams, beta: Sequence[int]) -> int:
     class of f_r mod b, and families never share a class, so the count
     is a sum of window lengths.
     """
-    beta = _oracle_args(params, beta)
+    return _dim_L(params, _oracle_args(params, beta))
+
+
+def _dim_L(params: CurveParams, beta: IntTuple) -> int:
     f, _ = _residue_table(params)
     b = params.b
     S = sorted([c % b for c in beta[1:]])
@@ -239,7 +243,12 @@ def nabla_J_empty(
     checks that they do.
     """
     alpha = _oracle_args(params, alpha)
-    J = _check_J(params, J)
+    return _nabla_empty(params, alpha, _check_J(params, J), method)
+
+
+def _nabla_empty(params: CurveParams, alpha: IntTuple, J: Collection[int],
+                 method: NablaMethod) -> bool:
+    """``nabla_J_empty`` on a checked alpha and checked 1-based indices J."""
     if method == "profile":
         # A member of nabla_J exists iff, for every j in J, some absolute
         # maximal reaches alpha_j at coordinate j while staying <= alpha on
@@ -251,7 +260,7 @@ def nabla_J_empty(
     return _nabla_J_empty_search(params, alpha, J)
 
 
-def _nabla_J_empty_search(params: CurveParams, alpha: IntTuple, J: set[int]) -> bool:
+def _nabla_J_empty_search(params: CurveParams, alpha: IntTuple, J: Collection[int]) -> bool:
     m = params.m
     free = [k for k in range(m) if k + 1 not in J]
     his = [alpha[k] - 1 for k in free]
@@ -271,7 +280,7 @@ def _nabla_J_empty_search(params: CurveParams, alpha: IntTuple, J: set[int]) -> 
     def rec(idx: int, partial_sum: int) -> bool:
         """True when a member is found among completions from ``idx`` on."""
         if idx == len(free):
-            return is_member(params, tuple(beta))
+            return _reached(params, beta)
         k = free[idx]
         for v in range(his[idx], los[idx] - 1, -1):
             if partial_sum + v + tail_his[idx] < 0:
@@ -294,28 +303,34 @@ def _proper_big_subsets(m: int) -> list[tuple[int, ...]]:
 
 def is_maximal(params: CurveParams, alpha: Sequence[int], method: NablaMethod = "search") -> bool:
     """Member with nabla(alpha) empty, i.e. all single-index nablas empty."""
-    alpha = check_tuple(params, alpha)
-    if not is_member(params, alpha):
+    return _is_maximal(params, _oracle_args(params, alpha), method)
+
+
+def _is_maximal(params: CurveParams, alpha: IntTuple, method: NablaMethod) -> bool:
+    if not _reached(params, alpha):
         return False
-    return all(nabla_J_empty(params, alpha, (i,), method) for i in range(1, params.m + 1))
+    return all(_nabla_empty(params, alpha, (i,), method) for i in range(1, params.m + 1))
 
 
 def is_absolute_maximal(params: CurveParams, alpha: Sequence[int],
                         method: NablaMethod = "search") -> bool:
     """Maximal with nabla_J empty for every proper J of size >= 2."""
-    alpha = check_tuple(params, alpha)
-    if not is_maximal(params, alpha, method):
+    alpha = _oracle_args(params, alpha)
+    if not _is_maximal(params, alpha, method):
         return False
-    return all(nabla_J_empty(params, alpha, J, method) for J in _proper_big_subsets(params.m))
+    return all(_nabla_empty(params, alpha, J, method) for J in _proper_big_subsets(params.m))
 
 
 def is_relative_maximal(params: CurveParams, alpha: Sequence[int],
                         method: NablaMethod = "search") -> bool:
     """Maximal with nabla_J nonempty for every proper J of size >= 2."""
-    alpha = check_tuple(params, alpha)
-    if not is_maximal(params, alpha, method):
+    return _is_relative_maximal(params, _oracle_args(params, alpha), method)
+
+
+def _is_relative_maximal(params: CurveParams, alpha: IntTuple, method: NablaMethod) -> bool:
+    if not _is_maximal(params, alpha, method):
         return False
-    return not any(nabla_J_empty(params, alpha, J, method) for J in _proper_big_subsets(params.m))
+    return not any(_nabla_empty(params, alpha, J, method) for J in _proper_big_subsets(params.m))
 
 
 @dataclass(frozen=True)
@@ -338,24 +353,24 @@ def check_relmax_equivalence(params: CurveParams, alpha: Sequence[int],
     alpha = _oracle_args(params, alpha)
     m = params.m
 
-    definition = is_relative_maximal(params, alpha, method)
+    definition = _is_relative_maximal(params, alpha, method)
 
-    nabla_empty = all(nabla_J_empty(params, alpha, (i,), method) for i in range(1, m + 1))
+    nabla_empty = all(_nabla_empty(params, alpha, (i,), method) for i in range(1, m + 1))
     ones = tuple(c - 1 for c in alpha)
-    dimension_step = nabla_empty and dim_L(params, alpha) == dim_L(params, ones) + (m - 1)
+    dimension_step = nabla_empty and _dim_L(params, alpha) == _dim_L(params, ones) + (m - 1)
 
     pivot_exists = False
     for i in range(1, m + 1):
-        if not nabla_J_empty(params, alpha, (i,), method):
+        if not _nabla_empty(params, alpha, (i,), method):
             continue
         if m == 2:
             # the pair set {i, j} is the full index set: it holds exactly
             # the tuple alpha itself, so nonemptiness is membership
-            if is_member(params, alpha):
+            if _reached(params, alpha):
                 pivot_exists = True
                 break
         else:
-            if all(not nabla_J_empty(params, alpha, (i, j), method)
+            if all(not _nabla_empty(params, alpha, (i, j), method)
                    for j in range(1, m + 1) if j != i):
                 pivot_exists = True
                 break

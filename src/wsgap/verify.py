@@ -9,6 +9,13 @@ the membership oracle with seeded random trials, and
 ``check_definition_level`` re-derives the closed-form maximal families
 from the raw emptiness definitions.  All entry points return a
 ``ConformanceReport`` that serializes into the command-line envelope.
+
+The checks of one cell share their inputs: the gap routes keep their
+rows in per-curve caches, so the ``union_nabla``, ``explicit_s`` and
+``intersection`` rows that ``gap-methods`` and ``pure-methods`` build
+are the ones ``zero-family`` reads again, and each check's ``ms`` holds
+only the work it did first.  Row sets are compared row by row, and their
+tuples are built only when the rows differ.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .core import (
     Box,
     CurveParams,
     IntTuple,
+    TupleRows,
     add,
     curve_params,
     glb,
@@ -215,6 +223,8 @@ class _Stamps:
     Each result carries the time since the previous result of the check,
     or since the check began: work several results share is charged to
     the first that needs it, and the results add up to the check's time.
+    Across checks the same holds: a route that an earlier check of the
+    cell built is a cache hit for the later ones.
     """
 
     def __init__(self, p: CurveParams) -> None:
@@ -227,34 +237,44 @@ class _Stamps:
         return CheckResult(f"{self.prefix}:{name}", "property", passed, detail, ms)
 
 
+def _same_tuples(x: TupleRows, y: TupleRows) -> bool:
+    """Whether two row sets list the same tuples in the same order.
+
+    Equal rows list equal tuples; only when the rows differ are the
+    tuples built and compared, since a route may split the tuples of one
+    prefix over two rows.
+    """
+    return list(x.rows()) == list(y.rows()) or x.tuples == y.tuples
+
+
 def _check_gap_methods(p: CurveParams) -> list[CheckResult]:
     stamps = _Stamps(p)
-    base = gs.gaps(p, method="complement").gaps
+    base = gs.gaps(p, method="complement").gap_rows
     results = []
     for method in ("union_nabla", "explicit_s"):
-        got = gs.gaps(p, method=method).gaps
-        ok = got == base
+        got = gs.gaps(p, method=method).gap_rows
+        ok = _same_tuples(got, base)
         results.append(stamps.result(f"gap-methods-agree:{method}", ok,
-                                     "" if ok else _diff_detail(got, base)))
+                                     "" if ok else _diff_detail(got.tuples, base.tuples)))
     return results
 
 
 def _check_pure_methods(p: CurveParams) -> list[CheckResult]:
     stamps = _Stamps(p)
-    prof = gs.pure_gaps(p, method="profile").pure_gaps
-    inter = gs.pure_gaps(p, method="intersection").pure_gaps
-    ok = prof == inter
+    prof = gs.pure_gaps(p, method="profile").pure_rows
+    inter = gs.pure_gaps(p, method="intersection").pure_rows
+    ok = _same_tuples(prof, inter)
     return [stamps.result("pure-methods-agree", ok,
-                          "" if ok else _diff_detail(inter, prof))]
+                          "" if ok else _diff_detail(inter.tuples, prof.tuples))]
 
 
 def _check_zero_family(p: CurveParams) -> list[CheckResult]:
     stamps = _Stamps(p)
-    g_off = gs.gaps(p, method="union_nabla").gaps
-    g_on = gs.gaps(p, method="union_nabla", include_zero_family=True).gaps
-    p_off = gs.pure_gaps(p, method="intersection").pure_gaps
-    p_on = gs.pure_gaps(p, method="intersection", include_zero_family=True).pure_gaps
-    ok = g_off == g_on and p_off == p_on
+    g_off = gs.gaps(p, method="union_nabla").gap_rows
+    g_on = gs.gaps(p, method="union_nabla", include_zero_family=True).gap_rows
+    p_off = gs.pure_gaps(p, method="intersection").pure_rows
+    p_on = gs.pure_gaps(p, method="intersection", include_zero_family=True).pure_rows
+    ok = _same_tuples(g_off, g_on) and _same_tuples(p_off, p_on)
     return [stamps.result("zero-family-indifferent", ok,
                           "" if ok else "zero-family translates changed an output")]
 
@@ -296,22 +316,34 @@ def _check_superset(p: CurveParams) -> list[CheckResult]:
                           "" if ok else f"outliers={bad[:8]}")]
 
 
+def _moves(perm: IntTuple, tuples: set[IntTuple]) -> bool:
+    """Whether permuting the coordinates by ``perm`` moves the set: it
+    does iff some permuted tuple falls outside, since a permutation of
+    the coordinates maps distinct tuples to distinct tuples."""
+    # m >= 2, so itemgetter returns tuples
+    return not all(map(tuples.__contains__, map(operator.itemgetter(*perm), tuples)))
+
+
 def _check_symmetry(p: CurveParams) -> list[CheckResult]:
     stamps = _Stamps(p)
     report = gs.gaps(p)
     gap_set, pure_set = set(report.gaps), set(report.pure_gaps)
-    ok = True
-    detail = ""
-    for perm_tail in itertools.permutations(range(1, p.m)):
-        perm = (0,) + perm_tail
-        # m >= 2, so itemgetter returns tuples
-        permuted = operator.itemgetter(*perm)
-        if set(map(permuted, gap_set)) != gap_set:
-            ok, detail = False, f"gap set moved by permutation {perm}"
-            break
-        if set(map(permuted, pure_set)) != pure_set:
-            ok, detail = False, f"pure-gap set moved by permutation {perm}"
-            break
+    # The cycle of coordinates 2..m and, for m >= 4, the swap of 2 and 3
+    # (neighbours in the cycle) generate every permutation of 2..m, so
+    # they fix both sets iff every permutation does.  For m = 3 the swap
+    # is the cycle, and for m = 2 there is nothing to permute.
+    generators = [(0, *range(2, p.m), 1), (0, 2, 1, *range(3, p.m))][:p.m - 2]
+    ok, detail = True, ""
+    if any(_moves(perm, gap_set) or _moves(perm, pure_set) for perm in generators):
+        # name the first permutation, in lexicographic order, that moves a set
+        for perm_tail in itertools.islice(itertools.permutations(range(1, p.m)), 1, None):
+            perm = (0,) + perm_tail
+            if _moves(perm, gap_set):
+                ok, detail = False, f"gap set moved by permutation {perm}"
+                break
+            if _moves(perm, pure_set):
+                ok, detail = False, f"pure-gap set moved by permutation {perm}"
+                break
     return [stamps.result("coordinate-symmetry", ok, detail)]
 
 
@@ -408,8 +440,7 @@ def _check_witnesses(p: CurveParams) -> list[CheckResult]:
     pure = gs.pure_gaps(p).pure_gaps
     pure_set = set(pure)
     ok, detail = True, ""
-    for t in pure:
-        witness = gs.pure_gap_witness(p, t)
+    for t, witness in zip(pure, gs._witnesses(p, pure, False)):
         if witness is None:
             ok, detail = False, f"no witness for pure gap {t}"
             break
@@ -421,8 +452,9 @@ def _check_witnesses(p: CurveParams) -> list[CheckResult]:
             ok, detail = False, f"witness for {t} not strictly dominating"
             break
     if ok:
-        for t in gs.gaps(p).gaps:
-            if t not in pure_set and gs.pure_gap_witness(p, t) is not None:
+        others = [t for t in gs.gaps(p).gaps if t not in pure_set]
+        for t, witness in zip(others, gs._witnesses(p, others, False)):
+            if witness is not None:
                 ok, detail = False, f"witness found for non-pure gap {t}"
                 break
     return [stamps.result("witness-coherence", ok, detail)]
@@ -434,10 +466,11 @@ def _check_report_sanity(p: CurveParams, sample: int = 50,
     report = gs.gaps(p)
     B = 2 * p.genus - 1
     ok, detail = True, ""
-    gap_set = set(report.gaps)
-    if list(report.gaps) != sorted(gap_set):
+    gaps = report.gaps
+    gap_set = set(gaps)
+    if not all(map(operator.lt, gaps, gaps[1:])):
         ok, detail = False, "gap list not sorted or not duplicate-free"
-    if ok and any(min(t) < 0 or sum(t) > B for t in report.gaps):
+    if ok and any(min(t) < 0 or sum(t) > B for t in gaps):
         ok, detail = False, "gap outside the bounding simplex"
     if ok and not set(report.pure_gaps) <= gap_set:
         ok, detail = False, "pure gaps not contained in gaps"
@@ -503,9 +536,13 @@ def _random_tuple(rng: random.Random, p: CurveParams) -> IntTuple:
     return tuple(rng.randint(lo, hi) for _ in range(p.m))
 
 
-def _random_member(rng: random.Random, p: CurveParams) -> IntTuple:
-    reps = mx.relative_maximals_region(p).region_reps + \
-        mx.absolute_maximals_region(p).region_reps
+def _member_reps(p: CurveParams) -> tuple[IntTuple, ...]:
+    """The representatives ``_random_member`` translates: relative, then absolute."""
+    return mx.relative_maximals_region(p).region_reps + mx.absolute_maximals_region(p).region_reps
+
+
+def _random_member(rng: random.Random, p: CurveParams, reps: Sequence[IntTuple]) -> IntTuple:
+    """The lub of two random lattice translates of ``reps``, a member."""
     def translate() -> IntTuple:
         d = tuple(rng.randint(-2, 2) for _ in range(p.m - 1))
         return add(rng.choice(reps), theta_vector(p, d))
@@ -564,8 +601,9 @@ def _oracle_invariants_for(p: CurveParams, trials: int, seed: int) -> list[Check
 
     # members are closed under componentwise maxima
     failure = None
+    reps = _member_reps(p)
     for _ in range(max(trials // 5, 1)):
-        x, y = _random_member(rng, p), _random_member(rng, p)
+        x, y = _random_member(rng, p, reps), _random_member(rng, p, reps)
         if not (oracle.is_member(p, x) and oracle.is_member(p, y)):
             failure = f"constructed member {x} or {y} rejected"
             break
@@ -678,9 +716,10 @@ def check_definition_level(params: CurveParams, sample_size: int = 50,
 
     failure = None
     rng = random.Random(_mix_seed(seed, p.a, p.b, p.m, 3))
+    reps = _member_reps(p)
     tested = 0
     while tested < sample_size:
-        t = _random_member(rng, p)
+        t = _random_member(rng, p, reps)
         if t not in box:
             continue
         if mx.family_contains(relative, t) or mx.family_contains(absolute, t):

@@ -1,4 +1,5 @@
 import ast
+import collections
 import itertools
 import random
 from pathlib import Path
@@ -124,6 +125,31 @@ class TestMaximality:
         for t in w.relative_maximals_region(P452).region_reps:
             assert w.is_relative_maximal(P452, t)
             assert w.is_absolute_maximal(P452, t)
+
+
+class TestPredicateChecks:
+    @pytest.mark.parametrize("method", ["search", "profile"])
+    @pytest.mark.parametrize("predicate", [w.is_relative_maximal, w.check_relmax_equivalence],
+                             ids=["is_relative_maximal", "check_relmax_equivalence"])
+    def test_alpha_checked_once(self, monkeypatch, predicate, method):
+        calls = collections.Counter()
+        for name in ("check_tuple", "_check_J"):
+            real = getattr(oracle, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(oracle, name, counted)
+        predicate(w.hermitian_params(5, 4), (12, 0, 0, 0), method)
+        assert calls == {"check_tuple": 1}
+
+    @pytest.mark.parametrize("predicate", [w.is_maximal, w.is_absolute_maximal,
+                                           w.is_relative_maximal])
+    def test_bad_method_raises_only_at_a_nabla(self, predicate):
+        assert predicate(P453, (0, 0, 1), "bogus") is False  # no member
+        with pytest.raises(w.WsgapError, match="^unknown nabla method 'bogus'$"):
+            predicate(P453, (11, 1, 1), "bogus")
 
 
 class TestRelMaxEquivalence:
@@ -327,12 +353,42 @@ def test_stream_curves_match_enumeration(p, count):
                 w.nabla_J_empty(p, beta, J, "search"), (beta, J)
 
 
+def _product_filter_maximals(p, beta):
+    """``local_absolute_maximals`` in its earlier form: the whole box of
+    shifts d, dropping every d with sum(d) < smin."""
+    b, m = p.b, p.m
+    found = []
+    for rep in w.absolute_maximals_region(p).region_reps:
+        U = [(beta[j] - rep[j]) // b for j in range(1, m)]
+        smin = -((beta[0] - rep[0]) // b)
+        lo = [smin - (sum(U) - U[j]) for j in range(m - 1)]
+        for d in itertools.product(*(range(lo[j], U[j] + 1) for j in range(m - 1))):
+            if sum(d) < smin:
+                continue
+            found.append(tuple([rep[0] - b * sum(d)] + [rep[j + 1] + b * d[j] for j in range(m - 1)]))
+    return tuple(sorted(set(found)))
+
+
+@pytest.mark.parametrize("p", list(w.sweep_cells()) + STREAM_CURVES, ids=str)
+def test_enumeration_matches_product_filter(p):
+    rng = random.Random(p.a * 1000 + p.b * 10 + p.m)
+    lo, hi = -p.b - 2, 2 * p.genus + p.b
+    for _ in range(12):
+        beta = tuple(rng.randint(lo, hi) for _ in range(p.m))
+        assert w.local_absolute_maximals(p, beta).gamma_hat_beta == \
+            _product_filter_maximals(p, beta), beta
+
+
 ORACLE_OPS = {
     "is_member": w.is_member,
     "dim_L": w.dim_L,
     "per_coord_max": w.per_coord_max,
     "nabla_search": lambda p, beta: w.nabla_J_empty(p, beta, (2,), "search"),
     "nabla_profile": lambda p, beta: w.nabla_J_empty(p, beta, (2,), "profile"),
+    "is_maximal": w.is_maximal,
+    "is_absolute_maximal": w.is_absolute_maximal,
+    "is_relative_maximal": w.is_relative_maximal,
+    "relmax_equivalence": w.check_relmax_equivalence,
 }
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import types
@@ -199,6 +200,138 @@ class TestChecksCatchFaults:
                 assert e.detail == f"witness found for non-pure gap {pure[p][0]}"
             else:
                 assert e.passed
+
+
+class TestFastPathFaults:
+    """The shared routes, the row comparison, the symmetry generators and
+    the sortedness test fail with the details of the checks they replace."""
+
+    CELLS = w.sweep_cells(3, 4, 3)
+
+    @staticmethod
+    def _results(check, result_name, max_m=3):
+        report = w.run_property_sweep(max_a=3, max_b=4, max_m=max_m, checks=(check,))
+        by_name = {e.name: e for e in report.entries}
+        return [(p, by_name[f"a{p.a}-b{p.b}-m{p.m}:{result_name}"])
+                for p in w.sweep_cells(3, 4, max_m)]
+
+    @staticmethod
+    def _patch_route(monkeypatch, corrupt):
+        real = verify.gs._route_rows
+
+        def route(p, method, include_zero_family):
+            return corrupt(p, method, include_zero_family, real(p, method, include_zero_family))
+
+        monkeypatch.setattr(verify.gs, "_route_rows", route)
+
+    def test_gap_methods_catch_dropped_route_tuple(self, monkeypatch):
+        dropped = {}
+
+        def drop_middle(p, method, include_zero_family, rows):
+            if method != "union_nabla":
+                return rows
+            tuples = rows.tuples
+            dropped[p] = tuples[len(tuples) // 2]
+            return w.TupleRows.of(t for t in tuples if t != dropped[p])
+
+        self._patch_route(monkeypatch, drop_middle)
+        for p, e in self._results("gap-methods", "gap-methods-agree:union_nabla"):
+            assert not e.passed
+            assert e.detail == f"missing={[dropped[p]]} extra=[]"
+        for p, e in self._results("gap-methods", "gap-methods-agree:explicit_s"):
+            assert e.passed
+
+    @pytest.mark.parametrize("route", ["union_nabla", "intersection"])
+    def test_zero_family_catches_changed_route(self, monkeypatch, route):
+        def drop_first(p, method, include_zero_family, rows):
+            if method != route or not include_zero_family:
+                return rows
+            return w.TupleRows.of(rows.tuples[1:])
+
+        self._patch_route(monkeypatch, drop_first)
+        for p, e in self._results("zero-family", "zero-family-indifferent"):
+            if route == "union_nabla" or w.pure_gaps(p).pure_gaps:
+                assert not e.passed
+                assert e.detail == "zero-family translates changed an output"
+            else:
+                assert e.passed
+
+    def test_symmetry_names_first_permutation_when_only_the_swap_moves(self, monkeypatch):
+        # the orbit of (0, x, y, z) under the cycle of coordinates 2..4 is
+        # fixed by the cycle and moved by the swap; the full loop tries
+        # the identity first, then (0, 1, 3, 2), which moves it
+        def add_cycle_orbit(report):
+            p = report.params
+            if p.m != 4:
+                return report
+            x, y, z = (2 * p.genus + k for k in range(3))
+            orbit = ((0, x, y, z), (0, y, z, x), (0, z, x, y))
+            return dataclasses.replace(report, gap_rows=w.TupleRows.of(report.gaps + orbit))
+
+        TestChecksCatchFaults._patch(monkeypatch, "gaps", add_cycle_orbit)
+        results = self._results("symmetry", "coordinate-symmetry", max_m=4)
+        assert any(p.m == 4 for p, _ in results)
+        for p, e in results:
+            if p.m == 4:
+                assert not e.passed
+                assert e.detail == "gap set moved by permutation (0, 1, 3, 2)"
+            else:
+                assert e.passed
+
+    @pytest.mark.parametrize("corrupt", ["unsorted", "duplicated"])
+    def test_report_sanity_catches_unsorted_or_duplicated_gaps(self, monkeypatch, corrupt):
+        def corrupted(report):
+            gaps = list(report.gaps)
+            if corrupt == "duplicated":
+                gaps.insert(0, gaps[0])
+            else:
+                # swap two neighbours of one row, so every row keeps its prefix
+                k = next((k for k in range(len(gaps) - 1) if gaps[k][:-1] == gaps[k + 1][:-1]),
+                         None)
+                if k is None:
+                    return report
+                gaps[k], gaps[k + 1] = gaps[k + 1], gaps[k]
+            return dataclasses.replace(report, gap_rows=w.TupleRows.of(gaps))
+
+        TestChecksCatchFaults._patch(monkeypatch, "gaps", corrupted)
+        cells = [p for p in self.CELLS if p.genus > 1]  # genus 1 has no row of two gaps
+        report = w.run_property_sweep(max_a=3, max_b=4, max_m=3, checks=("report-sanity",))
+        by_name = {e.name: e for e in report.entries}
+        assert cells
+        for p in cells:
+            e = by_name[f"a{p.a}-b{p.b}-m{p.m}:gap-report-sanity"]
+            assert not e.passed
+            assert e.detail == "gap list not sorted or not duplicate-free"
+
+    def test_rows_split_over_one_prefix_compare_equal(self):
+        whole = w.TupleRows.of([(0, 1), (0, 2), (0, 3), (1, 0)])
+        split = w.TupleRows([(0,), (0,), (1,)], [(1,), (2, 3), (0,)])
+        assert list(whole.rows()) != list(split.rows())
+        assert verify._same_tuples(whole, split) and verify._same_tuples(split, whole)
+        assert not verify._same_tuples(whole, w.TupleRows.of([(0, 1), (0, 2), (1, 0)]))
+        assert not verify._same_tuples(split, w.TupleRows.of([(0, 1), (0, 3), (0, 2), (1, 0)]))
+
+
+def test_sweep_builds_each_route_once_per_cell(monkeypatch):
+    """Per cell, the union_nabla gaps with and without the zero family,
+    the explicit_s gaps, and the intersection pure gaps with and without
+    it: three cube builds and two intersections, shared by the checks."""
+    calls = collections.Counter()
+    for name in ("_cube_rows", "_pure_set_intersection"):
+        real = getattr(verify.gs, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(verify.gs, name, counted)
+    verify.gs._route_rows.cache_clear()
+    try:
+        assert w.run_property_sweep(max_a=3, max_b=4, max_m=3).ok
+    finally:
+        verify.gs._route_rows.cache_clear()
+    cells = [p for p in w.sweep_cells(3, 4, 3) if p.m >= 2]
+    assert calls == {"_cube_rows": 3 * len(cells), "_pure_set_intersection": 2 * len(cells)}
 
 
 # sha256 of (name, kind, passed, detail) over the fixtures, the default
