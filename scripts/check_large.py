@@ -1,45 +1,39 @@
 #!/usr/bin/env python3
-"""Cross-check the gap routes, the oracle and the pairing beyond the test sweep.
+"""Run ``wsgap verify``'s per-cell checks, and a render check, beyond the test sweep.
 
-The test suite and ``wsgap verify`` compare the routes on every coprime
-(a, b, m) with a <= 5, b <= 9.  This script compares them on the larger
-curves people run.
+The test suite and ``wsgap verify`` run the checks on every coprime
+(a, b, m) with a <= 5, b <= 9.  This script runs the same checks on the
+larger curves people run:
 
 * Hermitian q = 7, 8 at m = 2..4, q = 9 at m = 2, 3, q = 11 at m = 3,
-  q = 32 at m = 2, and norm-trace (ell, r) = (2, 4) at m = 2, 3 and
-  (3, 3) at m = 3: the three gap routes (complement,
-  union_nabla, explicit_s) give the same tuples, the two pure-gap
-  routes (profile, intersection) the same pure gaps, and every axis
-  carries exactly genus gaps.
-* On each of those curves, on Hermitian q = 16, 32 at m = 2, and on
-  Hermitian q = 5 and norm-trace (2, 4) at m = 4 (the benchmark's oracle
-  curves), the oracle (``is_member``, ``dim_L``, ``per_coord_max``)
-  agrees with the explicit enumeration ``local_absolute_maximals`` on a
-  seeded sample of tuples in [-b-2, 2g+b]^m, and the two
-  ``nabla_J_empty`` routes agree on a smaller one.
-* At Hermitian q = 16, 32 (m = 2): ``sigma_pair`` equals the literal
-  pairing ``sigma_literal``, and both axes carry exactly genus gaps.
-* On every curve, the command line's emitters, streaming into a sink,
+  q = 16, 32 at m = 2 and q = 5 at m = 4, and norm-trace (ell, r) =
+  (2, 4) at m = 2, 3 and (3, 3) at m = 3: every ``verify.PROPERTY_CHECKS``
+  entry (the gap routes complement, union_nabla and explicit_s, the
+  pure-gap routes profile and intersection, the zero family, the axes,
+  the candidate superset, the coordinate symmetry, the region families,
+  the formula classification, the pairing at m = 2, the witnesses and
+  the report sanity), ``verify.oracle_invariants`` at 2000 trials, and a
+  render check: the command line's emitters, streaming into a sink,
   print an envelope of the kernel's gap rows, and one of its pure-gap
   rows, in JSON, text and CSV byte for byte as per-tuple encoders print
   the same envelope with the tuples built from the rows.
+* Norm-trace (2, 4) at m = 4: ``verify.oracle_invariants`` alone, since
+  the property checks there take about 27 s and 350 MB.
 
-With ``--seed N`` it checks, in place of those curves, 12 coprime cells
-drawn from N outside the a <= 5, b <= 9 sweep box (a <= 12, b <= 40,
-a != b, m <= min(4, a + 1), (2g)^m <= 10^7): the routes, the axes, the
-emitters and the oracle sample as above, the sample seeded from N too.
-Each line names the cell and the seed, so a disagreement can be rerun.
+With ``--seed N`` it runs, in place of those curves, the property checks,
+the oracle invariants seeded from N and the render check on 12 coprime
+cells drawn from N outside the a <= 5, b <= 9 sweep box (a <= 12,
+b <= 40, a != b, m <= min(4, a + 1), (2g)^m <= 10^7).  Each line names
+the cell and the seed, so a disagreement can be rerun.
 
-It prints one line per curve with the time of each part and exits 1 on
-any disagreement.  The complement and profile routes share one cached
-kernel, which the complement time includes.
+It prints one line per curve with the time of each part, then the name
+and detail of each failing check, and exits 1 on any failure.  A check
+that reads a route an earlier check of the curve built finds it cached.
 
-It is not part of the test suite: a run takes about 30 s on two cores,
-the largest parts the oracle sample at norm-trace (2, 4), m = 4 (about
-4.5 s), the render check at Hermitian q = 32, m = 2 (about 3 s, run for
-both of its entries) and the oracle sample at q = 8, m = 4 (about 2 s;
-the intersection route takes about 0.5 s there).  A seeded run takes
-5 to 20 s.
+It is not part of the test suite: a run takes 28 to 29 s on two cores,
+the largest lines Hermitian q = 8, m = 4 and q = 32, m = 2 (about 7 s
+each, of which the render check 2 to 3 s).  Seeded runs of seeds 1, 2
+and 3 take 8 to 27 s.
 
     PYTHONPATH=src python3 scripts/check_large.py [--seed N]
 """
@@ -47,7 +41,6 @@ the intersection route takes about 0.5 s there).  A seeded run takes
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import random
@@ -55,22 +48,19 @@ import sys
 import time
 
 import wsgap as w
-from wsgap import cli
+from wsgap import cli, verify
 
 CELLS = (
     [(f"hermitian q={q} m={m}", w.hermitian_params(q, m))
-     for q, ms in ((7, (2, 3, 4)), (8, (2, 3, 4)), (9, (2, 3)), (11, (3,)), (32, (2,)))
+     for q, ms in ((7, (2, 3, 4)), (8, (2, 3, 4)), (9, (2, 3)), (11, (3,)), (16, (2,)),
+                   (32, (2,)), (5, (4,)))
      for m in ms]
     + [(f"norm-trace ell={ell} r={r} m={m}", w.norm_trace_params(ell, r, m))
        for ell, r, ms in ((2, 4, (2, 3)), (3, 3, (3,))) for m in ms]
 )
-PAIRING_CELLS = [(f"hermitian q={q} m=2", w.hermitian_params(q, 2)) for q in (16, 32)]
-# curves of the benchmark's oracle stream that the lists above leave out
-ORACLE_CELLS = [("hermitian q=5 m=4", w.hermitian_params(5, 4)),
-                ("norm-trace ell=2 r=4 m=4", w.norm_trace_params(2, 4, 4))]
-KERNEL_SAMPLE = 200
-NABLA_SAMPLE = 20
-SEED = 20240811
+# curves that run the oracle invariants alone
+BATTERY_ONLY = [("norm-trace ell=2 r=4 m=4", w.norm_trace_params(2, 4, 4))]
+ORACLE_TRIALS = 2000
 SEEDED_CELLS = 12
 SEEDED_CUBE = 10**7
 
@@ -79,48 +69,6 @@ def timed(fn, *args):
     t0 = time.perf_counter()
     result = fn(*args)
     return result, time.perf_counter() - t0
-
-
-def axis_counts(params, gaps):
-    """Gaps on each coordinate axis, which must each number genus."""
-    counts = [0] * params.m
-    for t in gaps:
-        nonzero = [k for k, c in enumerate(t) if c]
-        if len(nonzero) == 1:
-            counts[nonzero[0]] += 1
-    return counts
-
-
-def check_axes(params, gaps):
-    counts = axis_counts(params, gaps)
-    if any(c != params.genus for c in counts):
-        return [f"axis gap counts {counts}, genus is {params.genus}"]
-    return []
-
-
-def check_kernel(params, seed=SEED):
-    """The oracle against the explicit enumeration on seeded tuples."""
-    rng = random.Random(seed * 1000 + params.a * 100 + params.m)
-    lo, hi = -params.b - 2, 2 * params.genus + params.b
-    for k in range(KERNEL_SAMPLE):
-        beta = tuple(rng.randint(lo, hi) for _ in range(params.m))
-        prof = w.local_absolute_maximals(params, beta)
-        pcm = prof.per_coord_max if prof.gamma_hat_beta else None
-        if w.per_coord_max(params, beta) != pcm:
-            return [f"per_coord_max at {beta} != enumeration {pcm}"]
-        if w.is_member(params, beta) != (pcm == beta):
-            return [f"is_member at {beta} disagrees with the enumeration"]
-        if w.dim_L(params, beta) != len({g[0] for g in prof.gamma_hat_beta}):
-            return [f"dim_L at {beta} disagrees with the enumeration"]
-    subsets = [J for size in range(1, params.m)
-               for J in itertools.combinations(range(1, params.m + 1), size)]
-    for _ in range(NABLA_SAMPLE):
-        alpha = tuple(rng.randint(lo, hi) for _ in range(params.m))
-        J = rng.choice(subsets)
-        if w.nabla_J_empty(params, alpha, J, "profile") != \
-                w.nabla_J_empty(params, alpha, J, "search"):
-            return [f"nabla_J_empty routes disagree at {alpha}, J={J}"]
-    return []
 
 
 def envelope(params, key, rows):
@@ -176,44 +124,20 @@ def check_rendering(params, report):
     return bad
 
 
-def check(params, seed=SEED):
-    """Disagreeing routes and the time of every route, for one curve."""
+def check(params, seed=verify.DEFAULT_SEED, full=True):
+    """The failing checks and the time of each part, for one curve: every
+    property check and the render check when ``full``, and the oracle
+    invariants."""
     bad, times = [], {}
-    base, times["complement"] = timed(w.gaps, params, "complement")
-    for method in ("union_nabla", "explicit_s"):
-        report, times[method] = timed(w.gaps, params, method)
-        if report.gaps != base.gaps:
-            bad.append(f"gaps {method} != complement")
-    profile, times["profile"] = timed(w.pure_gaps, params, "profile")
-    inter, times["intersection"] = timed(w.pure_gaps, params, "intersection")
-    if inter.pure_gaps != profile.pure_gaps:
-        bad.append("pure gaps intersection != profile")
-    if profile.pure_gaps != base.pure_gaps:
-        bad.append("pure gaps of the gaps and pure_gaps reports differ")
-    bad += check_axes(params, base.gaps)
-    rendering_bad, times["rendering"] = timed(check_rendering, params, base)
-    kernel_bad, times["oracle"] = timed(check_kernel, params, seed)
-    return bad + rendering_bad + kernel_bad, times
-
-
-def check_pairing(params):
-    """The pairing, the axes and the oracle at a large two-point curve."""
-    bad, times = [], {}
-    table, times["sigma_pair"] = timed(w.sigma_pair, params)
-    literal, times["sigma_literal"] = timed(w.sigma_literal, params)
-    if literal != tuple(table.gaps_q2[s - 1] for s in table.sigma):
-        bad.append("sigma_literal != sigma_pair")
-    report, times["complement"] = timed(w.gaps, params, "complement")
-    bad += check_axes(params, report.gaps)
-    rendering_bad, times["rendering"] = timed(check_rendering, params, report)
-    kernel_bad, times["oracle"] = timed(check_kernel, params)
-    return bad + rendering_bad + kernel_bad, times
-
-
-def check_oracle(params):
-    """The oracle sample alone, for one curve."""
-    bad, seconds = timed(check_kernel, params)
-    return bad, {"oracle": seconds}
+    parts = list(verify.PROPERTY_CHECKS.items()) if full else []
+    parts.append(("oracle", lambda p: verify.oracle_invariants(p, ORACLE_TRIALS, seed)))
+    for name, fn in parts:
+        results, times[name] = timed(fn, params)
+        bad += [f"{e.name}: {e.detail}" for e in results if not e.passed]
+    if full:
+        rendering_bad, times["rendering"] = timed(check_rendering, params, w.gaps(params))
+        bad += rendering_bad
+    return bad, times
 
 
 def seeded_cells(seed):
@@ -239,8 +163,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.seed is None:
         runs = [(label, params, check) for label, params in CELLS] + \
-            [(label, params, check_pairing) for label, params in PAIRING_CELLS] + \
-            [(label, params, check_oracle) for label, params in ORACLE_CELLS]
+            [(label, params, lambda p: check(p, full=False)) for label, params in BATTERY_ONLY]
     else:
         runs = [(f"a={p.a} b={p.b} m={p.m} seed={args.seed}", p,
                  lambda p: check(p, args.seed)) for p in seeded_cells(args.seed)]

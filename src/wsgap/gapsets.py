@@ -412,8 +412,7 @@ def _single_point_report(params: CurveParams, method: str, gap_method: str) -> G
     return _report(params, singles, singles, method, gap_method, "single-point")
 
 
-def gaps(params: CurveParams, method: str = "complement",
-         include_zero_family: bool = False) -> GapReport:
+def gaps(params: CurveParams, method: str = "complement") -> GapReport:
     """The finite gap set, by the requested route.
 
     For a single point the gap set is that of the numerical semigroup
@@ -427,13 +426,11 @@ def gaps(params: CurveParams, method: str = "complement",
         return _single_point_report(params, method, method)
     gap_rows, pure = _residue_gap_sets(params)
     if method != "complement":
-        # explicit_s builds no zero family, so both flags share its entry
-        gap_rows = _route_rows(params, method, include_zero_family and method == "union_nabla")
+        gap_rows = _route_rows(params, method, False)
     return _report(params, gap_rows, pure, method, method, "profile")
 
 
-def pure_gaps(params: CurveParams, method: str = "profile",
-              include_zero_family: bool = False) -> GapReport:
+def pure_gaps(params: CurveParams, method: str = "profile") -> GapReport:
     """The finite pure-gap set, by the requested route.
 
     For a single point this is the report ``gaps`` builds there: pure
@@ -445,7 +442,7 @@ def pure_gaps(params: CurveParams, method: str = "profile",
         return _single_point_report(params, method, "complement")
     gap_rows, pure = _residue_gap_sets(params)
     if method == "intersection":
-        pure = _route_rows(params, method, include_zero_family)
+        pure = _route_rows(params, method, False)
     return _report(params, gap_rows, pure, method, "complement", method)
 
 
@@ -464,8 +461,7 @@ def nabla_bar_nonneg(params: CurveParams, beta_star: Sequence[int]) -> tuple[Int
     return sorted_unique(out)
 
 
-def pure_gap_witness(params: CurveParams, alpha: Sequence[int],
-                     include_zero_family: bool = False) -> tuple[IntTuple, ...] | None:
+def pure_gap_witness(params: CurveParams, alpha: Sequence[int]) -> tuple[IntTuple, ...] | None:
     """One relative maximal per coordinate exhibiting alpha as a pure gap.
 
     Coordinate i gets the first (in sorted order) nonnegative relative
@@ -476,13 +472,13 @@ def pure_gap_witness(params: CurveParams, alpha: Sequence[int],
     if params.m < 2:
         raise BadPointCountError("pure gaps need m >= 2")
     alpha = check_tuple(params, alpha)
-    return next(_witnesses(params, (alpha,), include_zero_family))
+    return next(_witnesses(params, (alpha,)))
 
 
-def _witnesses(params: CurveParams, alphas: Iterable[IntTuple],
-               include_zero_family: bool) -> Iterator[tuple[IntTuple, ...] | None]:
+def _witnesses(params: CurveParams,
+               alphas: Iterable[IntTuple]) -> Iterator[tuple[IntTuple, ...] | None]:
     """``pure_gap_witness`` of each of ``alphas``, checked m-tuples, in order."""
-    index = tuple(enumerate(_witness_index(params, include_zero_family)))
+    index = tuple(enumerate(_witness_index(params)))
     others = params.m - 1
     for alpha in alphas:
         chosen = []
@@ -501,10 +497,10 @@ def _witnesses(params: CurveParams, alphas: Iterable[IntTuple],
 
 
 @lru_cache(maxsize=CURVE_CACHE_SIZE)
-def _witness_index(params: CurveParams, include_zero_family: bool) -> tuple[dict, ...]:
+def _witness_index(params: CurveParams) -> tuple[dict, ...]:
     """Per coordinate i, the relative maximals by their i-th value, in sorted order."""
     index: tuple[dict, ...] = tuple({} for _ in range(params.m))
-    for cand in mx.lambda_nonneg(params, include_zero_family):
+    for cand in mx.lambda_nonneg(params):
         for i, by_value in enumerate(index):
             by_value.setdefault(cand[i], []).append(cand)
     return tuple({v: tuple(cands) for v, cands in by_value.items()} for by_value in index)

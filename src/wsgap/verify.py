@@ -7,8 +7,10 @@ cross-method and structural invariants over every coprime (a, b, m)
 inside the requested bounds.  ``run_oracle_invariants`` stress-tests
 the membership oracle with seeded random trials, and
 ``check_definition_level`` re-derives the closed-form maximal families
-from the raw emptiness definitions.  All entry points return a
+from the raw emptiness definitions.  These four return a
 ``ConformanceReport`` that serializes into the command-line envelope.
+The per-cell entry points, which ``scripts/check_large.py`` also runs,
+are ``PROPERTY_CHECKS`` (name to one-cell check) and ``oracle_invariants``.
 
 The checks of one cell share their inputs: the gap routes keep their
 rows in per-curve caches, so the ``union_nabla``, ``explicit_s`` and
@@ -271,9 +273,9 @@ def _check_pure_methods(p: CurveParams) -> list[CheckResult]:
 def _check_zero_family(p: CurveParams) -> list[CheckResult]:
     stamps = _Stamps(p)
     g_off = gs.gaps(p, method="union_nabla").gap_rows
-    g_on = gs.gaps(p, method="union_nabla", include_zero_family=True).gap_rows
+    g_on = gs._route_rows(p, "union_nabla", True)
     p_off = gs.pure_gaps(p, method="intersection").pure_rows
-    p_on = gs.pure_gaps(p, method="intersection", include_zero_family=True).pure_rows
+    p_on = gs._route_rows(p, "intersection", True)
     ok = _same_tuples(g_off, g_on) and _same_tuples(p_off, p_on)
     return [stamps.result("zero-family-indifferent", ok,
                           "" if ok else "zero-family translates changed an output")]
@@ -440,7 +442,7 @@ def _check_witnesses(p: CurveParams) -> list[CheckResult]:
     pure = gs.pure_gaps(p).pure_gaps
     pure_set = set(pure)
     ok, detail = True, ""
-    for t, witness in zip(pure, gs._witnesses(p, pure, False)):
+    for t, witness in zip(pure, gs._witnesses(p, pure)):
         if witness is None:
             ok, detail = False, f"no witness for pure gap {t}"
             break
@@ -453,7 +455,7 @@ def _check_witnesses(p: CurveParams) -> list[CheckResult]:
             break
     if ok:
         others = [t for t in gs.gaps(p).gaps if t not in pure_set]
-        for t, witness in zip(others, gs._witnesses(p, others, False)):
+        for t, witness in zip(others, gs._witnesses(p, others)):
             if witness is not None:
                 ok, detail = False, f"witness found for non-pure gap {t}"
                 break
@@ -487,7 +489,7 @@ def _check_report_sanity(p: CurveParams, sample: int = 50,
     return [stamps.result("gap-report-sanity", ok, detail)]
 
 
-_PROPERTY_CHECKS: dict[str, Callable[[CurveParams], list[CheckResult]]] = {
+PROPERTY_CHECKS: dict[str, Callable[[CurveParams], list[CheckResult]]] = {
     "gap-methods": _check_gap_methods,
     "pure-methods": _check_pure_methods,
     "zero-family": _check_zero_family,
@@ -501,25 +503,23 @@ _PROPERTY_CHECKS: dict[str, Callable[[CurveParams], list[CheckResult]]] = {
     "report-sanity": _check_report_sanity,
 }
 
-PROPERTY_CHECK_NAMES = tuple(_PROPERTY_CHECKS)
-
 
 def run_property_sweep(max_a: int = 5, max_b: int = 9, max_m: int = 4,
                        checks: Sequence[str] | None = None) -> ConformanceReport:
     """Run the structural invariants over the whole parameter sweep.
 
-    ``checks`` selects a subset of ``PROPERTY_CHECK_NAMES``; the merged
-    report is sorted by check name.
+    ``checks`` selects a subset of the ``PROPERTY_CHECKS`` names; the
+    merged report is sorted by check name.
     """
-    selected = PROPERTY_CHECK_NAMES if checks is None else tuple(checks)
-    unknown = [c for c in selected if c not in _PROPERTY_CHECKS]
+    selected = tuple(PROPERTY_CHECKS if checks is None else checks)
+    unknown = [c for c in selected if c not in PROPERTY_CHECKS]
     if unknown:
         raise ValueError(f"unknown property checks: {unknown}")
     cells = sweep_cells(max_a, max_b, max_m)
     report = ConformanceReport()
     for p in cells:
         for name in selected:
-            report.entries.extend(_PROPERTY_CHECKS[name](p))
+            report.entries.extend(PROPERTY_CHECKS[name](p))
     skipped = [(a, b) for a in range(2, max_a + 1) for b in range(2, max_b + 1)
                if math.gcd(a, b) != 1]
     report.entries.append(CheckResult(
@@ -555,11 +555,12 @@ def run_oracle_invariants(max_a: int = 5, max_b: int = 9, max_m: int = 4,
     """Seeded random trials of the oracle invariants over the sweep."""
     report = ConformanceReport()
     for p in sweep_cells(max_a, max_b, max_m):
-        report.entries.extend(_oracle_invariants_for(p, trials, seed))
+        report.entries.extend(oracle_invariants(p, trials, seed))
     return report.sorted()
 
 
-def _oracle_invariants_for(p: CurveParams, trials: int, seed: int) -> list[CheckResult]:
+def oracle_invariants(p: CurveParams, trials: int, seed: int) -> list[CheckResult]:
+    """Seeded random trials of the oracle invariants on one curve."""
     rng = random.Random(_mix_seed(seed, p.a, p.b, p.m, 1))
     stamps = _Stamps(p)
     results = []
@@ -650,6 +651,9 @@ def _oracle_invariants_for(p: CurveParams, trials: int, seed: int) -> list[Check
         if oracle.per_coord_max(p, alpha) != (
                 None if profile.per_coord_max[0] is None else profile.per_coord_max):
             failure = f"window maxima disagree with enumeration at {alpha}"
+            break
+        if oracle.is_member(p, alpha) != (profile.per_coord_max == alpha):
+            failure = f"membership disagrees with enumeration at {alpha}"
             break
         firsts = {g[0] for g in profile.gamma_hat_beta}
         if oracle.dim_L(p, alpha) != len(firsts):

@@ -1,0 +1,58 @@
+"""``scripts/check_large.py``: its per-curve check and its seeded cells."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+import wsgap as w
+from wsgap import gapsets as gs
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "check_large.py"
+
+
+@pytest.fixture(scope="module")
+def check_large():
+    spec = importlib.util.spec_from_file_location("check_large", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CURVES = [w.hermitian_params(4, 3), w.curve_params(4, 5, 2)]
+
+
+@pytest.mark.parametrize("p", CURVES, ids=str)
+def test_check_passes_and_times_every_part(check_large, p):
+    bad, times = check_large.check(p)
+    assert bad == []
+    assert list(times) == [*w.verify.PROPERTY_CHECKS, "oracle", "rendering"]
+
+
+@pytest.mark.parametrize("p", CURVES, ids=str)
+def test_check_reports_a_dropped_route_tuple(check_large, monkeypatch, p):
+    real = gs._route_rows
+
+    def drop_one(params, method, include_zero_family):
+        rows = real(params, method, include_zero_family)
+        if method != "union_nabla":
+            return rows
+        return w.TupleRows.of(rows.tuples[1:])
+
+    monkeypatch.setattr(gs, "_route_rows", drop_one)
+    bad, _ = check_large.check(p)
+    prefix = f"a{p.a}-b{p.b}-m{p.m}:"
+    assert any(line.startswith(prefix + "gap-methods-agree:union_nabla: missing=")
+               for line in bad), bad
+
+
+def test_seeded_cells_repeat_and_stay_outside_the_box(check_large):
+    cells = check_large.seeded_cells(7)
+    assert cells == check_large.seeded_cells(7)
+    assert len(cells) == len(set(cells)) == 12
+    for p in cells:
+        assert math.gcd(p.a, p.b) == 1 and p.a != p.b
+        assert not (p.a <= 5 and p.b <= 9)
+        assert 2 <= p.m <= min(4, p.a + 1)
+        assert (2 * p.genus) ** p.m <= 10**7

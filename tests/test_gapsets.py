@@ -79,8 +79,7 @@ class TestGaps453:
 
     @pytest.mark.parametrize("p", SMALL, ids=str)
     def test_zero_family_indifferent(self, p):
-        assert w.gaps(p, "union_nabla").gaps == \
-            w.gaps(p, "union_nabla", include_zero_family=True).gaps
+        assert w.gaps(p, "union_nabla").gaps == gs._route_rows(p, "union_nabla", True).tuples
 
     def test_unknown_method(self):
         with pytest.raises(w.WsgapError):
@@ -118,7 +117,7 @@ class TestPureGaps:
     def test_methods_and_zero_family(self, p):
         base = w.pure_gaps(p, "profile").pure_gaps
         assert w.pure_gaps(p, "intersection").pure_gaps == base
-        assert w.pure_gaps(p, "intersection", include_zero_family=True).pure_gaps == base
+        assert gs._route_rows(p, "intersection", True).tuples == base
 
     def test_high_degree_tuples_never_pure(self):
         pure = set(w.pure_gaps(P453).pure_gaps)
@@ -434,19 +433,10 @@ OUTSIDE_BOX = [(5, 23, 2), (3, 16, 2), (2, 17, 2), (2, 23, 2), (11, 5, 2), (9, 3
 @pytest.mark.parametrize("spec", OUTSIDE_BOX, ids=lambda spec: "-".join(map(str, spec)))
 def test_routes_agree_outside_the_sweep_box(spec):
     p = w.curve_params(*spec)
-    base = w.gaps(p, "complement").gap_rows.tuples
-    for method in ("union_nabla", "explicit_s"):
-        assert w.gaps(p, method).gap_rows.tuples == base, method
-    pure = w.pure_gaps(p, "profile").pure_rows.tuples
-    assert w.pure_gaps(p, "intersection").pure_rows.tuples == pure
-    axes = [0] * p.m
-    for t in base:
-        nonzero = [k for k, c in enumerate(t) if c]
-        if len(nonzero) == 1:
-            axes[nonzero[0]] += 1
-    assert axes == [p.genus] * p.m
-    if p.m == 2:
-        assert len(pure) == len(w.sigma_pair(p).inversions)
+    results = [e for name in ("gap-methods", "pure-methods", "axis-gaps", "sigma")
+               for e in verify.PROPERTY_CHECKS[name](p)]
+    assert results
+    assert all(e.passed for e in results), [(e.name, e.detail) for e in results if not e.passed]
 
 
 class TestRowForm:
@@ -606,9 +596,9 @@ def _set_rows(tuples):
     return gs.TupleRows.of(sorted(set(tuples)))
 
 
-def _witness_by_scan(p, alpha, include_zero_family=False):
+def _witness_by_scan(p, alpha):
     """The witness by a linear scan of the relative maximals."""
-    lam = w.lambda_nonneg(p, include_zero_family)
+    lam = w.lambda_nonneg(p)
     chosen = []
     for i in range(p.m):
         for cand in lam:
@@ -621,12 +611,11 @@ def _witness_by_scan(p, alpha, include_zero_family=False):
 
 
 @pytest.mark.parametrize("p", SMALL + [P473], ids=str)
-@pytest.mark.parametrize("zero_family", [False, True])
-def test_witness_index_matches_scan(p, zero_family):
+def test_witness_index_matches_scan(p):
     B = 2 * p.genus - 1
     for t in itertools.product(range(-1, B + 2), repeat=p.m):
         if sum(t) <= B + 1:
-            assert w.pure_gap_witness(p, t, zero_family) == _witness_by_scan(p, t, zero_family)
+            assert w.pure_gap_witness(p, t) == _witness_by_scan(p, t)
 
 
 def _pure_set_intersection_recursive(params, include_zero_family):
