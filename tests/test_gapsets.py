@@ -596,9 +596,9 @@ def _set_rows(tuples):
     return gs.TupleRows.of(sorted(set(tuples)))
 
 
-def _witness_by_scan(p, alpha):
+def _witness_by_scan(p, alpha, include_zero_family=False):
     """The witness by a linear scan of the relative maximals."""
-    lam = w.lambda_nonneg(p)
+    lam = w.lambda_nonneg(p, include_zero_family)
     chosen = []
     for i in range(p.m):
         for cand in lam:
@@ -611,11 +611,14 @@ def _witness_by_scan(p, alpha):
 
 
 @pytest.mark.parametrize("p", SMALL + [P473], ids=str)
-def test_witness_index_matches_scan(p):
+@pytest.mark.parametrize("zero_family", [False, True])
+def test_witness_index_matches_scan(p, zero_family):
+    """With or without the zero family the scan finds the witness
+    ``pure_gap_witness`` gives: the zero family changes no witness."""
     B = 2 * p.genus - 1
     for t in itertools.product(range(-1, B + 2), repeat=p.m):
         if sum(t) <= B + 1:
-            assert w.pure_gap_witness(p, t) == _witness_by_scan(p, t)
+            assert w.pure_gap_witness(p, t) == _witness_by_scan(p, t, zero_family)
 
 
 def _pure_set_intersection_recursive(params, include_zero_family):
