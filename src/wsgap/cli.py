@@ -11,18 +11,24 @@ envelope is the only varying part).
 Exit codes: 0 success, 1 domain error (message on standard error),
 2 usage error.
 
-``gapsets`` and ``verify`` are imported by the subcommands that use them.
-Payload tuple lists are ``core.TupleRows``.  The payload is computed and
-checked whole, then the envelope is streamed to standard output row by
-row, so no copy of the whole output is held; a reader that closes the
-pipe early leaves exit status 0.
+``gapsets`` and ``verify`` are imported by the subcommands that use them,
+and ``json`` and ``csv`` by the emitters that use them; the package
+does not import ``dataclasses``.  Payload tuple lists are
+``core.TupleRows``.  The payload is computed and checked whole, then
+the envelope is streamed to standard output row by row, so no copy of
+the whole output is held; a reader that closes the pipe early leaves
+exit status 0.
+
+``run``, the entry point of the ``wsgap`` script and of ``python -m
+wsgap.cli``, exits without interpreter teardown once the output is
+flushed: freeing the caches of a large request cost more than some
+requests compute.  ``main`` returns the exit code, for callers in the
+same process.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 import time
@@ -336,6 +342,8 @@ def _csv_tuple(key: str):
 
 
 def _emit_json(envelope: dict, out) -> None:
+    import json
+
     # json.dumps(indent=2) runs the pure-Python encoder, so each tuple list
     # goes in as a placeholder and is spliced back rendered by template.
     payload = dict(envelope["payload"])
@@ -365,6 +373,8 @@ def _scalar(value) -> str:
         return "null"
     if isinstance(value, (int, float, str)):
         return str(value)
+    import json
+
     return json.dumps(value, sort_keys=True)
 
 
@@ -392,6 +402,8 @@ def _emit_text(envelope: dict, out) -> None:
 
 
 def _emit_csv(envelope: dict, out) -> None:
+    import csv
+
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["kind", "name", "tuple", "value"])
     writer.writerow(["meta", "schema", "", envelope["schema"]])
@@ -468,5 +480,16 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """Run ``main`` on the command line, flush standard output and error,
+    and end the process with ``main``'s exit code, skipping interpreter
+    teardown.  An exception that escapes, such as a usage error's
+    ``SystemExit(2)``, exits the usual way."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

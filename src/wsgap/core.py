@@ -13,8 +13,9 @@ provides:
   written in shift coordinates by ``theta_vector``,
 * canonical reduction into the fundamental region where coordinates
   2..m lie in [0, b),
-* deterministic iteration over integer boxes, and
-* the row form in which every tuple set moves between modules.
+* deterministic iteration over integer boxes,
+* the row form in which every tuple set moves between modules, and
+* ``Record``, the frozen-record base of every result type of the package.
 
 All types are immutable and all functions are pure, so everything here
 is safe to use from concurrent callers.
@@ -25,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import asdict, astuple, dataclass
 from typing import Iterable, Iterator, Sequence
 
 IntTuple = tuple[int, ...]
@@ -60,8 +60,78 @@ class FieldTooSmallWarning(UserWarning):
     """The declared field size is smaller than the number of points."""
 
 
-@dataclass(frozen=True)
-class CurveParams:
+class _RecordType(type):
+    """Makes the annotated names of a ``Record`` class body its fields:
+    one slot each, in order, with an assigned value as the default.
+    Slots the body lists itself are not fields."""
+
+    def __new__(mcls, name, bases, ns):
+        fields = tuple(ns.get("__annotations__", ()))
+        ns["_defaults"] = {f: ns.pop(f) for f in fields if f in ns}
+        ns["_fields"] = fields
+        ns["__slots__"] = fields + tuple(ns.get("__slots__", ()))
+        return super().__new__(mcls, name, bases, ns)
+
+
+class Record(metaclass=_RecordType):
+    """Base of the package's frozen record types.
+
+    A subclass lists its fields as annotated names in its body, each
+    with an optional default, as for a frozen dataclass.  The
+    constructor takes the fields by position or keyword, then runs
+    ``__post_init__``, the subclass's validation.  Fields cannot be
+    assigned or deleted afterwards.  Equality, hash and repr read the
+    fields in order, as a frozen dataclass's do, and pickle and copy
+    rebuild a record through its constructor, so the copy is validated
+    again.  (``dataclasses`` itself is not used: importing it and
+    generating each class's methods cost more than a small command-line
+    request computes.)
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        fields = cls._fields
+        values = {**cls._defaults, **dict(zip(fields, args)), **kwargs}
+        # too many, repeated, unknown or missing arguments
+        if (len(args) > len(fields) or not kwargs.keys().isdisjoint(fields[:len(args)])
+                or values.keys() != set(fields)):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(fields)}; "
+                            f"got {len(args)} positional and {sorted(kwargs)}")
+        for name in fields:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Validate the fields: nothing to check unless a subclass says."""
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._astuple()
+
+
+class CurveParams(Record):
     """Degrees (a, b), point count m, genus, and optional field metadata.
 
     ``genus`` must equal (a-1)(b-1)/2; the constructor checks it so that
@@ -72,6 +142,11 @@ class CurveParams:
     field is a plain ``int``: ``bool`` is an ``int`` subclass, but
     ``True`` is no point count.
     """
+
+    # Per-curve caches hash the parameters, so the hash is computed once.
+    # It stays out of pickles, which rebuild through the constructor, as
+    # hash(None) differs between processes (< 3.12).
+    __slots__ = ("_hash",)
 
     a: int
     b: int
@@ -106,19 +181,10 @@ class CurveParams:
                     FieldTooSmallWarning,
                     stacklevel=3,
                 )
-        object.__setattr__(self, "_hash", hash(astuple(self)))
+        object.__setattr__(self, "_hash", hash(self._astuple()))
 
-    # Per-curve caches hash the parameters, so the hash is computed once; it
-    # stays out of pickles, as hash(None) differs between processes (< 3.12).
     def __hash__(self) -> int:
         return self._hash
-
-    def __getstate__(self) -> dict:
-        return asdict(self)
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__dict__["_hash"] = hash(astuple(self))
 
 
 def curve_params(a: int, b: int, m: int, field_size: int | None = None) -> CurveParams:
@@ -243,8 +309,7 @@ def in_region(params: CurveParams, t: Sequence[int]) -> bool:
     return all(0 <= c < params.b for c in t[1:])
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """Componentwise-inclusive integer box lo <= x <= hi."""
 
     lo: IntTuple

@@ -50,7 +50,6 @@ import bisect
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -59,6 +58,7 @@ from .core import (
     BadPointCountError,
     CurveParams,
     IntTuple,
+    Record,
     TupleRows,
     WsgapError,
     check_tuple,
@@ -71,8 +71,7 @@ GAP_METHODS = ("complement", "union_nabla", "explicit_s")
 PURE_METHODS = ("profile", "intersection")
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(Record):
     """Gap and pure-gap sets for one parameter choice, with provenance.
 
     Every route hands its sets over as sorted ``TupleRows``: ``gap_rows``
@@ -99,13 +98,17 @@ class GapReport:
         return self.pure_rows.tuples
 
 
+@lru_cache(maxsize=CURVE_CACHE_SIZE)
 def _is_subset(small: TupleRows, big: TupleRows) -> bool:
     """Whether every tuple of ``small`` lies in ``big``, by one merge of
     their rows.
 
     True only if every row of ``small`` lies inside a row of ``big`` with
     the same prefix, whatever the order of the rows; exact when both come
-    in lexicographic order, as every route hands them over.
+    in lexicographic order, as every route hands them over.  Cached by
+    the identity of the two row sets, which are immutable and which the
+    cache keeps alive: the reports of one curve hand over the same
+    cached rows again and again.
     """
     rows = big.rows()
     for prefix, lasts in small.rows():
@@ -524,8 +527,7 @@ def candidate_superset(params: CurveParams) -> tuple[tuple[int, ...], tuple[int,
     return tuple(sorted(a_star)), tuple(sorted(a_set))
 
 
-@dataclass(frozen=True)
-class SigmaTable:
+class SigmaTable(Record):
     """The two-point pairing: gap sequences, sigma, pairs, inversions.
 
     ``sigma`` is 1-based as a permutation of {1..g}: sigma[i-1] is the

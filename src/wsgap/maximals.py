@@ -18,7 +18,6 @@ the two families coincide.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Literal, Sequence
 
@@ -28,6 +27,7 @@ from .core import (
     BadPointCountError,
     CurveParams,
     IntTuple,
+    Record,
     WsgapError,
     add,
     ceil_div,
@@ -41,8 +41,7 @@ from .core import (
 MaximalKind = Literal["absolute", "relative"]
 
 
-@dataclass(frozen=True)
-class MaximalSet:
+class MaximalSet(Record):
     """A maximal-element family: its representatives in the fundamental
     region; the whole family is their translates by the lattice."""
 

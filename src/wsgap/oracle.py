@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Collection, Container, Iterable, Literal, Sequence
 
@@ -55,6 +54,7 @@ from .core import (
     BadPointCountError,
     CurveParams,
     IntTuple,
+    Record,
     WsgapError,
     ceil_div,
     check_tuple,
@@ -65,8 +65,7 @@ from .maximals import absolute_maximals_region
 NablaMethod = Literal["search", "profile"]
 
 
-@dataclass(frozen=True)
-class LocalProfile:
+class LocalProfile(Record):
     """The finite set of absolute maximals below ``beta`` and its envelope."""
 
     beta: IntTuple
@@ -333,8 +332,7 @@ def _is_relative_maximal(params: CurveParams, alpha: IntTuple, method: NablaMeth
     return not any(_nabla_empty(params, alpha, J, method) for J in _proper_big_subsets(params.m))
 
 
-@dataclass(frozen=True)
-class RelMaxEquivalence:
+class RelMaxEquivalence(Record):
     """Three independent evaluations of relative maximality for one tuple."""
 
     alpha: IntTuple

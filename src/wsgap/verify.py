@@ -27,7 +27,6 @@ import math
 import operator
 import random
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from . import fixtures as fx
@@ -38,6 +37,7 @@ from .core import (
     Box,
     CurveParams,
     IntTuple,
+    Record,
     TupleRows,
     add,
     curve_params,
@@ -57,8 +57,7 @@ def _mix_seed(*parts: int) -> int:
     return s
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     kind: str            # "fixture" or "property"
     passed: bool
@@ -70,9 +69,11 @@ class CheckResult:
                 "detail": self.detail, "ms": round(self.ms, 3)}
 
 
-@dataclass
 class ConformanceReport:
-    entries: list[CheckResult] = field(default_factory=list)
+    """The results of a conformance run, in the order they were added."""
+
+    def __init__(self, entries: list[CheckResult] | None = None) -> None:
+        self.entries = [] if entries is None else entries
 
     @property
     def ok(self) -> bool:
@@ -106,8 +107,7 @@ class ConformanceReport:
         }
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(Record):
     """One replayable reference value with its provenance string."""
 
     name: str
@@ -214,9 +214,24 @@ def sweep_cells(max_a: int = 5, max_b: int = 9, max_m: int = 4) -> tuple[CurvePa
 # ---------------------------------------------------------------------------
 # per-cell property checks
 
-def _axis_set(gap_set: set[IntTuple], m: int, k: int) -> tuple[int, ...]:
-    """Positive values at coordinate k of the tuples that are 0 elsewhere."""
-    return tuple(sorted(t[k] for t in gap_set if t[k] > 0 and t.count(0) == m - 1))
+def _axis_sets(rows: TupleRows, m: int) -> list[tuple[int, ...]]:
+    """Per coordinate k, the positive values at k of the tuples of
+    ``rows`` that are 0 elsewhere, ascending.
+
+    A tuple lies on the last axis iff its prefix is all zero, and on
+    axis k < m-1 iff its prefix is zero off k and its last coordinate
+    is 0, so one pass over the prefixes finds them all.
+    """
+    axes: list[set[int]] = [set() for _ in range(m)]
+    zero = (0,) * (m - 1)
+    for prefix, lasts in rows.rows():
+        if prefix == zero:
+            axes[m - 1].update(v for v in lasts if v > 0)
+        elif prefix.count(0) == m - 2 and 0 in lasts:
+            k = next(k for k, c in enumerate(prefix) if c)
+            if prefix[k] > 0:
+                axes[k].add(prefix[k])
+    return [tuple(sorted(values)) for values in axes]
 
 
 class _Stamps:
@@ -286,12 +301,11 @@ def _check_axis_gaps(p: CurveParams) -> list[CheckResult]:
     numerical semigroup (the later points can carry a different gap
     sequence of the same size)."""
     stamps = _Stamps(p)
-    gap_set = set(gs.gaps(p).gaps)
+    axes = _axis_sets(gs.gaps(p).gap_rows, p.m)
     expected = gs.numerical_gaps(p.a, p.b)
     results = []
     later_axes = set()
-    for k in range(p.m):
-        got = _axis_set(gap_set, p.m, k)
+    for k, got in enumerate(axes):
         ok = len(got) == p.genus
         detail = "" if ok else f"{len(got)} axis gaps, genus is {p.genus}"
         if ok and k == 0 and got != expected:

@@ -497,3 +497,71 @@ for argv in {commands!r}:
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["import False"] + [
         f"{argv} 0 False" for argv in commands]
+
+
+def test_import_loads_no_dataclasses_json_or_csv():
+    """Importing the command line leaves the modules that only some
+    requests need, and ``dataclasses`` with what it pulls in, unloaded."""
+    unwanted = ("dataclasses", "inspect", "json", "csv", "wsgap.gapsets", "wsgap.verify")
+    script = f"import wsgap.cli, sys; print([m for m in {unwanted!r} if m in sys.modules])"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": src, "PATH": ""}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+class TestRunEntryPoint:
+    """``python -m wsgap.cli`` goes through ``cli.run``, which skips
+    interpreter teardown: the exit codes hold and the output is whole."""
+
+    TIMING_LINE = {"json": b'  "timing_ms": ', "text": b"# timing_ms: ",
+                   "csv": b"meta,timing_ms,"}
+
+    @staticmethod
+    def _run(*args):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              env={"PYTHONPATH": src, "PATH": ""}, timeout=120)
+
+    @classmethod
+    def _untimed(cls, fmt, data):
+        lines = data.splitlines(keepends=True)
+        kept = [ln for ln in lines if not ln.startswith(cls.TIMING_LINE[fmt])]
+        assert len(kept) == len(lines) - 1
+        return b"".join(kept)
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_success_prints_the_in_process_output(self, capsys, fmt):
+        argv = ["pure-gaps", "--preset", "hermitian", "--q", "5", "--m", "3", "--format", fmt]
+        done = self._run("-m", "wsgap.cli", *argv)
+        assert done.returncode == 0 and done.stderr == b""
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert self._untimed(fmt, done.stdout) == self._untimed(fmt, out.encode())
+
+    def test_domain_error_exits_one(self):
+        done = self._run("-m", "wsgap.cli", "gaps", "--a", "4", "--b", "6")
+        assert done.returncode == 1
+        assert done.stdout == b"" and done.stderr == b"wsgap: error: gcd(4, 6) != 1\n"
+
+    def test_usage_error_exits_two(self):
+        done = self._run("-m", "wsgap.cli", "gaps", "--no-such-option")
+        assert done.returncode == 2 and done.stdout == b""
+        assert done.stderr.startswith(b"usage: wsgap")
+        assert done.stderr.endswith(b"unrecognized arguments: --no-such-option\n")
+
+    def test_failing_verify_exits_one(self):
+        # the form of the generated ``wsgap`` script, with the fixtures patched
+        script = """
+import sys
+from wsgap import cli, verify
+failing = verify.ConformanceReport([verify.CheckResult("forced", "fixture", False, "no")])
+verify.run_fixtures = lambda: failing
+sys.argv = ["wsgap", "verify", "--what", "fixtures", "--format", "json"]
+sys.exit(cli.run())
+"""
+        done = self._run("-c", script)
+        assert done.returncode == 1 and done.stderr == b""
+        payload = json.loads(done.stdout)["payload"]
+        assert payload["ok"] is False and payload["checks"][0]["detail"] == "no"

@@ -1,4 +1,6 @@
 import ast
+import copy
+import dataclasses
 import pathlib
 import pickle
 import warnings
@@ -223,6 +225,108 @@ class TestBox:
     def test_contains(self):
         box = w.Box(lo=(-1, 0), hi=(1, 3))
         assert (0, 3) in box and (2, 0) not in box
+
+
+def _records():
+    """One instance of every record type of the package."""
+    p = w.curve_params(4, 5, 3, field_size=16)
+    return [
+        w.Box(lo=(0, 0), hi=(1, 2)),
+        p,
+        w.absolute_maximals_region(p),
+        w.local_absolute_maximals(p, (12, 0, 0)),
+        w.check_relmax_equivalence(p, (1, 6, 6)),
+        w.gaps(p),
+        w.sigma_pair(w.curve_params(4, 5, 2)),
+        w.builtin_fixtures()[0],
+        w.CheckResult("x", "property", True),
+    ]
+
+
+def _dataclass_twin(record):
+    """The same values in a frozen dataclass of the same name and fields."""
+    cls = type(record)
+    fields = [(name, object, dataclasses.field(default=cls._defaults[name]))
+              if name in cls._defaults else (name, object) for name in cls._fields]
+    twin = dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+    return twin(*(getattr(record, name) for name in cls._fields))
+
+
+def _values(record):
+    """The field values of a record, with row sets as their tuples."""
+    return [value.tuples if isinstance(value, w.TupleRows) else value
+            for value in (getattr(record, name) for name in record._fields)]
+
+
+def _unchecked(cls, **fields):
+    """A record built around its constructor, so it skips validation."""
+    record = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
+class TestRecord:
+    """The frozen-record base behaves as the frozen dataclasses it replaced."""
+
+    @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+    def test_repr_eq_hash_match_frozen_dataclass(self, record):
+        twin = _dataclass_twin(record)
+        assert repr(record) == repr(twin)
+        same = type(record)(*(getattr(record, name) for name in record._fields))
+        assert record == same and not record != same
+        # another type, even with equal fields, is left to its own __eq__
+        assert record.__eq__(twin) is NotImplemented and record != twin
+        if isinstance(record, w.GapReport):  # its stats dict is unhashable
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == hash(same) == hash(twin)
+
+    def test_unequal_when_a_field_differs(self):
+        assert w.Box((0, 0), (1, 2)) != w.Box((0, 0), (1, 3))
+        assert w.CheckResult("x", "fixture", True) != w.CheckResult("x", "fixture", True, ms=1.0)
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        box = w.Box((0, 0), (1, 2))
+        with pytest.raises(AttributeError, match="cannot assign to field 'lo'"):
+            box.lo = (1, 1)
+        with pytest.raises(AttributeError, match="cannot delete field 'hi'"):
+            del box.hi
+        with pytest.raises(AttributeError):
+            box.extra = 1
+        p = w.curve_params(4, 5, 3)
+        with pytest.raises(AttributeError, match="cannot assign to field '_hash'"):
+            p._hash = 0
+        assert box == w.Box((0, 0), (1, 2)) and hash(p) == hash((4, 5, 3, 6, None))
+
+    def test_constructor_binds_like_a_dataclass(self):
+        assert w.Box((0,), hi=(1,)) == w.Box(lo=(0,), hi=(1,))
+        assert w.CheckResult("x", "fixture", False).detail == ""
+        assert w.CheckResult("x", "fixture", False, ms=2.0).ms == 2.0
+        for args, kwargs in [(((0,),), {}), (((0,), (1,), (2,)), {}),
+                             (((0,), (1,)), {"lo": (1,)}),
+                             ((), {"lo": (0,), "hi": (1,), "x": 1})]:
+            with pytest.raises(TypeError):
+                w.Box(*args, **kwargs)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda r: pickle.loads(pickle.dumps(r))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_round_trip_through_the_constructor(self, clone):
+        for record in _records():
+            back = clone(record)
+            assert type(back) is type(record)
+            # row sets compare by identity, and a deep copy makes new ones
+            assert _values(back) == _values(record)
+        # the constructor's validation runs on the copy
+        bad = _unchecked(w.Box, lo=(2,), hi=(1,))
+        with pytest.raises(w.WsgapError, match="lower bound exceeds"):
+            clone(bad)
+        with pytest.warns(w.FieldTooSmallWarning):
+            small = w.curve_params(4, 5, 3, field_size=2)
+        with pytest.warns(w.FieldTooSmallWarning):
+            assert clone(small) == small
 
 
 def test_check_tuple_validates_length_and_type():

@@ -572,6 +572,34 @@ class TestRowForm:
         assert gs._is_subset(_set_rows(pure_rows.tuples[::-1]), gap_rows)
         assert not gs._is_subset(_set_rows(gap_rows.tuples[:-1] + ((0,) * p.m,)), gap_rows)
 
+    def test_subset_check_merges_once_per_row_pair(self, monkeypatch):
+        """The reports of one verify cell hand over the same cached rows
+        again and again, and each pair of rows is merged once; rows built
+        anew are checked anew."""
+        pairs = []
+        real = gs._report
+
+        def report(params, gap_rows, pure_rows, *args):
+            pairs.append((gap_rows, pure_rows))
+            return real(params, gap_rows, pure_rows, *args)
+
+        monkeypatch.setattr(gs, "_report", report)
+        # test_intersection_outside_gaps_raises leaves its corrupted route cached
+        gs._route_rows.cache_clear()
+        gs._is_subset.cache_clear()
+        for check in verify.PROPERTY_CHECKS.values():
+            check(P453)
+        distinct = {(id(gap_rows), id(pure_rows)) for gap_rows, pure_rows in pairs}
+        assert len(pairs) > 2 * len(distinct)
+        assert gs._is_subset.cache_info().misses == len(distinct)
+
+        good = w.gaps(P453)
+        w.GapReport(P453, gs.TupleRows.of(good.gaps), good.pure_rows, good.method, good.stats)
+        assert gs._is_subset.cache_info().misses == len(distinct) + 1
+        dropped = gs.TupleRows.of(t for t in good.gaps if t != good.pure_gaps[0])
+        with pytest.raises(w.WsgapError, match="pure gaps outside the gap set"):
+            w.GapReport(P453, dropped, good.pure_rows, good.method, good.stats)
+
     def test_rows_of_group_runs_in_the_given_order(self):
         tuples = ((2, 1), (2, 0), (1, 5), (2, 3), (7,), (7,), (3,), (1, 5, 0))
         rows = gs.TupleRows.of(tuples)

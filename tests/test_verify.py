@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import hashlib
 import types
 
@@ -28,7 +27,7 @@ class TestFixtures:
         base = next(f for f in w.builtin_fixtures()
                     if f.name == "hermitian-q4-relmax")
         corrupted = tuple(sorted(base.expected[:-1] + ((9, 9, 9),)))
-        bad = dataclasses.replace(base, expected=corrupted)
+        bad = w.Fixture(base.name, base.params, base.kind, corrupted, base.source, base.arg)
         report = w.run_fixtures([bad])
         assert not report.ok
         failure = report.failures()[0]
@@ -138,6 +137,30 @@ def test_default_sweep_soft_budget():
     assert elapsed < 180  # soft 60s budget with a generous multiplier
 
 
+def test_axis_sets_match_the_tuple_scan():
+    """One pass over the rows finds the axis values that a scan of every
+    gap tuple finds: on sweep cells, and on rows with negative, repeated
+    and off-axis tuples."""
+    def scan(tuples, m, k):
+        return tuple(sorted({t[k] for t in tuples if t[k] > 0 and t.count(0) == m - 1}))
+
+    cases = [(p.m, w.gaps(p).gap_rows) for p in w.sweep_cells(4, 7, 4)]
+    odd = ((0, 0, -1), (0, 0, 3), (0, 0, 3), (0, 2, 0), (0, 2, 1), (0, -2, 0),
+           (0, 3, 1), (1, 1, 0), (5, 0, 0), (-1, 0, 0), (5, 0, 0), (0, 0, 0), (0, 4, 0))
+    cases.append((3, w.TupleRows.of(odd)))
+    for m, rows in cases:
+        assert verify._axis_sets(rows, m) == [scan(rows.tuples, m, k) for k in range(m)]
+
+
+def _with_rows(report, gap_rows=None, pure_rows=None):
+    """The gap report with its gap or pure-gap rows replaced, built
+    through the constructor, so its subset check runs on the new rows."""
+    return w.GapReport(report.params,
+                       report.gap_rows if gap_rows is None else gap_rows,
+                       report.pure_rows if pure_rows is None else pure_rows,
+                       report.method, report.stats)
+
+
 class TestChecksCatchFaults:
     """Corrupted gap reports make each rewritten check fail with its detail."""
 
@@ -164,7 +187,7 @@ class TestChecksCatchFaults:
         def add_gap(report):
             m, B = report.params.m, 2 * report.params.genus - 1
             extra = (0, B + 1) + (0,) * (m - 2)
-            return dataclasses.replace(report, gap_rows=w.TupleRows.of(report.gaps + (extra,)))
+            return _with_rows(report, gap_rows=w.TupleRows.of(report.gaps + (extra,)))
 
         self._patch(monkeypatch, "gaps", add_gap)
         for p, e in self._results("symmetry", "coordinate-symmetry"):
@@ -178,7 +201,7 @@ class TestChecksCatchFaults:
         def drop_axis_gap(report):
             first = (0, 1) + (0,) * (report.params.m - 2)
             assert first in report.gaps  # 1 is a gap at every point
-            return dataclasses.replace(
+            return _with_rows(
                 report, gap_rows=w.TupleRows.of(t for t in report.gaps if t != first))
 
         self._patch(monkeypatch, "gaps", drop_axis_gap)
@@ -191,7 +214,7 @@ class TestChecksCatchFaults:
         assert any(pure.values())
 
         def drop_pure_gap(report):
-            return dataclasses.replace(report, pure_rows=w.TupleRows.of(report.pure_gaps[1:]))
+            return _with_rows(report, pure_rows=w.TupleRows.of(report.pure_gaps[1:]))
 
         self._patch(monkeypatch, "pure_gaps", drop_pure_gap)
         for p, e in self._results("witnesses", "witness-coherence"):
@@ -264,7 +287,7 @@ class TestFastPathFaults:
                 return report
             x, y, z = (2 * p.genus + k for k in range(3))
             orbit = ((0, x, y, z), (0, y, z, x), (0, z, x, y))
-            return dataclasses.replace(report, gap_rows=w.TupleRows.of(report.gaps + orbit))
+            return _with_rows(report, gap_rows=w.TupleRows.of(report.gaps + orbit))
 
         TestChecksCatchFaults._patch(monkeypatch, "gaps", add_cycle_orbit)
         results = self._results("symmetry", "coordinate-symmetry", max_m=4)
@@ -289,7 +312,7 @@ class TestFastPathFaults:
                 if k is None:
                     return report
                 gaps[k], gaps[k + 1] = gaps[k + 1], gaps[k]
-            return dataclasses.replace(report, gap_rows=w.TupleRows.of(gaps))
+            return _with_rows(report, gap_rows=w.TupleRows.of(gaps))
 
         TestChecksCatchFaults._patch(monkeypatch, "gaps", corrupted)
         results = self._results("report-sanity", "gap-report-sanity")
