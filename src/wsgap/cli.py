@@ -74,6 +74,18 @@ ENVELOPE_SCHEMA = {
 }
 
 
+def _trials(text: str) -> int:
+    """``--trials``: an integer of at least 1, since no trial checks nothing."""
+    try:
+        value = int(text)
+    except ValueError:
+        # argparse's own message for a type=int argument
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wsgap",
@@ -138,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-a", type=int, default=5)
     p.add_argument("--max-b", type=int, default=9)
     p.add_argument("--max-m", type=int, default=4)
-    p.add_argument("--trials", type=int, default=200,
+    p.add_argument("--trials", type=_trials, default=200,
                    help="random trials per parameter cell in the oracle battery")
     p.add_argument("--seed", type=int, default=None,
                    help="seed of the oracle battery (default: the fixed verify seed)")

@@ -12,22 +12,31 @@ from the raw emptiness definitions.  These four return a
 The per-cell entry points, which ``scripts/check_large.py`` also runs,
 are ``PROPERTY_CHECKS`` (name to one-cell check) and ``oracle_invariants``.
 
-The checks of one cell share their inputs: the gap routes keep their
-rows in per-curve caches, so the ``union_nabla``, ``explicit_s`` and
-``intersection`` rows that ``gap-methods`` and ``pure-methods`` build
-are the ones ``zero-family`` reads again, and each check's ``ms`` holds
-only the work it did first.  Row sets are compared row by row, and their
-tuples are built only when the rows differ.
+The sweep and the oracle battery run their cells in one process per
+CPU: the caller runs one share of the cells and a forked child each
+other share, so each check's ``ms`` is measured in the process that ran
+the check.  The reports are sorted by check name, whichever process ran
+a check.  The checks of one cell run in one process and share their
+inputs: the gap routes keep their rows in per-curve caches, so the
+``union_nabla``, ``explicit_s`` and ``intersection`` rows that
+``gap-methods`` and ``pure-methods`` build are the ones ``zero-family``
+reads again, and each check's ``ms`` holds only the work it did first.
+Row sets are compared row by row, and their tuples are built only when
+the rows differ.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
 import math
 import operator
+import os
 import random
+import signal
+import threading
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from . import fixtures as fx
 from . import gapsets as gs
@@ -39,6 +48,7 @@ from .core import (
     IntTuple,
     Record,
     TupleRows,
+    WsgapError,
     add,
     curve_params,
     glb,
@@ -241,7 +251,9 @@ class _Stamps:
     or since the check began: work several results share is charged to
     the first that needs it, and the results add up to the check's time.
     Across checks the same holds: a route that an earlier check of the
-    cell built is a cache hit for the later ones.
+    cell built is a cache hit for the later ones, since every check of a
+    cell runs in one process.  The times are read in the process that
+    runs the check, the caller or a forked child (``_run_cells``).
     """
 
     def __init__(self, p: CurveParams) -> None:
@@ -518,22 +530,123 @@ PROPERTY_CHECKS: dict[str, Callable[[CurveParams], list[CheckResult]]] = {
 }
 
 
+# ---------------------------------------------------------------------------
+# one process per CPU
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_cells(cells: Sequence[CurveParams],
+               run_cell: Callable[[CurveParams], list[CheckResult]]) -> list[CheckResult]:
+    """The results of ``run_cell`` on every cell, in one process per CPU.
+
+    The cells are dealt round-robin over ``n`` processes, at most one per
+    CPU and per cell: the caller runs share 0, ``cells[0::n]``, and a
+    child forked for each other share ``k`` runs ``cells[k::n]`` and
+    sends its results back through a pipe.  The cells are independent,
+    so each process keeps only its own cells' cached routes, and each
+    result's ``ms`` is measured in the process that ran it.  The results
+    come back share by share; callers sort them by their unique names.
+
+    With one CPU, without ``os.fork``, or while the caller has other
+    threads (forking them is unsafe), ``n`` is 1 and the caller runs
+    every cell.  An exception in a child's share is raised here with its
+    type and message; before any exception leaves, the children still
+    running are killed.  No child outlives the call.
+    """
+    n = max(1, min(_cpu_count(), len(cells)))
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        n = 1
+    pids: list[int] = []
+    pipes: list[int] = []    # read ends, pipes[k] from pids[k]
+    reaped: set[int] = set()
+    try:
+        for k in range(1, n):
+            read, write = os.pipe()
+            pipes.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child_share(cells[k::n], run_cell, write)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        results = [r for p in cells[::n] for r in run_cell(p)]
+        for pid, read in zip(pids, pipes):
+            chunks = []
+            while chunk := os.read(read, 1 << 16):
+                chunks.append(chunk)
+            status = os.waitpid(pid, 0)[1]
+            reaped.add(pid)
+            reply = b"".join(chunks)
+            if not reply:
+                raise WsgapError(f"verify process {pid} died without a reply, "
+                                 f"exit status {os.waitstatus_to_exitcode(status)}")
+            ok, value = marshal.loads(reply)
+            if not ok:
+                import pickle
+                raise pickle.loads(value)
+            results.extend(CheckResult(*fields) for fields in value)
+        return results
+    finally:
+        for read in pipes:
+            os.close(read)
+        for pid in pids:
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _run_child_share(cells: Sequence[CurveParams],
+                     run_cell: Callable[[CurveParams], list[CheckResult]],
+                     write: int) -> NoReturn:
+    """In a forked child: run one share, write the reply to ``write``
+    and exit.  It never returns or unwinds into the caller's frames,
+    whatever is raised, so no ``finally`` of theirs runs twice.
+
+    The reply is ``marshal``led: ``(True, fields of every result)``, or
+    ``(False, the pickled exception)``.
+    """
+    code = 1
+    try:
+        try:
+            reply = (True, [r._astuple() for p in cells for r in run_cell(p)])
+        except BaseException as exc:
+            import pickle
+            try:
+                value = pickle.dumps(exc)
+                pickle.loads(value)
+            except Exception:
+                value = pickle.dumps(WsgapError(f"{type(exc).__name__}: {exc}"))
+            reply = (False, value)
+        data = marshal.dumps(reply)
+        while data:
+            data = data[os.write(write, data):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def run_property_sweep(max_a: int = 5, max_b: int = 9, max_m: int = 4,
                        checks: Sequence[str] | None = None) -> ConformanceReport:
     """Run the structural invariants over the whole parameter sweep.
 
     ``checks`` selects a subset of the ``PROPERTY_CHECKS`` names; the
-    merged report is sorted by check name.
+    merged report is sorted by check name.  The cells run in one process
+    per CPU (``_run_cells``).
     """
     selected = tuple(PROPERTY_CHECKS if checks is None else checks)
     unknown = [c for c in selected if c not in PROPERTY_CHECKS]
     if unknown:
         raise ValueError(f"unknown property checks: {unknown}")
     cells = sweep_cells(max_a, max_b, max_m)
-    report = ConformanceReport()
-    for p in cells:
-        for name in selected:
-            report.entries.extend(PROPERTY_CHECKS[name](p))
+    report = ConformanceReport(_run_cells(
+        cells, lambda p: [r for name in selected for r in PROPERTY_CHECKS[name](p)]))
     skipped = [(a, b) for a in range(2, max_a + 1) for b in range(2, max_b + 1)
                if math.gcd(a, b) != 1]
     report.entries.append(CheckResult(
@@ -566,11 +679,10 @@ def _random_member(rng: random.Random, p: CurveParams, reps: Sequence[IntTuple])
 def run_oracle_invariants(max_a: int = 5, max_b: int = 9, max_m: int = 4,
                           trials: int = 1000,
                           seed: int = DEFAULT_SEED) -> ConformanceReport:
-    """Seeded random trials of the oracle invariants over the sweep."""
-    report = ConformanceReport()
-    for p in sweep_cells(max_a, max_b, max_m):
-        report.entries.extend(oracle_invariants(p, trials, seed))
-    return report.sorted()
+    """Seeded random trials of the oracle invariants over the sweep, in
+    one process per CPU (``_run_cells``)."""
+    return ConformanceReport(_run_cells(
+        sweep_cells(max_a, max_b, max_m), lambda p: oracle_invariants(p, trials, seed))).sorted()
 
 
 def oracle_invariants(p: CurveParams, trials: int, seed: int) -> list[CheckResult]:

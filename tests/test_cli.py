@@ -236,6 +236,22 @@ class TestGuardsAndThreads:
         assert (code, out) == (1, "")
         assert "exceeds the 100000000 guard" in err and "--force" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_verify_refuses_fewer_than_one_trial(self, capsys, monkeypatch, trials):
+        from wsgap import verify as verify_mod
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("verify ran before the trials were checked")
+
+        for name in ("run_fixtures", "run_property_sweep", "run_oracle_invariants"):
+            monkeypatch.setattr(verify_mod, name, no_work)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--what", "all", "--trials", trials])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --trials: must be at least 1, got {trials}" in err
+
     def test_verify_force_passes_the_guard(self, capsys, monkeypatch):
         # (a, b, m) = (2, 3, 2) has genus 1, so its one cell counts (2g)^m = 4
         monkeypatch.setattr(cli, "BOX_CELL_LIMIT", 3)

@@ -1,5 +1,7 @@
 import collections
 import hashlib
+import os
+import threading
 import types
 
 import pytest
@@ -246,14 +248,16 @@ class TestFastPathFaults:
         monkeypatch.setattr(verify.gs, "_route_rows", route)
 
     def test_gap_methods_catch_dropped_route_tuple(self, monkeypatch):
+        # worked out here, since the sweep may run a cell in another process
         dropped = {}
+        for p in w.sweep_cells(3, 4, 3):
+            tuples = verify.gs._route_rows(p, "union_nabla", False).tuples
+            dropped[p] = tuples[len(tuples) // 2]
 
         def drop_middle(p, method, include_zero_family, rows):
             if method != "union_nabla":
                 return rows
-            tuples = rows.tuples
-            dropped[p] = tuples[len(tuples) // 2]
-            return w.TupleRows.of(t for t in tuples if t != dropped[p])
+            return w.TupleRows.of(t for t in rows.tuples if t != dropped[p])
 
         self._patch_route(monkeypatch, drop_middle)
         for p, e in self._results("gap-methods", "gap-methods-agree:union_nabla"):
@@ -346,13 +350,105 @@ def test_sweep_builds_each_route_once_per_cell(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(verify.gs, name, counted)
+    cells = w.sweep_cells(3, 4, 3)
     verify.gs._route_rows.cache_clear()
     try:
-        assert w.run_property_sweep(max_a=3, max_b=4, max_m=3).ok
+        # cell by cell in this process, where the counts are kept, as the
+        # sweep runs each cell in one process
+        for p in cells:
+            for check in verify.PROPERTY_CHECKS.values():
+                assert all(r.passed for r in check(p))
     finally:
         verify.gs._route_rows.cache_clear()
-    cells = [p for p in w.sweep_cells(3, 4, 3) if p.m >= 2]
     assert calls == {"_cube_rows": 3 * len(cells), "_pure_set_intersection": 2 * len(cells)}
+
+
+def _fields(report):
+    return [(e.name, e.kind, e.passed, e.detail) for e in report.entries]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestProcessPerCPU:
+    """The sweep cells run in one forked process per CPU."""
+
+    def test_one_process_gives_the_same_results(self, monkeypatch):
+        many = (_fields(w.run_property_sweep()), _fields(w.run_oracle_invariants(trials=200)))
+        monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+        one = (_fields(w.run_property_sweep()), _fields(w.run_oracle_invariants(trials=200)))
+        assert one == many
+        _no_child_left()
+
+    @staticmethod
+    def _raise_in(monkeypatch, caller, where, exc):
+        """Make ``caller``'s per-cell work raise ``exc(cell)`` on the cells
+        run in a child (``where="child"``) or in the caller itself, with
+        the cells dealt over three processes."""
+        parent = os.getpid()
+
+        def check(p):
+            if (os.getpid() != parent) == (where == "child"):
+                raise exc(p)
+            return []
+
+        monkeypatch.setattr(verify, "_cpu_count", lambda: 3)
+        if caller == "sweep":
+            monkeypatch.setitem(verify.PROPERTY_CHECKS, "raising", check)
+            return lambda: w.run_property_sweep(max_a=3, max_b=5, max_m=2, checks=("raising",))
+        monkeypatch.setattr(verify, "oracle_invariants", lambda p, trials, seed: check(p))
+        return lambda: w.run_oracle_invariants(max_a=3, max_b=5, max_m=2)
+
+    @pytest.mark.parametrize("caller", ["sweep", "oracle"])
+    def test_child_exception_is_raised_in_the_caller(self, monkeypatch, caller):
+        cells = w.sweep_cells(3, 5, 2)
+        assert len(cells) > 3
+        run = self._raise_in(monkeypatch, caller, "child",
+                             lambda p: w.WsgapError(f"cell {p.a},{p.b},{p.m} is wrong"))
+        with pytest.raises(w.WsgapError) as exc:
+            run()
+        # cells[1] is the first cell of the first child, which is read first
+        assert type(exc.value) is w.WsgapError
+        assert str(exc.value) == f"cell {cells[1].a},{cells[1].b},{cells[1].m} is wrong"
+        _no_child_left()
+
+    def test_unpicklable_child_exception_keeps_its_message(self, monkeypatch):
+        class Local(Exception):
+            pass
+
+        run = self._raise_in(monkeypatch, "sweep", "child", lambda p: Local("odd cell"))
+        with pytest.raises(w.WsgapError, match="^Local: odd cell$"):
+            run()
+        _no_child_left()
+
+    def test_caller_exception_reaps_the_children(self, monkeypatch):
+        run = self._raise_in(monkeypatch, "sweep", "caller", lambda p: KeyError(p.b))
+        with pytest.raises(KeyError):
+            run()
+        _no_child_left()
+
+    def test_child_that_dies_without_a_reply(self, monkeypatch):
+        run = self._raise_in(monkeypatch, "sweep", "child", lambda p: os._exit(3))
+        with pytest.raises(w.WsgapError, match="died without a reply, exit status 3"):
+            run()
+        _no_child_left()
+
+    def test_no_fork_while_other_threads_run(self, monkeypatch):
+        run = self._raise_in(monkeypatch, "sweep", "child", lambda p: w.WsgapError("forked"))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert run().ok  # every cell ran in the caller
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        with pytest.raises(w.WsgapError, match="forked"):
+            run()
+        _no_child_left()
 
 
 # sha256 of (name, kind, passed, detail) over the fixtures, the default
