@@ -17,8 +17,11 @@ larger curves people run:
   print an envelope of the kernel's gap rows, and one of its pure-gap
   rows, in JSON, text and CSV byte for byte as per-tuple encoders print
   the same envelope with the tuples built from the rows.
-* Norm-trace (2, 4) at m = 4: ``verify.oracle_invariants`` alone, since
-  the property checks there take about 27 s and 350 MB.
+* Norm-trace (2, 4) at m = 4: the property checks ``pure-methods``,
+  ``zero-family`` and ``witnesses``, and ``verify.oracle_invariants``,
+  since ``symmetry`` and ``report-sanity`` build every gap tuple there.
+  ``check`` takes the names of the property checks to run, and the
+  render check runs only when all of them run.
 
 With ``--seed N`` it runs, in place of those curves, the property checks,
 the oracle invariants seeded from N and the render check on 12 coprime
@@ -30,10 +33,10 @@ It prints one line per curve with the time of each part, then the name
 and detail of each failing check, and exits 1 on any failure.  A check
 that reads a route an earlier check of the curve built finds it cached.
 
-It is not part of the test suite: a run takes 28 to 29 s on two cores,
-the largest lines Hermitian q = 8, m = 4 and q = 32, m = 2 (about 7 s
-each, of which the render check 2 to 3 s).  Seeded runs of seeds 1, 2
-and 3 take 8 to 27 s.
+It is not part of the test suite: a run takes 20 to 23 s on two cores,
+the largest lines norm-trace (2, 4) at m = 4 and Hermitian q = 32 at
+m = 2 (about 5 s each) and q = 8 at m = 4 (about 3 s, of which the
+render check 1.4 s).  Seeded runs of seeds 1, 2 and 3 take 5 to 16 s.
 
     PYTHONPATH=src python3 scripts/check_large.py [--seed N]
 """
@@ -58,8 +61,9 @@ CELLS = (
     + [(f"norm-trace ell={ell} r={r} m={m}", w.norm_trace_params(ell, r, m))
        for ell, r, ms in ((2, 4, (2, 3)), (3, 3, (3,))) for m in ms]
 )
-# curves that run the oracle invariants alone
-BATTERY_ONLY = [("norm-trace ell=2 r=4 m=4", w.norm_trace_params(2, 4, 4))]
+# curves that run some property checks, with the oracle invariants
+PARTIAL = [("norm-trace ell=2 r=4 m=4", w.norm_trace_params(2, 4, 4),
+            ("pure-methods", "zero-family", "witnesses"))]
 ORACLE_TRIALS = 2000
 SEEDED_CELLS = 12
 SEEDED_CUBE = 10**7
@@ -124,17 +128,17 @@ def check_rendering(params, report):
     return bad
 
 
-def check(params, seed=verify.DEFAULT_SEED, full=True):
-    """The failing checks and the time of each part, for one curve: every
-    property check and the render check when ``full``, and the oracle
-    invariants."""
+def check(params, seed=verify.DEFAULT_SEED, checks=tuple(verify.PROPERTY_CHECKS)):
+    """The failing checks and the time of each part, for one curve: the
+    named property checks, the oracle invariants, and the render check
+    when every property check runs."""
     bad, times = [], {}
-    parts = list(verify.PROPERTY_CHECKS.items()) if full else []
+    parts = [(name, verify.PROPERTY_CHECKS[name]) for name in checks]
     parts.append(("oracle", lambda p: verify.oracle_invariants(p, ORACLE_TRIALS, seed)))
     for name, fn in parts:
         results, times[name] = timed(fn, params)
         bad += [f"{e.name}: {e.detail}" for e in results if not e.passed]
-    if full:
+    if set(checks) == set(verify.PROPERTY_CHECKS):
         rendering_bad, times["rendering"] = timed(check_rendering, params, w.gaps(params))
         bad += rendering_bad
     return bad, times
@@ -163,7 +167,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.seed is None:
         runs = [(label, params, check) for label, params in CELLS] + \
-            [(label, params, lambda p: check(p, full=False)) for label, params in BATTERY_ONLY]
+            [(label, params, lambda p, names=names: check(p, checks=names))
+             for label, params, names in PARTIAL]
     else:
         runs = [(f"a={p.a} b={p.b} m={p.m} seed={args.seed}", p,
                  lambda p: check(p, args.seed)) for p in seeded_cells(args.seed)]

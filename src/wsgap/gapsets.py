@@ -13,10 +13,12 @@ Three independent routes produce the gap set:
 
 Pure gaps come from two routes: the ``profile`` test (the componentwise
 maximum of the absolute maximals below alpha is strictly smaller than
-alpha in every coordinate) and the ``intersection`` procedure (choose
-one relative maximal per coordinate, keep the combination when each
-choice is strictly dominated by the others at its own coordinate, and
-emit the componentwise minimum, which is then the single common point).
+alpha in every coordinate) and the ``intersection`` route, by relative
+maximality: alpha is a pure gap iff each coordinate i has a nonnegative
+relative maximal c with c_i = alpha_i and c_j > alpha_j for every
+j != i, a witness.  One walk fixes alpha coordinate by coordinate and
+keeps the candidates that can still witness each coordinate; it serves
+the route, ``pure_gap_witness`` and verify's witness check.
 
 The two-point case additionally gets the classical pairing: the gap
 sequences at the two points are matched by a permutation sigma read off
@@ -37,9 +39,9 @@ so that callers comparing the routes build each one once.
 
 Every route hands its sets over in row form (``core.TupleRows``): the
 tuples that share their first m-1 coordinates make one row, a prefix
-tuple and a tuple of last coordinates.  The kernel and the builder make
-their rows directly; the intersection route and the single-point report
-group their sorted tuples with ``TupleRows.of``.  The command line
+tuple and a tuple of last coordinates.  The kernel, the builder and
+the witness walk make their rows directly; the single-point report
+groups its sorted tuples with ``TupleRows.of``.  The command line
 renders the rows; the tuples themselves are built only when a caller
 reads ``GapReport.gaps`` or ``.pure_gaps``, and are then kept.
 """
@@ -48,7 +50,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 import operator
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -340,39 +341,41 @@ def _explicit_s_slabs(params: CurveParams) -> Iterator[list]:
                 yield idx
 
 
-def _pure_set_intersection(params: CurveParams, include_zero_family: bool) -> tuple[IntTuple, ...]:
-    """Pure gaps by picking one relative maximal per coordinate.
-
-    A combination (beta^1, ..., beta^m) contributes exactly when
-    beta^i_i < beta^j_i for every i and j != i, and then its single
-    common point is (beta^1_1, ..., beta^m_m).
-
-    The choices are made coordinate by coordinate, and partial choices
-    that cannot differ later are merged.  Once beta^1..beta^i are fixed,
-    a later choice beta^l (l > i) must satisfy beta^k_k < beta^l_k for
-    every k <= i, which reads only the diagonal (beta^1_1, ..., beta^i_i),
-    and beta^l_l < beta^k_l for every k <= i, which reads only the
-    minimum of beta^k_l over k <= i.  Two partial choices with the same
-    diagonal and the same minima at the later coordinates therefore
-    admit the same completions, and the output only keeps diagonals, so
-    each level walks a set of (diagonal, minima) states.  At coordinate i
-    the candidates come from the relative maximals sorted by coordinate
-    i, cut at the first one not below the minimum there.
+def _pick(live: list, wits: list[list], k: int, v: int) -> tuple[list, list[list]] | None:
+    """Fix alpha_k = v.  ``live`` holds the candidates strictly above the
+    prefix, ``wits[i]`` those with c_i = alpha_i strictly above it
+    elsewhere, in the order of ``mx.lambda_nonneg``.  Returns both for
+    the longer prefix, or None when a coordinate loses its last witness.
     """
-    lam = mx.lambda_nonneg(params, include_zero_family)
-    m = params.m
-    # states: (diagonal so far, minima at the coordinates not yet chosen)
-    states: set[tuple] = {((), (math.inf,) * m)}
-    for i in range(m):
-        by_i = sorted(lam, key=lambda t: t[i])
-        keys = [t[i] for t in by_i]
-        nxt = set()
-        for diag, mins in states:
-            for cand in by_i[:bisect.bisect_left(keys, mins[0])]:
-                if all(map(operator.lt, diag, cand)):
-                    nxt.add((diag + (cand[i],), tuple(map(min, mins[1:], cand[i + 1:]))))
-        states = nxt
-    return sorted_unique(diag for diag, _ in states)
+    wits = [[c for c in cands if c[k] > v] for cands in wits]
+    wits.append([c for c in live if c[k] == v])
+    if not all(wits):
+        return None
+    return [c for c in live if c[k] > v], wits
+
+
+def _witness_walk(params: CurveParams, include_zero_family: bool) -> Iterator[tuple]:
+    """``(prefix, lasts, live, wits)`` for each prefix of m-1 coordinates
+    with pure gaps, in lexicographic order.  alpha_k runs over the c_k of
+    ``live``; a last coordinate v keeps a witness at i iff some c in
+    ``wits[i]`` has its last coordinate above v, so ``lasts`` holds the
+    last coordinates of ``live`` below the least of those maxima."""
+    last = params.m - 1
+
+    def walk(prefix: IntTuple, live: list, wits: list[list]) -> Iterator[tuple]:
+        k = len(prefix)
+        if k == last:
+            cap = min(max(c[last] for c in cands) for cands in wits)
+            lasts = sorted({c[last] for c in live if c[last] < cap})
+            if lasts:
+                yield prefix, tuple(lasts), live, wits
+            return
+        for v in sorted({c[k] for c in live}):
+            picked = _pick(live, wits, k, v)
+            if picked is not None:
+                yield from walk(prefix + (v,), *picked)
+
+    return walk((), list(mx.lambda_nonneg(params, include_zero_family)), [])
 
 
 @lru_cache(maxsize=CURVE_CACHE_SIZE)
@@ -388,7 +391,8 @@ def _route_rows(params: CurveParams, method: str, include_zero_family: bool) -> 
     elif method == "explicit_s":
         slabs = _explicit_s_slabs(params)
     else:
-        return TupleRows.of(_pure_set_intersection(params, include_zero_family))
+        rows = [row[:2] for row in _witness_walk(params, include_zero_family)]
+        return TupleRows([prefix for prefix, _ in rows], [lasts for _, lasts in rows])
     return _cube_rows(params.m, 2 * params.genus, slabs)
 
 
@@ -470,43 +474,30 @@ def pure_gap_witness(params: CurveParams, alpha: Sequence[int]) -> tuple[IntTupl
     Coordinate i gets the first (in sorted order) nonnegative relative
     maximal whose i-th coordinate equals alpha_i and whose remaining
     coordinates strictly exceed alpha; None when some coordinate has no
-    such witness, in particular whenever alpha is not a pure gap.
+    such witness, that is, whenever alpha is not a pure gap.  Found by
+    ``_pick`` along alpha's coordinates, as the intersection route's rows.
     """
     if params.m < 2:
         raise BadPointCountError("pure gaps need m >= 2")
-    alpha = check_tuple(params, alpha)
-    return next(_witnesses(params, (alpha,)))
+    picked = list(mx.lambda_nonneg(params)), []
+    for k, v in enumerate(check_tuple(params, alpha)):
+        picked = _pick(*picked, k, v)
+        if picked is None:
+            return None
+    return tuple(cands[0] for cands in picked[1])
 
 
-def _witnesses(params: CurveParams,
-               alphas: Iterable[IntTuple]) -> Iterator[tuple[IntTuple, ...] | None]:
-    """``pure_gap_witness`` of each of ``alphas``, checked m-tuples, in order."""
-    index = tuple(enumerate(_witness_index(params)))
-    others = params.m - 1
-    for alpha in alphas:
-        chosen = []
-        for i, by_value in index:
-            for cand in by_value.get(alpha[i], ()):
-                # cand_i equals alpha_i, so the others all exceed alpha when
-                # m - 1 coordinates do
-                if sum(map(operator.gt, cand, alpha)) == others:
-                    chosen.append(cand)
-                    break
-            else:
-                yield None
-                break
-        else:
-            yield tuple(chosen)
-
-
-@lru_cache(maxsize=CURVE_CACHE_SIZE)
-def _witness_index(params: CurveParams) -> tuple[dict, ...]:
-    """Per coordinate i, the relative maximals by their i-th value, in sorted order."""
-    index: tuple[dict, ...] = tuple({} for _ in range(params.m))
-    for cand in mx.lambda_nonneg(params):
-        for i, by_value in enumerate(index):
-            by_value.setdefault(cand[i], []).append(cand)
-    return tuple({v: tuple(cands) for v, cands in by_value.items()} for by_value in index)
+def _witnesses(params: CurveParams) -> Iterator[tuple[IntTuple, tuple[IntTuple, ...]]]:
+    """``(alpha, pure_gap_witness(params, alpha))`` along one walk, in
+    lexicographic order; each row's last pick reads ``live`` grouped by c_m."""
+    last = params.m - 1
+    for prefix, lasts, live, wits in _witness_walk(params, False):
+        by_last: dict[int, list] = {}
+        for c in live:
+            by_last.setdefault(c[last], []).append(c)
+        for v in lasts:
+            _, chosen = _pick(by_last[v], wits, last, v)
+            yield prefix + (v,), tuple(cands[0] for cands in chosen)
 
 
 def candidate_superset(params: CurveParams) -> tuple[tuple[int, ...], tuple[int, ...]]:

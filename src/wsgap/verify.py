@@ -337,8 +337,8 @@ def _check_superset(p: CurveParams) -> list[CheckResult]:
     stamps = _Stamps(p)
     a_star, a_set = gs.candidate_superset(p)
     star, plain = set(a_star), set(a_set)
-    bad = [t for t in gs.pure_gaps(p).pure_gaps
-           if t[0] not in star or any(c not in plain for c in t[1:])]
+    bad = [prefix + (v,) for prefix, lasts in gs.pure_gaps(p).pure_rows.rows() for v in lasts
+           if v not in plain or prefix[0] not in star or not plain.issuperset(prefix[1:])]
     ok = not bad
     return [stamps.result("pure-gaps-in-candidate-superset", ok,
                           "" if ok else f"outliers={bad[:8]}")]
@@ -464,14 +464,22 @@ def _check_sigma(p: CurveParams) -> list[CheckResult]:
 
 
 def _check_witnesses(p: CurveParams) -> list[CheckResult]:
+    """Every pure gap, and no other tuple, has a witness: one merge of
+    the pure gaps and the walk's tuples, both in lexicographic order."""
     stamps = _Stamps(p)
-    pure = gs.pure_gaps(p).pure_gaps
-    pure_set = set(pure)
+    found = gs._witnesses(p)
     ok, detail = True, ""
-    for t, witness in zip(pure, gs._witnesses(p, pure)):
-        if witness is None:
+    extra = None  # the first tuple with a witness that is no pure gap
+    nxt = next(found, None)
+    for t in gs.pure_gaps(p).pure_gaps:
+        while nxt is not None and nxt[0] < t:
+            extra = extra or nxt[0]
+            nxt = next(found, None)
+        if nxt is None or nxt[0] != t:
             ok, detail = False, f"no witness for pure gap {t}"
             break
+        witness = nxt[1]
+        nxt = next(found, None)
         if glb(list(witness)) != t or tuple(w[i] for i, w in enumerate(witness)) != t:
             ok, detail = False, f"witness for {t} has the wrong common point"
             break
@@ -479,12 +487,8 @@ def _check_witnesses(p: CurveParams) -> list[CheckResult]:
                for j in range(p.m) if j != i):
             ok, detail = False, f"witness for {t} not strictly dominating"
             break
-    if ok:
-        others = [t for t in gs.gaps(p).gaps if t not in pure_set]
-        for t, witness in zip(others, gs._witnesses(p, others)):
-            if witness is not None:
-                ok, detail = False, f"witness found for non-pure gap {t}"
-                break
+    if ok and (extra or nxt):
+        ok, detail = False, f"witness found for non-pure gap {extra or nxt[0]}"
     return [stamps.result("witness-coherence", ok, detail)]
 
 
@@ -680,13 +684,17 @@ def run_oracle_invariants(max_a: int = 5, max_b: int = 9, max_m: int = 4,
                           trials: int = 1000,
                           seed: int = DEFAULT_SEED) -> ConformanceReport:
     """Seeded random trials of the oracle invariants over the sweep, in
-    one process per CPU (``_run_cells``)."""
+    one process per CPU (``_run_cells``); at least one trial."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     return ConformanceReport(_run_cells(
         sweep_cells(max_a, max_b, max_m), lambda p: oracle_invariants(p, trials, seed))).sorted()
 
 
 def oracle_invariants(p: CurveParams, trials: int, seed: int) -> list[CheckResult]:
-    """Seeded random trials of the oracle invariants on one curve."""
+    """Seeded random trials of the oracle invariants on one curve; at least one trial."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(_mix_seed(seed, p.a, p.b, p.m, 1))
     stamps = _Stamps(p)
     results = []

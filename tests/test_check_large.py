@@ -31,6 +31,14 @@ def test_check_passes_and_times_every_part(check_large, p):
 
 
 @pytest.mark.parametrize("p", CURVES, ids=str)
+def test_subset_run_times_only_its_checks(check_large, p):
+    # no render check unless every property check runs
+    bad, times = check_large.check(p, checks=("witnesses", "pure-methods"))
+    assert bad == []
+    assert list(times) == ["witnesses", "pure-methods", "oracle"]
+
+
+@pytest.mark.parametrize("p", CURVES, ids=str)
 def test_check_reports_a_dropped_route_tuple(check_large, monkeypatch, p):
     real = gs._route_rows
 

@@ -2,10 +2,11 @@ import ast
 import itertools
 import random
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wsgap as w
@@ -233,7 +234,7 @@ class TestProfileEngine:
             w.pure_gap_witness(p, (1, 1))
             w.sigma_pair(p)
             w.relative_maximals_region(p)
-        per_curve = (gs._residue_gap_sets, gs._witness_index, gs.numerical_gaps,
+        per_curve = (gs._residue_gap_sets, gs.numerical_gaps,
                      mx.absolute_maximals_region, mx.relative_maximals_region,
                      mx._lambda_nonneg)
         for cached in per_curve:
@@ -532,10 +533,15 @@ class TestRowForm:
         assert built == []
 
     def test_intersection_outside_gaps_raises(self, monkeypatch):
-        real = gs._pure_set_intersection
-        origin = (0,) * P453.m  # a member, so no gap
-        monkeypatch.setattr(gs, "_pure_set_intersection",
-                            lambda params, zero: sorted_unique(real(params, zero) + (origin,)))
+        real = gs._witness_walk
+
+        def walk(params, zero):
+            # the origin, a member, so no gap; no pure gap has alpha_1 = 0
+            # here, so the rows stay sorted
+            yield (0,) * (params.m - 1), (0,), [], []
+            yield from real(params, zero)
+
+        monkeypatch.setattr(gs, "_witness_walk", walk)
         # the corrupted rows are cached: build them here, and drop them after
         gs._route_rows.cache_clear()
         try:
@@ -629,11 +635,16 @@ def _set_rows(tuples):
 
 def _witness_by_scan(p, alpha, include_zero_family=False):
     """The witness by a linear scan of the relative maximals."""
-    lam = w.lambda_nonneg(p, include_zero_family)
+    return _witness_in(w.lambda_nonneg(p, include_zero_family), alpha)
+
+
+def _witness_in(cands, alpha):
+    """The first candidate per coordinate witnessing alpha, by a linear scan."""
+    m = len(alpha)
     chosen = []
-    for i in range(p.m):
-        for cand in lam:
-            if cand[i] == alpha[i] and all(cand[j] > alpha[j] for j in range(p.m) if j != i):
+    for i in range(m):
+        for cand in cands:
+            if cand[i] == alpha[i] and all(cand[j] > alpha[j] for j in range(m) if j != i):
                 chosen.append(cand)
                 break
         else:
@@ -652,10 +663,10 @@ def test_witness_index_matches_scan(p, zero_family):
             assert w.pure_gap_witness(p, t) == _witness_by_scan(p, t, zero_family)
 
 
-def _pure_set_intersection_recursive(params, include_zero_family):
+def _intersection_recursive(params, include_zero_family):
     """The intersection route as a plain recursion over one relative
     maximal per coordinate, checking the pairwise conditions as soon as
-    both sides are chosen; the reference for the merged-state walk."""
+    both sides are chosen; the reference for the witness walk."""
     lam = w.lambda_nonneg(params, include_zero_family)
     m = params.m
     out = set()
@@ -677,6 +688,12 @@ def _pure_set_intersection_recursive(params, include_zero_family):
     return sorted_unique(out)
 
 
+def _walked(params, include_zero_family):
+    """The tuples of the witness walk's rows, in the order it yields them."""
+    return tuple(prefix + (v,) for prefix, lasts, _, _ in
+                 gs._witness_walk(params, include_zero_family) for v in lasts)
+
+
 INTERSECTION_CASES = list(verify.sweep_cells()) + [
     w.hermitian_params(5, 4), w.norm_trace_params(2, 3, 3)]
 
@@ -684,5 +701,28 @@ INTERSECTION_CASES = list(verify.sweep_cells()) + [
 @pytest.mark.parametrize("zero_family", [False, True])
 def test_intersection_matches_recursive_reference(zero_family):
     for p in INTERSECTION_CASES:
-        assert gs._pure_set_intersection(p, zero_family) == \
-            _pure_set_intersection_recursive(p, zero_family), p
+        assert _walked(p, zero_family) == _intersection_recursive(p, zero_family), p
+
+
+@pytest.mark.parametrize("p", KERNEL_CURVES, ids=str)
+@pytest.mark.parametrize("zero_family", [False, True])
+def test_intersection_matches_kernel_on_large_curves(p, zero_family):
+    assert list(gs._route_rows(p, "intersection", zero_family).rows()) == \
+        list(gs._residue_gap_sets(p)[1].rows())
+
+
+@given(st.integers(2, 3).flatmap(
+    lambda m: st.lists(st.tuples(*[st.integers(0, 5)] * m), min_size=1, max_size=8)))
+@settings(max_examples=200, deadline=None)
+@example([(1, 5), (2, 5)])
+def test_witness_walk_matches_the_predicate_on_any_candidates(cands):
+    """On any sorted candidate list, relative maximals or not, the walk
+    finds exactly the tuples with a witness at every coordinate, in
+    lexicographic order, and ``pure_gap_witness`` the first witnesses."""
+    cands = sorted(set(cands))
+    p = w.curve_params(4, 5, len(cands[0]))
+    box = list(itertools.product(range(-1, 7), repeat=p.m))
+    with mock.patch.object(mx, "lambda_nonneg", lambda params, zero=False: tuple(cands)):
+        assert _walked(p, False) == tuple(t for t in box if _witness_in(cands, t))
+        for t in box:
+            assert gs.pure_gap_witness(p, t) == _witness_in(cands, t)

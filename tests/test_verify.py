@@ -96,6 +96,18 @@ class TestOracleInvariants:
         report = w.run_oracle_invariants(max_a=3, max_b=5, max_m=3, trials=100)
         assert report.ok, [(e.name, e.detail) for e in report.failures()]
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trial_rejected_before_any_work(self, monkeypatch, trials):
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(verify, "_run_cells", no_work)
+        monkeypatch.setattr(verify, "_Stamps", no_work)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            w.run_oracle_invariants(max_a=3, max_b=4, max_m=2, trials=trials)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            verify.oracle_invariants(w.curve_params(3, 4, 2), trials, verify.DEFAULT_SEED)
+
 
 class TestDefinitionLevel:
     @pytest.mark.parametrize("spec", [(4, 5, 3), (4, 5, 2), (3, 4, 3)])
@@ -211,6 +223,20 @@ class TestChecksCatchFaults:
             assert not e.passed
             assert e.detail == f"{p.genus - 1} axis gaps, genus is {p.genus}"
 
+    @pytest.mark.parametrize("p", [w.curve_params(3, 4, 2), w.curve_params(4, 5, 3),
+                                   w.hermitian_params(5, 4)], ids=str)
+    def test_superset_catches_dropped_candidate(self, monkeypatch, p):
+        # drop the smallest value of A: every pure gap using it past the
+        # first coordinate is an outlier, and the first 8 are named in order
+        real = verify.gs.candidate_superset
+        a_star, a_set = real(p)
+        outliers = [t for t in w.pure_gaps(p).pure_gaps if a_set[0] in t[1:]]
+        assert outliers
+        monkeypatch.setattr(verify.gs, "candidate_superset", lambda p: (a_star, a_set[1:]))
+        (e,) = verify.PROPERTY_CHECKS["superset"](p)
+        assert not e.passed
+        assert e.detail == f"outliers={outliers[:8]}"
+
     def test_witnesses_catch_dropped_pure_gap(self, monkeypatch):
         pure = {p: w.pure_gaps(p).pure_gaps for p in self.CELLS}
         assert any(pure.values())
@@ -225,6 +251,37 @@ class TestChecksCatchFaults:
                 assert e.detail == f"witness found for non-pure gap {pure[p][0]}"
             else:
                 assert e.passed
+
+    def test_witnesses_catch_dropped_last_pure_gap(self, monkeypatch):
+        # past the last pure gap the merge still finds the walk's tuple
+        pure = {p: w.pure_gaps(p).pure_gaps for p in self.CELLS}
+
+        def drop_pure_gap(report):
+            return _with_rows(report, pure_rows=w.TupleRows.of(report.pure_gaps[:-1]))
+
+        self._patch(monkeypatch, "pure_gaps", drop_pure_gap)
+        for p, e in self._results("witnesses", "witness-coherence"):
+            if pure[p]:
+                assert not e.passed
+                assert e.detail == f"witness found for non-pure gap {pure[p][-1]}"
+            else:
+                assert e.passed
+
+    def test_witnesses_catch_added_plain_gap(self, monkeypatch):
+        # the first gap that is no pure gap, listed as one
+        plain = {}
+        for p in self.CELLS:
+            report = w.gaps(p)
+            plain[p] = next(t for t in report.gaps if t not in report.pure_gaps)
+
+        def add_plain_gap(report):
+            pure = sorted(report.pure_gaps + (plain[report.params],))
+            return _with_rows(report, pure_rows=w.TupleRows.of(pure))
+
+        self._patch(monkeypatch, "pure_gaps", add_plain_gap)
+        for p, e in self._results("witnesses", "witness-coherence"):
+            assert not e.passed
+            assert e.detail == f"no witness for pure gap {plain[p]}"
 
 
 class TestFastPathFaults:
@@ -340,9 +397,10 @@ class TestFastPathFaults:
 def test_sweep_builds_each_route_once_per_cell(monkeypatch):
     """Per cell, the union_nabla gaps with and without the zero family,
     the explicit_s gaps, and the intersection pure gaps with and without
-    it: three cube builds and two intersections, shared by the checks."""
+    it: three cube builds and two witness walks, shared by the checks,
+    and one more walk for the witness check."""
     calls = collections.Counter()
-    for name in ("_cube_rows", "_pure_set_intersection"):
+    for name in ("_cube_rows", "_witness_walk"):
         real = getattr(verify.gs, name)
 
         def counted(*args, _real=real, _name=name):
@@ -360,7 +418,7 @@ def test_sweep_builds_each_route_once_per_cell(monkeypatch):
                 assert all(r.passed for r in check(p))
     finally:
         verify.gs._route_rows.cache_clear()
-    assert calls == {"_cube_rows": 3 * len(cells), "_pure_set_intersection": 2 * len(cells)}
+    assert calls == {"_cube_rows": 3 * len(cells), "_witness_walk": 3 * len(cells)}
 
 
 def _fields(report):
