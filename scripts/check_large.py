@@ -22,6 +22,9 @@ larger curves people run:
   since ``symmetry`` and ``report-sanity`` build every gap tuple there.
   ``check`` takes the names of the property checks to run, and the
   render check runs only when all of them run.
+* Hermitian q = 64 at m = 2 (b = 65, genus 2016): the oracle invariants
+  alone, in about 0.5 s, so the oracle's signature tables meet a b
+  beyond the curves above (at m = 3 they take about 100 s).
 
 With ``--seed N`` it runs, in place of those curves, the property checks,
 the oracle invariants seeded from N and the render check on 12 coprime
@@ -61,9 +64,10 @@ CELLS = (
     + [(f"norm-trace ell={ell} r={r} m={m}", w.norm_trace_params(ell, r, m))
        for ell, r, ms in ((2, 4, (2, 3)), (3, 3, (3,))) for m in ms]
 )
-# curves that run some property checks, with the oracle invariants
+# curves that run some property checks, or none, with the oracle invariants
 PARTIAL = [("norm-trace ell=2 r=4 m=4", w.norm_trace_params(2, 4, 4),
-            ("pure-methods", "zero-family", "witnesses"))]
+            ("pure-methods", "zero-family", "witnesses")),
+           ("hermitian q=64 m=2", w.hermitian_params(64, 2), ())]
 ORACLE_TRIALS = 2000
 SEEDED_CELLS = 12
 SEEDED_CUBE = 10**7

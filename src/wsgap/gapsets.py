@@ -140,7 +140,7 @@ def numerical_gaps(a: int, b: int) -> tuple[int, ...]:
 def _residue_gap_sets(params: CurveParams) -> tuple[TupleRows, TupleRows]:
     """Gaps and pure gaps in row form, from the oracle's residue thresholds.
 
-    By ``oracle._reached``, coordinate k of beta is reached iff
+    By the oracle's signature tables, coordinate k of beta is reached iff
     F_r(beta) = floor((t - f_r)/b) - #{x in S : x < r} >= 0 for r = r_k,
     where S holds the residues of beta_2..beta_m, t = sum(beta) - sum(S),
     r_1 = hit[beta_1 mod b] and r_k = beta_k mod b.  Write the prefix
@@ -183,7 +183,7 @@ def _residue_gap_sets(params: CurveParams) -> tuple[TupleRows, TupleRows]:
     ``TupleRows``, and no tuple is built here.
     """
     b, m, n = params.b, params.m, 2 * params.genus
-    f, hit = oracle._residue_table(params)
+    f, hit, _ = oracle._residue_table(params)
     width = min(b, n)  # the residues of coordinates below 2g
     values = list(range(n))
     # A threshold A on class s is kept as its end b*A + s: the w of class s

@@ -24,30 +24,51 @@ values.  A feasible family reaches, at coordinate k, the largest value
 componentwise maximum falls short of beta_k by the smallest residue
 distance (beta_k - class) mod b over the feasible families.
 
-Each query sorts the residues S of beta_2..beta_m once.  Writing
+Let S be the multiset of residues of beta_2..beta_m mod b.  Writing
 beta_j = b*q_j + s_j with 0 <= s_j < b, floor((beta_j - r)/b) is q_j,
 less one when s_j < r; so with t = beta_1 + b*sum(q_j) = sum(beta) - sum(S),
-F_r >= 0 iff t - f_r >= b*#{s in S : s < r}.  Coordinate k reaches beta_k
-exactly when the one family in the residue class of beta_k is feasible:
-r = beta_k mod b for k >= 2, whose count is the index of r's first
-occurrence in S, and for k = 1 the r with f_r = beta_1 (mod b), unique
-because f_r = -a*r (mod b) and gcd(a, b) = 1, whose count one bisection
-finds.  So membership and the nabla tests read at most m families.  The
-dimension, the sum of max(0, F_r + 1), and the envelope read all b
-families, walked in the m blocks that S cuts 0..b-1 into: the count is
-constant on a block and grows by one from each block to the next.  A
-query thus costs O(m log m), plus O(b + m log b) for those two, and
-nothing is enumerated.  The explicit enumeration (``local_absolute_maximals``)
-keeps its own window loop over the representatives; the test suite
-checks the two against each other.
+F_r >= 0 iff theta_r <= t, where
+
+    theta_r = f_r + b*#{s in S : s < r},
+
+and then F_r + 1 = (t - theta_r)//b + 1.  The thresholds theta_r depend
+on beta only through the multiset S, of which a curve has at most
+C(b+m-2, m-1), so each curve keeps a store of signature tables keyed by
+S (``_signature``), filled on first use and capped at ``SIGNATURE_CAP``
+tables, the oldest evicted first.  A table holds theta by family and
+the largest theta over S, and later theta in ascending order.
+Coordinate k reaches beta_k exactly when the one family in the residue
+class of beta_k is feasible: r = beta_k mod b for k >= 2, and for k = 1
+the r = hit[beta_1 mod b] with f_r = beta_1 (mod b), unique because
+f_r = -a*r (mod b) and gcd(a, b) = 1.  So, after one pass over
+coordinates 2..m and one dictionary lookup:
+
+* membership is two comparisons with t: the family reaching
+  coordinate 1, and the largest theta over the families of S;
+* a nabla profile test reads theta at the |J| reaching families of the
+  perturbed target;
+* the dimension sums (t - theta_r)//b + 1 over the feasible families,
+  walking theta in ascending order until it passes t; once every
+  family is feasible it is t + 1 - sum_r floor(theta_r/b), as the
+  theta_r fill every class mod b once;
+* the envelope is beta itself once every family is feasible, None when
+  none is, and otherwise steps each coordinate's class down until the
+  family reaching it is feasible.
+
+A query thus costs O(m) plus, for the dimension and the envelope, O(b)
+at worst.  A new signature costs O(b) to build, and O(b log b) more the
+first time a dimension or an envelope needs its thetas sorted; nothing
+is enumerated, and a table holds at most 2b + 2 numbers.  The explicit
+enumeration (``local_absolute_maximals``) keeps its own window loop over
+the representatives; the test suite checks the two against each other.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from typing import Collection, Container, Iterable, Literal, Sequence
+from operator import add
+from typing import Collection, Iterable, Literal, Sequence
 
 from .core import (
     CURVE_CACHE_SIZE,
@@ -73,11 +94,97 @@ class LocalProfile(Record):
     per_coord_max: tuple[int | None, ...]
 
 
+# Signature tables kept per curve; past it the oldest is evicted first.
+SIGNATURE_CAP = 4096
+
+
+class _Signature:
+    """Family thresholds for one residue multiset S of beta_2..beta_m.
+
+    ``theta[r]`` is f_r + b*#{s in S : s < r}: family r has a member
+    <= beta iff theta[r] <= t = sum(beta) - sum(S).  ``hit`` is the
+    curve's table of the family reaching coordinate 1 per residue of
+    beta_1 and ``top`` the largest theta at the residues in S, so beta
+    is a member iff theta[hit[beta_1 mod b]] and top are <= t.  The
+    thetas in ascending order (``order``) are sorted when a dimension or
+    an envelope first asks for them; every family is feasible from
+    t = order[-1] on, where the dimension is t + 1 - ``full``.
+    """
+
+    __slots__ = ("theta", "hit", "top", "order", "full")
+
+    def __init__(self, f: Sequence[int], hit: Sequence[int], b: int, S: list[int]):
+        # b*#{s in S : s < r}, block by block between the sorted residues
+        lift: list[int] = []
+        for k, s in enumerate(S):
+            lift += [b * k] * (s + 1 - len(lift))
+        lift += [b * len(S)] * (b - len(lift))
+        self.theta = theta = tuple(map(add, f, lift))
+        self.hit = hit
+        self.top = max(map(theta.__getitem__, S))
+        self.order: list[int] | None = None
+
+    def _sorted(self, b: int) -> list[int]:
+        self.order = order = sorted(self.theta)
+        # theta_r mod b = f_r mod b runs over every class once
+        self.full = (sum(order) - b * (b - 1) // 2) // b
+        return order
+
+    def dim(self, t: int, b: int) -> int:
+        """The sum of (t - theta_r)//b + 1 over the families with theta_r <= t."""
+        order = self.order or self._sorted(b)
+        if t >= order[-1]:
+            return t + 1 - self.full
+        u = t + b
+        total = 0
+        for x in order:
+            if x > t:
+                break
+            total += (u - x) // b
+        return total
+
+    def envelope(self, beta: IntTuple, t: int, b: int) -> tuple[int, ...] | None:
+        """Each coordinate lowered to the nearest class, at or below it
+        mod b, that a feasible family reaches there; None if none is."""
+        order = self.order or self._sorted(b)
+        if t >= order[-1]:
+            return beta  # every class is reached at every coordinate
+        if t < order[0]:
+            return None
+        theta, hit = self.theta, self.hit
+        # Step down from each coordinate's class until a feasible family
+        # reaches it: cyclically, as negative indices wrap around.
+        c = beta[0]
+        x = c % b
+        while theta[hit[x]] > t:
+            x -= 1
+        out = [c - (c - x) % b]
+        for c in beta[1:]:
+            x = c % b
+            while theta[x] > t:
+                x -= 1
+            out.append(c - (c - x) % b)
+        return tuple(out)
+
+
+class _Store(dict):
+    """A curve's signature tables, keyed by the residue multiset S as the
+    sum of ``weights[s]`` = m**s over S: base-m digits that count each
+    residue (at most m - 1 times), so no sort is needed to find a table."""
+
+    __slots__ = ("weights",)
+
+    def __init__(self, m: int, b: int):
+        super().__init__()
+        self.weights = [m ** s for s in range(b)]
+
+
 @lru_cache(maxsize=CURVE_CACHE_SIZE)
-def _residue_table(params: CurveParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``(f, hit)``: ``f[r]`` is the first coordinate of family r's
+def _residue_table(params: CurveParams) -> tuple[tuple[int, ...], tuple[int, ...], _Store]:
+    """``(f, hit, store)``: ``f[r]`` is the first coordinate of family r's
     representative (f_r, r, ..., r), read from ``absolute_maximals_region``,
-    and ``hit[s]`` is the one family with f_r congruent to s mod b.
+    ``hit[s]`` is the one family with f_r congruent to s mod b, and
+    ``store`` holds the curve's signature tables, filled by ``_signature``.
 
     Raises ``WsgapError`` if the representatives are not of that shape or
     two families share a first-coordinate residue, which would break the
@@ -97,7 +204,25 @@ def _residue_table(params: CurveParams) -> tuple[tuple[int, ...], tuple[int, ...
             raise WsgapError(f"families {hit[s]} and {r} share the first-coordinate "
                              f"residue {s} mod {b}")
         hit[s] = r
-    return tuple(f), tuple(hit)
+    return tuple(f), tuple(hit), _Store(params.m, b)
+
+
+def _signature(params: CurveParams, beta: Sequence[int]) -> tuple[_Signature, int]:
+    """The table of beta's residue signature, and t = sum(beta) - sum(S)."""
+    f, hit, store = _residue_table(params)
+    b, weights = params.b, store.weights
+    key, t = 0, sum(beta)
+    for c in beta[1:]:
+        s = c % b
+        key += weights[s]
+        t -= s
+    tab = store.get(key)
+    if tab is None:
+        if len(store) >= SIGNATURE_CAP:
+            del store[next(iter(store))]
+        S = sorted([c % b for c in beta[1:]])
+        tab = store[key] = _Signature(f, hit, b, S)
+    return tab, t
 
 
 def _oracle_args(params: CurveParams, beta: Sequence[int]) -> IntTuple:
@@ -106,46 +231,18 @@ def _oracle_args(params: CurveParams, beta: Sequence[int]) -> IntTuple:
     return check_tuple(params, beta)
 
 
-def _reached(params: CurveParams, beta: Sequence[int], J: Container[int] | None = None) -> bool:
-    """Whether, at every point k in ``J`` (1-based, all of them when None),
-    some absolute maximal <= beta equals beta_k."""
-    f, hit = _residue_table(params)
-    b = params.b
-    S = sorted([c % b for c in beta[1:]])
-    t = sum(beta) - sum(S)
-    if J is None or 1 in J:
-        r = hit[beta[0] % b]
-        if t - f[r] < b * bisect_left(S, r):
-            return False
-    need = S if J is None else {beta[k - 1] % b for k in J if k > 1}  # tested, k >= 2
-    for i, s in enumerate(S):
-        # family s's count is the index of its first occurrence in S
-        if t - f[s] < b * i and s in need and (not i or S[i - 1] < s):
-            return False
-    return True
+def _reached(params: CurveParams, beta: Sequence[int]) -> bool:
+    """Whether beta is a member: at every point k some absolute maximal
+    <= beta equals beta_k."""
+    tab, t = _signature(params, beta)
+    return tab.top <= t and tab.theta[tab.hit[beta[0] % params.b]] <= t
 
 
 def per_coord_max(params: CurveParams, beta: Sequence[int]) -> tuple[int, ...] | None:
     """Componentwise maximum over the absolute maximals <= beta, or None."""
     beta = _oracle_args(params, beta)
-    f, _ = _residue_table(params)
-    b = params.b
-    S = sorted([c % b for c in beta[1:]])
-    t = sum(beta) - sum(S)
-    feasible = []
-    lo = 0
-    for hi in S + [b - 1]:  # family r is feasible iff f_r <= t on its block
-        for r in range(lo, hi + 1):
-            if f[r] <= t:
-                feasible.append(r)
-        lo = hi + 1
-        t -= b
-    if not feasible:
-        return None
-    c = beta[0]
-    # at k >= 2 the class is the nearest feasible r at or below beta_k mod b, cyclically
-    return (c - min([(c - f[r]) % b for r in feasible]),
-            *[c - (c - feasible[bisect_right(feasible, c % b) - 1]) % b for c in beta[1:]])
+    tab, t = _signature(params, beta)
+    return tab.envelope(beta, t, params.b)
 
 
 def local_absolute_maximals(params: CurveParams, beta: Sequence[int]) -> LocalProfile:
@@ -194,22 +291,8 @@ def dim_L(params: CurveParams, beta: Sequence[int]) -> int:
     class of f_r mod b, and families never share a class, so the count
     is a sum of window lengths.
     """
-    return _dim_L(params, _oracle_args(params, beta))
-
-
-def _dim_L(params: CurveParams, beta: IntTuple) -> int:
-    f, _ = _residue_table(params)
-    b = params.b
-    S = sorted([c % b for c in beta[1:]])
-    u = sum(beta) - sum(S) + b  # (u - f_r) // b is F_r + 1 on each block
-    total = lo = 0
-    for hi in S + [b - 1]:
-        for x in f[lo:hi + 1]:
-            if x < u:
-                total += (u - x) // b
-        lo = hi + 1
-        u -= b
-    return total
+    tab, t = _signature(params, _oracle_args(params, beta))
+    return tab.dim(t, params.b)
 
 
 def _check_J(params: CurveParams, J: Iterable[int]) -> set[int]:
@@ -252,8 +335,19 @@ def _nabla_empty(params: CurveParams, alpha: IntTuple, J: Collection[int],
         # A member of nabla_J exists iff, for every j in J, some absolute
         # maximal reaches alpha_j at coordinate j while staying <= alpha on
         # J and < alpha elsewhere (componentwise maxima of such witnesses
-        # assemble the member).
-        return not _reached(params, [c if k in J else c - 1 for k, c in enumerate(alpha, 1)], J)
+        # assemble the member): iff alpha lowered by one off J is reached
+        # at every point of J.
+        beta = []
+        for k, c in enumerate(alpha, 1):
+            beta.append(c if k in J else c - 1)
+        tab, t = _signature(params, beta)
+        b, theta = params.b, tab.theta
+        for k in J:
+            # point 1 reads the family of its first-coordinate class, k >= 2 family beta_k mod b
+            x = beta[k - 1] % b
+            if theta[tab.hit[x] if k == 1 else x] > t:
+                return True
+        return False
     if method != "search":
         raise WsgapError(f"unknown nabla method {method!r}")
     return _nabla_J_empty_search(params, alpha, J)
@@ -355,7 +449,11 @@ def check_relmax_equivalence(params: CurveParams, alpha: Sequence[int],
 
     nabla_empty = all(_nabla_empty(params, alpha, (i,), method) for i in range(1, m + 1))
     ones = tuple(c - 1 for c in alpha)
-    dimension_step = nabla_empty and _dim_L(params, alpha) == _dim_L(params, ones) + (m - 1)
+    if nabla_empty:
+        (top, t), (low, u) = _signature(params, alpha), _signature(params, ones)
+        dimension_step = top.dim(t, params.b) == low.dim(u, params.b) + (m - 1)
+    else:
+        dimension_step = False
 
     pivot_exists = False
     for i in range(1, m + 1):

@@ -38,6 +38,12 @@ def test_subset_run_times_only_its_checks(check_large, p):
     assert list(times) == ["witnesses", "pure-methods", "oracle"]
 
 
+def test_oracle_only_run(check_large):
+    bad, times = check_large.check(w.curve_params(4, 5, 2), checks=())
+    assert bad == []
+    assert list(times) == ["oracle"]
+
+
 @pytest.mark.parametrize("p", CURVES, ids=str)
 def test_check_reports_a_dropped_route_tuple(check_large, monkeypatch, p):
     real = gs._route_rows

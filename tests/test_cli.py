@@ -30,6 +30,40 @@ def run_json(capsys, *argv):
     return envelope
 
 
+def _payload_field(fmt, out, key):
+    """One payload field of an envelope printed in ``fmt``."""
+    if fmt == "json":
+        return json.loads(out)["payload"][key]
+    if fmt == "text":
+        lines = [line for line in out.splitlines() if line.startswith(f"{key}: ")]
+        return json.loads(lines[0][len(key) + 2:])
+    rows = [row for row in csv.reader(io.StringIO(out)) if row[0] == key]
+    return json.loads(rows[0][3])
+
+
+class TestOracleCommandsAtLargeB:
+    """``member`` and ``dim`` on Hermitian q=32, m=3 (b = 33) against the
+    explicit enumeration of the absolute maximals, in every format."""
+
+    TUPLES = [(0, 0, 0), (5, 7, 9), (33, 32, 0), (500, 300, 400), (64, 31, 2),
+              (1000, 0, -1), (-1, 40, 70)]
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_member_and_dim_match_enumeration(self, capsys, fmt):
+        p = w.hermitian_params(32, 3)
+        for t in self.TUPLES:
+            prof = w.local_absolute_maximals(p, t)
+            expected = {"member": bool(prof.gamma_hat_beta) and prof.per_coord_max == t,
+                        "dim": len({g[0] for g in prof.gamma_hat_beta})}
+            for command, value in expected.items():
+                code, out, err = run_cli(capsys, command, "--preset", "hermitian", "--q", "32",
+                                         "--m", "3", "--tuple=" + ",".join(map(str, t)),
+                                         "--format", fmt)
+                assert code == 0, err
+                assert _payload_field(fmt, out, command) == value, (command, t)
+                assert _payload_field(fmt, out, "tuple") == list(t)
+
+
 class TestSubcommands:
     def test_member_true(self, capsys):
         env = run_json(capsys, "member", "--a", "4", "--b", "5", "--m", "3",

@@ -375,9 +375,9 @@ class TestResidueGapKernel:
     @pytest.mark.parametrize("p,r", [(P453, 1), (P453, 3), (w.hermitian_params(3, 3), 1)],
                              ids=["4-5-3-r1", "4-5-3-r3", "3-4-3-r1"])
     def test_cube_check_catches_a_shifted_family(self, p, r, monkeypatch):
-        f, hit = oracle._residue_table(p)
+        f, hit, _ = oracle._residue_table(p)
         shifted = f[:r] + (f[r] + p.b,) + f[r + 1:]
-        monkeypatch.setattr(oracle, "_residue_table", lambda params: (shifted, hit))
+        monkeypatch.setattr(oracle, "_residue_table", lambda params: (shifted, hit, oracle._Store(p.m, p.b)))
         gs._residue_gap_sets.cache_clear()
         with pytest.raises(w.WsgapError, match="not a member"):
             gs._residue_gap_sets(p)
@@ -386,7 +386,7 @@ class TestResidueGapKernel:
     def test_cube_check_matches_per_prefix_check(self, p, monkeypatch):
         """The kernel raises exactly when the per-prefix check over the whole
         cube fails, on tables with families shifted by multiples of b."""
-        f, hit = oracle._residue_table(p)
+        f, hit, _ = oracle._residue_table(p)
         rng = random.Random(p.a * 100 + p.b * 10 + p.m)
         tables = [f[:r] + (f[r] + k * p.b,) + f[r + 1:]
                   for r in range(p.b) for k in (-2, -1, 1, 2)]
@@ -394,7 +394,9 @@ class TestResidueGapKernel:
         outcomes = set()
         try:
             for table in tables:
-                monkeypatch.setattr(oracle, "_residue_table", lambda params: (table, hit))
+                # a fresh signature store per table, as the oracle reads it too
+                entry = (table, hit, oracle._Store(p.m, p.b))
+                monkeypatch.setattr(oracle, "_residue_table", lambda params: entry)
                 gs._residue_gap_sets.cache_clear()
                 try:
                     gs._residue_gap_sets(p)

@@ -285,7 +285,7 @@ def _box_reference(p, lo, hi):
 # Small curves, m = a + 1 included, on the box [-b-2, 2g+b]^m
 KERNEL_CELLS = [w.curve_params(2, 3, 2), w.curve_params(2, 3, 3),
                 w.hermitian_params(3, 2), w.hermitian_params(3, 3), w.hermitian_params(3, 4),
-                w.curve_params(5, 7, 2)]
+                w.curve_params(5, 7, 2), w.curve_params(4, 3, 3), w.curve_params(5, 3, 2)]
 
 
 class TestResidueKernel:
@@ -351,6 +351,41 @@ def test_stream_curves_match_enumeration(p, count):
         for J in subsets:
             assert w.nabla_J_empty(p, beta, J, "profile") == \
                 w.nabla_J_empty(p, beta, J, "search"), (beta, J)
+
+
+# Large b (33 and 35), with many signatures per curve, and m = a + 1 cells
+# with b > a and b < a: only the latter has envelopes with all but one
+# family feasible that fall short of beta
+EDGE_CURVES = [w.hermitian_params(32, 2), w.curve_params(3, 35, 4), w.curve_params(3, 8, 4),
+               w.curve_params(4, 3, 5)]
+
+
+@pytest.mark.parametrize("p,count", list(zip(EDGE_CURVES, (40, 8, 40, 40))), ids=str)
+def test_signature_store_matches_enumeration(p, count, monkeypatch):
+    """The four scalar ops against the enumeration, and nabla profile
+    against search, once with a store of two tables (evicted all the
+    time) and once at the default cap."""
+    subsets = [J for size in range(1, p.m)
+               for J in itertools.combinations(range(1, p.m + 1), size)]
+    betas = _stream_sample(p, count)
+    expected = []
+    for beta in betas:
+        prof = w.local_absolute_maximals(p, beta)
+        pcm = prof.per_coord_max if prof.gamma_hat_beta else None
+        expected.append((pcm == beta, len({g[0] for g in prof.gamma_hat_beta}), pcm))
+    searched = None
+    for cap in (2, oracle.SIGNATURE_CAP):
+        monkeypatch.setattr(oracle, "SIGNATURE_CAP", cap)
+        oracle._residue_table.cache_clear()
+        assert [(w.is_member(p, beta), w.dim_L(p, beta), w.per_coord_max(p, beta))
+                for beta in betas] == expected
+        nablas = {method: [w.nabla_J_empty(p, beta, J, method) for beta in betas for J in subsets]
+                  for method in ("search", "profile")}
+        assert nablas["profile"] == nablas["search"]
+        assert searched in (None, nablas["search"])
+        searched = nablas["search"]
+        assert len(oracle._residue_table(p)[2]) <= cap
+    oracle._residue_table.cache_clear()
 
 
 def _product_filter_maximals(p, beta):
@@ -478,6 +513,28 @@ class TestOracleCaches:
             assert isinstance(dec, ast.Call)
             assert not any(isinstance(kw.value, ast.Constant) and kw.value.value is None
                            for kw in dec.keywords)
+
+    def test_signature_store_stays_bounded(self):
+        """A long-lived process that meets more than cap + 100 signatures on
+        one curve keeps at most cap tables, and an evicted one comes back
+        with the same answers."""
+        p = w.curve_params(3, 35, 4)
+        cap = oracle.SIGNATURE_CAP
+        signatures = list(itertools.islice(
+            itertools.combinations_with_replacement(range(p.b), p.m - 1), cap + 101))
+        assert len(signatures) == cap + 101
+        oracle._residue_table.cache_clear()
+        try:
+            store = oracle._residue_table(p)[2]
+            first = (p.b, *signatures[0])
+            before = (w.is_member(p, first), w.dim_L(p, first), w.per_coord_max(p, first))
+            for S in signatures:
+                w.is_member(p, (0, *S))
+            assert len(store) == cap  # the first 101 signatures were evicted
+            assert (w.is_member(p, first), w.dim_L(p, first), w.per_coord_max(p, first)) == before
+            assert len(store) <= cap
+        finally:
+            oracle._residue_table.cache_clear()
 
     def test_table_cache_stays_bounded(self):
         maxsize = oracle._residue_table.cache_info().maxsize
