@@ -25,15 +25,16 @@ sequences at the two points are matched by a permutation sigma read off
 the relative maximals, gaps are unions over the matched pairs, and pure
 gaps correspond to the inversions of sigma.
 
-The complement gaps and the profile pure gaps come from one kernel on the
-oracle's residue table: per prefix of the first m-1 coordinates and per
-residue class of the last, where the members start and below which no
-coordinate is reached.  Both depend on the prefix only through its
-residues mod b and the sum of its quotients, so the kernel computes each
-such row once, in pure Python, and walks only the simplex.  The
-union_nabla and explicit_s routes stay independent of it, as
-cross-checks: each lists its sets as slabs of [0, 2g-1]^m, and one
-builder marks the slabs in byte blocks kept only where slabs touch.
+The complement gaps and the profile pure gaps come from one kernel built
+on the oracle's signature tables (``oracle._Signature``): per prefix of
+the first m-1 coordinates and per residue class of the last, where the
+members start and below which no coordinate is reached.  Both depend on
+the prefix only through its residues mod b and the sum of its quotients,
+so the kernel computes each such row once, in pure Python, and walks
+only the simplex.  The union_nabla and explicit_s routes stay
+independent of it, as cross-checks: each lists its sets as slabs of
+[0, 2g-1]^m, and one builder marks the slabs in byte blocks kept only
+where slabs touch.
 Their rows, and those of the intersection route, are cached per curve,
 so that callers comparing the routes build each one once.
 
@@ -48,7 +49,6 @@ reads ``GapReport.gaps`` or ``.pure_gaps``, and are then kept.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
 from functools import lru_cache
@@ -138,11 +138,11 @@ def numerical_gaps(a: int, b: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=CURVE_CACHE_SIZE)
 def _residue_gap_sets(params: CurveParams) -> tuple[TupleRows, TupleRows]:
-    """Gaps and pure gaps in row form, from the oracle's residue thresholds.
+    """Gaps and pure gaps in row form, from the oracle's signature tables.
 
-    By the oracle's signature tables, coordinate k of beta is reached iff
-    F_r(beta) = floor((t - f_r)/b) - #{x in S : x < r} >= 0 for r = r_k,
-    where S holds the residues of beta_2..beta_m, t = sum(beta) - sum(S),
+    By ``oracle._Signature``, coordinate k of beta is reached iff
+    theta_{r_k} <= t, where theta_r = f_r + b*#{x in S : x < r}, S holds
+    the residues of beta_2..beta_m, t = sum(beta) - sum(S),
     r_1 = hit[beta_1 mod b] and r_k = beta_k mod b.  Write the prefix
     P = (beta_1, ..., beta_{m-1}) as beta_1 = b*q_1 + u and
     beta_j = b*q_j + s_j (residues below b), call sig = (u, s_2, ...,
@@ -151,19 +151,22 @@ def _residue_gap_sets(params: CurveParams) -> tuple[TupleRows, TupleRows]:
     t = u + b*(Q + q) and r_m = s, so coordinate k is reached iff
     q >= A_k(s) - Q, where
 
-        A_k(s) = #{x in S' : x < r_k} + [s < r_k] - floor((u - f[r_k])/b),
+        A_k(s) = ceil((theta_{r_k} - u)/b),
 
-    the bracket 0 for k = m.  With H(s) = max_k A_k(s) and
-    h(s) = min_k A_k(s), beta is a member iff q >= H(s) - Q, a pure gap
-    iff q < h(s) - Q, and a gap iff it is no member and beta_m < L, where
-    L = 2g - sum(P) = 2g - sum(sig) - b*Q.  So a row depends on (sig, Q)
-    alone.  Taking w = beta_m + b*Q, which keeps the class s and adds Q
-    to the quotient, the gap row of (sig, Q) is the cut list
-    W = {w < 2g - sum(sig) : floor(w/b) < H(w mod b)} from b*Q on, shifted
-    down by b*Q; the pure row is the same with h.  H and h read sig only
-    through u and the multiset S', so signatures that permute
-    s_2..s_{m-1} share one table.  Each row is built once as a tuple and
-    shared by every prefix with the same (sig, Q).
+    theta read in the table of S' + {s}.  With H(s) = max_k A_k(s) and
+    h(s) = min_k A_k(s), which read theta at hit[u] and the table's
+    ``top`` and ``bottom`` over S, beta is a member iff q >= H(s) - Q, a
+    pure gap iff q < h(s) - Q, and a gap iff it is no member and
+    beta_m < L, where L = 2g - sum(P) = 2g - sum(sig) - b*Q.  So a row
+    depends on (sig, Q) alone.  Taking w = beta_m + b*Q, which keeps the
+    class s and adds Q to the quotient, the gap row of (sig, Q) is the cut
+    list W = {w < 2g - sum(sig) : floor(w/b) < H(w mod b)} from b*Q on,
+    shifted down by b*Q; the pure row is the same with h.  H and h read
+    sig only through u and the multiset S', so signatures that permute
+    s_2..s_{m-1} share their tables and rows.  Each row is built once as
+    a tuple and shared by every prefix with the same (sig, Q).  The b
+    tables of one S' are built here, read for every u and dropped; they
+    stay out of the oracle's store of query tables.
 
     Over every prefix of the whole cube [0, 2g-1]^(m-1), the first
     beta_m >= 0 in each class s with sum(beta) >= 2g must be a member,
@@ -186,26 +189,13 @@ def _residue_gap_sets(params: CurveParams) -> tuple[TupleRows, TupleRows]:
     f, hit, _ = oracle._residue_table(params)
     width = min(b, n)  # the residues of coordinates below 2g
     values = list(range(n))
-    # A threshold A on class s is kept as its end b*A + s: the w of class s
-    # with floor(w/b) < A are the w < b*A + s.  A_m(s) = base(s) and
-    # A_k(s) = base(r_k) + [s < r_k] for k < m, where
-    # base(r) = #{x in S' : x < r} - floor((u - f[r])/b), and the end of
-    # A_m(s) is below[S'][s] + lift[u][s].
-    lift = [[b * -((u - x) // b) + s for s, x in enumerate(f)] for u in range(width)]
-    steps = [[s + b * (s < cut) for s in range(b)] for cut in range(b + 1)]
-    below: dict[IntTuple, list[int]] = {}
-    shared: dict[tuple, list] = {}
-    leaves = []  # rows by Q, per signature in lexicographic order
-    for u, *others in itertools.product(range(width), repeat=m - 1):
-        rest = tuple(sorted(others))
-        rows = shared.get((u, rest))
-        if rows is None:
-            if rest not in below:
-                below[rest] = [b * bisect.bisect_left(rest, r) for r in range(b)]
-            own = list(map(operator.add, below[rest], lift[u]))
-            rows = shared[u, rest] = _signature_rows(own, (hit[u], *rest), n - u - sum(rest),
-                                                     steps, values)
-        leaves.append(rows)
+    shared: dict[tuple, list] = {}  # rows by Q, per (u, S')
+    for rest in itertools.combinations_with_replacement(range(width), m - 2):
+        tables = [oracle._Signature(f, hit, b, sorted(rest + (s,))) for s in range(b)]
+        for u in range(width):
+            shared[u, rest] = _signature_rows(u, hit[u], tables, n - u - sum(rest), values)
+    leaves = [shared[u, tuple(sorted(others))]  # per signature in lexicographic order
+              for u, *others in itertools.product(range(width), repeat=m - 1)]
 
     gap_prefixes: list[IntTuple] = []
     gap_lasts: list[IntTuple] = []
@@ -233,33 +223,32 @@ def _residue_gap_sets(params: CurveParams) -> tuple[TupleRows, TupleRows]:
     return TupleRows(gap_prefixes, gap_lasts), TupleRows(pure_prefixes, pure_lasts)
 
 
-def _signature_rows(own: list[int], reach: Sequence[int], room: int, steps: list[list[int]],
+def _signature_rows(u: int, reach: int, tables: list[oracle._Signature], room: int,
                     values: list[int]) -> list[tuple[IntTuple, IntTuple]]:
-    """(gap row, pure row) by quotient sum Q for the signatures of one table.
+    """(gap row, pure row) by quotient sum Q for the signatures of one u and S'.
 
-    In the terms of ``_residue_gap_sets``: ``own[s]`` is the end of
-    A_m(s), ``reach`` holds r_1, ..., r_{m-1} and ``room`` is
-    2g - sum(sig); ``steps[c][s]`` is s + b*[s < c] and ``values[v]`` is v.
-    Raises ``WsgapError`` if the signatures fail the whole-cube test.
+    In the terms of ``_residue_gap_sets``: ``u`` is the residue of beta_1,
+    ``reach`` is r_1 = hit[u], ``tables[s]`` is the table of S' + {s} and
+    ``room`` is 2g - sum(sig); ``values[v]`` is v.  Raises ``WsgapError``
+    if the signatures fail the whole-cube test.
     """
-    b = len(own)
-    # The largest base(r) + [s < r] over r in reach is top + 1 below the
-    # last r with base(r) = top, the largest, and top from there on; the
-    # smallest is bottom + 1 below the first r with base(r) = bottom, the
-    # smallest, and bottom from there on.  Here at holds b*base(r).
-    reach = sorted(reach)
-    at = [own[r] - r for r in reach]
-    top, bottom = max(at), min(at)
-    top_step = steps[reach[len(at) - 1 - at[::-1].index(top)]]
-    bottom_step = steps[reach[at.index(bottom)]]
-    ends = [x if x > y + top else y + top for x, y in zip(own, top_step)]  # of H(s)
+    b = len(tables)
+    # A threshold A on class s is kept as its end s + b*A: the w of class s
+    # with floor(w/b) < A are the w < s + b*A.  -((u - y) // b) is
+    # ceil((y - u)/b), and y is the max (for H) or the min (for h) of
+    # theta[reach] and the table's top or bottom.
+    ends: list[int] = []
+    pure_ends: list[int] = []
+    for s, tab in enumerate(tables):
+        x, top, bottom = tab.theta[reach], tab.top, tab.bottom
+        ends.append(s - b * ((u - (x if x > top else top)) // b))
+        pure_ends.append(s - b * ((u - (x if x < bottom else bottom)) // b))
     # the first w >= max(room, 0) of class s lies below max(room, 0) + b,
     # and the test H(s) <= max(c(s), 0) says ends[s] is at most that w
     if max(ends) >= max(room, 0) + b:
         raise WsgapError("a tuple with coordinate sum >= 2g is not a member")
     if room <= 0:
         return []
-    pure_ends = [x if x < y + bottom else y + bottom for x, y in zip(own, bottom_step)]
     cells = values[:room]
     gap_cells = bytes(map(operator.lt, cells, itertools.cycle(ends)))
     pure_cells = bytes(map(operator.lt, cells, itertools.cycle(pure_ends)))
@@ -311,15 +300,20 @@ def _cube_rows(m: int, n: int, slabs: Iterable[Sequence[int | range]]) -> TupleR
     return TupleRows(prefixes, lasts)
 
 
-def _union_nabla_slabs(params: CurveParams, include_zero_family: bool) -> Iterator[list]:
+def _nabla_slabs(beta_star: IntTuple, n: int) -> Iterator[list]:
     """The slabs {x >= 0 : x_i = beta*_i, x_j < beta*_j} over the
-    nonnegative relative maximals beta* and the coordinates i, leaving out
-    the empty ones (beta*_i negative or some other beta*_j nonpositive)."""
+    coordinates i, each range clipped below n, leaving out the empty ones
+    (beta*_i negative or some other beta*_j nonpositive)."""
+    for i, pin in enumerate(beta_star):
+        if pin >= 0 and min(beta_star[:i] + beta_star[i + 1:]) >= 1:
+            yield [pin if j == i else range(min(c, n)) for j, c in enumerate(beta_star)]
+
+
+def _union_nabla_slabs(params: CurveParams, include_zero_family: bool) -> Iterator[list]:
+    """The nabla slabs of the nonnegative relative maximals, in [0, 2g-1]^m."""
     n = 2 * params.genus
     for beta_star in mx.lambda_nonneg(params, include_zero_family):
-        for i, pin in enumerate(beta_star):
-            if pin >= 0 and min(beta_star[:i] + beta_star[i + 1:]) >= 1:
-                yield [pin if j == i else range(min(c, n)) for j, c in enumerate(beta_star)]
+        yield from _nabla_slabs(beta_star, n)
 
 
 def _explicit_s_slabs(params: CurveParams) -> Iterator[list]:
@@ -458,13 +452,9 @@ def nabla_bar_nonneg(params: CurveParams, beta_star: Sequence[int]) -> tuple[Int
     if params.m < 2:
         raise BadPointCountError("nabla sets need m >= 2")
     beta_star = check_tuple(params, beta_star)
-    m = params.m
     out: set[IntTuple] = set()
-    for i in range(m):
-        if beta_star[i] < 0 or any(beta_star[j] < 1 for j in range(m) if j != i):
-            continue
-        ranges = [range(beta_star[j]) if j != i else (beta_star[i],) for j in range(m)]
-        out.update(itertools.product(*ranges))
+    for slab in _nabla_slabs(beta_star, max(beta_star)):  # a clip that cuts nothing
+        out.update(itertools.product(*[c if isinstance(c, range) else (c,) for c in slab]))
     return sorted_unique(out)
 
 

@@ -139,29 +139,27 @@ def expand_in_box(ms: MaximalSet, box: Box) -> tuple[IntTuple, ...]:
     return sorted_unique(out)
 
 
-def _translates_above(params: CurveParams, rep: IntTuple, floor: int) -> Iterator[IntTuple]:
-    """All lattice translates of ``rep`` with every coordinate >= floor."""
-    b = params.b
-    lo = [ceil_div(floor - c, b) for c in rep[1:]]
-    cap = (rep[0] - floor) // b  # sum(d) <= cap keeps coordinate 1 >= floor
-    for d in shift_vectors(lo, cap):
-        yield add(rep, theta_vector(params, d))
+def _expand_above(ms: MaximalSet, floor: int) -> tuple[IntTuple, ...]:
+    """Every element of the family with all coordinates >= floor, sorted:
+    the lattice translates of each representative by the shifts d with
+    rep_j + b*d_j >= floor for j >= 2 and rep_1 - b*sum(d) >= floor."""
+    params, b = ms.params, ms.params.b
+    out: list[IntTuple] = []
+    for rep in ms.region_reps:
+        lo = [ceil_div(floor - c, b) for c in rep[1:]]
+        cap = (rep[0] - floor) // b  # sum(d) <= cap keeps coordinate 1 >= floor
+        out.extend(add(rep, theta_vector(params, d)) for d in shift_vectors(lo, cap))
+    return sorted_unique(out)
 
 
 def expand_nonneg(ms: MaximalSet) -> tuple[IntTuple, ...]:
     """Every element of the family with all coordinates >= 0, sorted."""
-    out: list[IntTuple] = []
-    for rep in ms.region_reps:
-        out.extend(_translates_above(ms.params, rep, 0))
-    return sorted_unique(out)
+    return _expand_above(ms, 0)
 
 
 def expand_positive(ms: MaximalSet) -> tuple[IntTuple, ...]:
     """Every element of the family with all coordinates >= 1, sorted."""
-    out: list[IntTuple] = []
-    for rep in ms.region_reps:
-        out.extend(_translates_above(ms.params, rep, 1))
-    return sorted_unique(out)
+    return _expand_above(ms, 1)
 
 
 def lambda_nonneg(params: CurveParams, include_zero_family: bool = False) -> tuple[IntTuple, ...]:

@@ -36,7 +36,8 @@ on beta only through the multiset S, of which a curve has at most
 C(b+m-2, m-1), so each curve keeps a store of signature tables keyed by
 S (``_signature``), filled on first use and capped at ``SIGNATURE_CAP``
 tables, the oldest evicted first.  A table holds theta by family and
-the largest theta over S, and later theta in ascending order.
+the largest and the smallest theta over S, and later theta in ascending
+order.
 Coordinate k reaches beta_k exactly when the one family in the residue
 class of beta_k is feasible: r = beta_k mod b for k >= 2, and for k = 1
 the r = hit[beta_1 mod b] with f_r = beta_1 (mod b), unique because
@@ -58,7 +59,7 @@ coordinates 2..m and one dictionary lookup:
 A query thus costs O(m) plus, for the dimension and the envelope, O(b)
 at worst.  A new signature costs O(b) to build, and O(b log b) more the
 first time a dimension or an envelope needs its thetas sorted; nothing
-is enumerated, and a table holds at most 2b + 2 numbers.  The explicit
+is enumerated, and a table holds at most 2b + 3 numbers.  The explicit
 enumeration (``local_absolute_maximals``) keeps its own window loop over
 the representatives; the test suite checks the two against each other.
 """
@@ -104,14 +105,15 @@ class _Signature:
     ``theta[r]`` is f_r + b*#{s in S : s < r}: family r has a member
     <= beta iff theta[r] <= t = sum(beta) - sum(S).  ``hit`` is the
     curve's table of the family reaching coordinate 1 per residue of
-    beta_1 and ``top`` the largest theta at the residues in S, so beta
-    is a member iff theta[hit[beta_1 mod b]] and top are <= t.  The
-    thetas in ascending order (``order``) are sorted when a dimension or
-    an envelope first asks for them; every family is feasible from
-    t = order[-1] on, where the dimension is t + 1 - ``full``.
+    beta_1, and ``top`` and ``bottom`` the largest and the smallest theta
+    at the residues in S, so beta is a member iff theta[hit[beta_1 mod b]]
+    and top are <= t, and no coordinate is reached while it and bottom
+    are > t.  The thetas in ascending order (``order``) are sorted when a
+    dimension or an envelope first asks for them; every family is
+    feasible from t = order[-1] on, where the dimension is t + 1 - ``full``.
     """
 
-    __slots__ = ("theta", "hit", "top", "order", "full")
+    __slots__ = ("theta", "hit", "top", "bottom", "order", "full")
 
     def __init__(self, f: Sequence[int], hit: Sequence[int], b: int, S: list[int]):
         # b*#{s in S : s < r}, block by block between the sorted residues
@@ -122,6 +124,7 @@ class _Signature:
         self.theta = theta = tuple(map(add, f, lift))
         self.hit = hit
         self.top = max(map(theta.__getitem__, S))
+        self.bottom = min(map(theta.__getitem__, S))
         self.order: list[int] | None = None
 
     def _sorted(self, b: int) -> list[int]:
@@ -184,7 +187,10 @@ def _residue_table(params: CurveParams) -> tuple[tuple[int, ...], tuple[int, ...
     """``(f, hit, store)``: ``f[r]`` is the first coordinate of family r's
     representative (f_r, r, ..., r), read from ``absolute_maximals_region``,
     ``hit[s]`` is the one family with f_r congruent to s mod b, and
-    ``store`` holds the curve's signature tables, filled by ``_signature``.
+    ``store`` holds the curve's signature tables, filled by ``_signature``
+    for the queries.  The gap kernel (``gapsets._residue_gap_sets``) builds
+    ``_Signature`` tables from the same f and hit for every signature it
+    walks and keeps them out of the store.
 
     Raises ``WsgapError`` if the representatives are not of that shape or
     two families share a first-coordinate residue, which would break the

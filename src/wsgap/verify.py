@@ -504,8 +504,6 @@ def _check_report_sanity(p: CurveParams, sample: int = 50,
         ok, detail = False, "gap list not sorted or not duplicate-free"
     if ok and any(min(t) < 0 or sum(t) > B for t in gaps):
         ok, detail = False, "gap outside the bounding simplex"
-    if ok and not set(report.pure_gaps) <= gap_set:
-        ok, detail = False, "pure gaps not contained in gaps"
     if ok:
         rng = random.Random(_mix_seed(seed, p.a, p.b, p.m, 2))
         for _ in range(sample):

@@ -422,6 +422,38 @@ class TestResidueGapKernel:
             for method in gs.PURE_METHODS:
                 w.pure_gaps(p, method)
 
+    @pytest.mark.parametrize("p", [P473, w.hermitian_params(8, 3)], ids=str)
+    def test_kernel_keeps_its_tables_out_of_the_query_store(self, p):
+        oracle.is_member(p, (1,) * p.m)
+        store = oracle._residue_table(p)[2]
+        before = len(store)
+        assert before
+        gs._residue_gap_sets.cache_clear()
+        gs._residue_gap_sets(p)
+        assert len(store) == before
+
+
+# Large b at m >= 3, outside KERNEL_CURVES and the seeded cells; (3, 35, 4) is
+# an m = a + 1 curve, which has no pure gap.
+LARGE_B_CURVES = [w.curve_params(3, 35, 4), w.curve_params(11, 37, 3)]
+
+
+@pytest.mark.parametrize("p", LARGE_B_CURVES, ids=str)
+def test_kernel_at_large_b_matches_oracle_and_intersection(p):
+    gap_rows, pure_rows = gs._residue_gap_sets(p)
+    lasts = dict(gap_rows.rows())
+    n = 2 * p.genus
+    rng = random.Random(p.a * 1000 + p.b)
+    seen = set()
+    for _ in range(40000):
+        t = tuple(rng.randrange(n) for _ in range(p.m))
+        if sum(t) < n:  # the simplex holds every gap
+            gap = t[-1] in lasts.get(t[:-1], ())
+            assert gap != oracle.is_member(p, t), t
+            seen.add(gap)
+    assert seen == {False, True}
+    assert list(pure_rows.rows()) == list(gs._route_rows(p, "intersection", False).rows())
+
 
 # Coprime (a, b, m) outside the a <= 5, b <= 9 sweep box, drawn once from
 # random.Random(20261018) until 18 were kept: randint(2, 12) for a and
