@@ -24,7 +24,10 @@ larger curves people run:
   render check runs only when all of them run.
 * Hermitian q = 64 at m = 2 (b = 65, genus 2016): the oracle invariants
   alone, in about 0.5 s, so the oracle's signature tables meet a b
-  beyond the curves above (at m = 3 they take about 100 s).
+  beyond the curves above.  At m = 3 they would take about 10 s per 200
+  trials, nearly all of it in ``profile-enumeration-agreement``, whose
+  reference ``oracle.local_absolute_maximals`` lists and sorts about
+  130,000 translates a call; the tables answer in microseconds.
 
 With ``--seed N`` it runs, in place of those curves, the property checks,
 the oracle invariants seeded from N and the render check on 12 coprime

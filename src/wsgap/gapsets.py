@@ -317,13 +317,13 @@ def _union_nabla_slabs(params: CurveParams, include_zero_family: bool) -> Iterat
 
 
 def _explicit_s_slabs(params: CurveParams) -> Iterator[list]:
-    """The slabs of the index families S_{i,k}, written in (a, b, m)."""
+    """The slabs of the index families S_{i,k}, written in (a, b, m): one
+    set per nonnegative translate of (a(b-i) - b, i, ..., i)."""
     a, b, m, n = params.a, params.b, params.m, 2 * params.genus
     for i in range(1, b):
-        jmax = (a * (b - i) - b) // b
-        for d in mx.shift_vectors((0,) * (m - 1), jmax):
-            first = a * (b - i) - b * (1 + sum(d))
-            others = [range(min(i + b * dt, n)) for dt in d]
+        for t in mx.translates(params, (a * (b - i) - b, *[i] * (m - 1)), (0,) * m, None):
+            first = t[0]
+            others = [range(min(c, n)) for c in t[1:]]
             # family with the first coordinate pinned to a(b-i) - b(1+j), j = sum(d)
             yield [first] + others
             if first < 1:
@@ -331,7 +331,7 @@ def _explicit_s_slabs(params: CurveParams) -> Iterator[list]:
             # families with coordinate k >= 2 pinned to i + b*d_k
             for k in range(1, m):
                 idx = [range(min(first, n))] + others
-                idx[k] = i + b * d[k - 1]
+                idx[k] = t[k]
                 yield idx
 
 

@@ -10,14 +10,18 @@ formulas in (a, b, m, i):
 
 Each family has exactly b representatives, and the full (infinite)
 families are the representatives translated by the lattice.  This module
-generates the representatives and expands them into boxes, into the
-nonnegative orthant, or into the strictly positive orthant.  For m = 2
-the two families coincide.
+generates the representatives, and ``translates`` lists the translates
+of one representative between a floor and a ceiling, either of which
+may be open.  That one walk expands the families into boxes, into the
+nonnegative or the strictly positive orthant, and below a tuple (the
+oracle's explicit enumeration), and lists the closed formula
+``lambda_nonneg`` and the gap slabs of ``gapsets``.  For m = 2 the two
+families coincide.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from functools import lru_cache
 from typing import Iterator, Literal, Sequence
 
@@ -29,13 +33,11 @@ from .core import (
     IntTuple,
     Record,
     WsgapError,
-    add,
     ceil_div,
     check_tuple,
     in_region,
     reduce_to_region,
     sorted_unique,
-    theta_vector,
 )
 
 MaximalKind = Literal["absolute", "relative"]
@@ -81,85 +83,74 @@ def relative_maximals_region(params: CurveParams) -> MaximalSet:
     return MaximalSet(kind="relative", region_reps=sorted_unique(reps), params=params)
 
 
-def shift_vectors(lo: Sequence[int], cap: int) -> Iterator[tuple[int, ...]]:
-    """Integer vectors d >= lo, componentwise, with sum(d) <= cap.
+def translates(params: CurveParams, rep: IntTuple, lo: Sequence[int] | None,
+               hi: Sequence[int] | None) -> Iterator[IntTuple]:
+    """The lattice translates rep + theta(d) of ``rep`` with lo <= t <= hi.
 
-    Yields them in lexicographic order, and nothing when cap < sum(lo).
-    Lattice translates d of a representative are bounded exactly this
-    way: a lower bound per coordinate 2..m, and a cap on sum(d) from the
-    first coordinate.
+    Coordinates 2..m bound each shift d_j, and coordinate 1 bounds
+    sum(d).  Either of ``lo`` and ``hi``, not both, may be None for an
+    open side; that side is then bounded through the sum by the other
+    one (with a floor only, d_j can exceed its own floor by the room the
+    other floors leave under the cap on sum(d)).  Each level of the walk
+    cuts d_j's range with the suffix sums of the bounds, so every shift
+    it visits has a completion.  Yields the tuples in lexicographic
+    order of d, which is the lexicographic order of coordinates 2..m.
     """
-    lo = tuple(lo)
-    tail = [sum(lo[k:]) for k in range(len(lo) + 1)]  # least sum of d[k:]
-    if cap < tail[0]:
+    b, first, rest = params.b, rep[0], rep[1:]
+    if lo is not None:
+        d_lo = [ceil_div(l - c, b) for l, c in zip(lo[1:], rest)]
+        s_hi = (first - lo[0]) // b
+    if hi is not None:
+        d_hi = [(h - c) // b for h, c in zip(hi[1:], rest)]
+        s_lo = ceil_div(first - hi[0], b)
+    if lo is None:
+        s_hi = sum(d_hi)
+        d_lo = [s_lo - s_hi + u for u in d_hi]
+    elif hi is None:
+        s_lo = sum(d_lo)
+        d_hi = [s_hi - s_lo + l for l in d_lo]
+    if s_lo > s_hi or any(map(operator.gt, d_lo, d_hi)):
         return
+    last = len(rest) - 1
+    # least and greatest sum of the shifts after level k
+    lo_after = [sum(d_lo[k + 1:]) for k in range(last + 1)]
+    hi_after = [sum(d_hi[k + 1:]) for k in range(last + 1)]
 
-    def rec(k: int, prefix: tuple[int, ...], remaining: int) -> Iterator[tuple[int, ...]]:
-        if k == len(lo):
-            yield prefix
-            return
-        for v in range(lo[k], remaining - tail[k + 1] + 1):
-            yield from rec(k + 1, prefix + (v,), remaining - v)
+    def walk(k: int, head: IntTuple, used: int) -> Iterator[IntTuple]:
+        start = max(d_lo[k], s_lo - used - hi_after[k])
+        stop = min(d_hi[k], s_hi - used - lo_after[k]) + 1
+        c = rest[k]
+        if k == last:
+            total = first - b * used + c  # coordinates 1 and m sum to it
+            for v in range(c + b * start, c + b * stop, b):
+                yield (total - v, *head, v)
+        else:
+            for d in range(start, stop):
+                yield from walk(k + 1, (*head, c + b * d), used + d)
 
-    yield from rec(0, (), cap)
+    yield from walk(0, (), 0)
 
 
-def _translates_in_box(params: CurveParams, rep: IntTuple, box: Box) -> Iterator[IntTuple]:
-    """All lattice translates of ``rep`` inside ``box``.
-
-    Coordinates 2..m pin each shift d_j to a finite interval and the
-    first coordinate pins sum(d), so the enumeration is complete.
-    """
-    b, m = params.b, params.m
-    ranges = []
-    for j in range(1, m):
-        lo_d = ceil_div(box.lo[j] - rep[j], b)
-        hi_d = (box.hi[j] - rep[j]) // b
-        if lo_d > hi_d:
-            return
-        ranges.append(range(lo_d, hi_d + 1))
-    sum_lo = ceil_div(rep[0] - box.hi[0], b)
-    sum_hi = (rep[0] - box.lo[0]) // b
-    if sum_lo > sum_hi:
-        return
-    for d in itertools.product(*ranges):
-        s = sum(d)
-        if sum_lo <= s <= sum_hi:
-            yield tuple([rep[0] - b * s] + [rep[j + 1] + b * d[j] for j in range(m - 1)])
+def _expand(ms: MaximalSet, lo: Sequence[int] | None,
+            hi: Sequence[int] | None) -> tuple[IntTuple, ...]:
+    return sorted_unique(t for rep in ms.region_reps for t in translates(ms.params, rep, lo, hi))
 
 
 def expand_in_box(ms: MaximalSet, box: Box) -> tuple[IntTuple, ...]:
     """Every element of the family lying in ``box``, sorted."""
-    params = ms.params
-    if box.dim != params.m:
-        raise ValueError(f"box dimension {box.dim} != m={params.m}")
-    out: list[IntTuple] = []
-    for rep in ms.region_reps:
-        out.extend(_translates_in_box(params, rep, box))
-    return sorted_unique(out)
-
-
-def _expand_above(ms: MaximalSet, floor: int) -> tuple[IntTuple, ...]:
-    """Every element of the family with all coordinates >= floor, sorted:
-    the lattice translates of each representative by the shifts d with
-    rep_j + b*d_j >= floor for j >= 2 and rep_1 - b*sum(d) >= floor."""
-    params, b = ms.params, ms.params.b
-    out: list[IntTuple] = []
-    for rep in ms.region_reps:
-        lo = [ceil_div(floor - c, b) for c in rep[1:]]
-        cap = (rep[0] - floor) // b  # sum(d) <= cap keeps coordinate 1 >= floor
-        out.extend(add(rep, theta_vector(params, d)) for d in shift_vectors(lo, cap))
-    return sorted_unique(out)
+    if box.dim != ms.params.m:
+        raise ValueError(f"box dimension {box.dim} != m={ms.params.m}")
+    return _expand(ms, box.lo, box.hi)
 
 
 def expand_nonneg(ms: MaximalSet) -> tuple[IntTuple, ...]:
     """Every element of the family with all coordinates >= 0, sorted."""
-    return _expand_above(ms, 0)
+    return _expand(ms, (0,) * ms.params.m, None)
 
 
 def expand_positive(ms: MaximalSet) -> tuple[IntTuple, ...]:
     """Every element of the family with all coordinates >= 1, sorted."""
-    return _expand_above(ms, 1)
+    return _expand(ms, (1,) * ms.params.m, None)
 
 
 def lambda_nonneg(params: CurveParams, include_zero_family: bool = False) -> tuple[IntTuple, ...]:
@@ -182,19 +173,10 @@ def _lambda_nonneg(params: CurveParams, include_zero_family: bool) -> tuple[IntT
     if params.m < 2:
         raise BadPointCountError("maximal families need m >= 2")
     a, b, m = params.a, params.b, params.m
-    zero = (0,) * (m - 1)
-    out: list[IntTuple] = []
-    for i in range(1, b):
-        cap = (a * (b - i) - b) // b
-        for d in shift_vectors(zero, cap):
-            first = a * (b - i) - b * (1 + sum(d))
-            if first < 0:
-                raise WsgapError(f"negative first coordinate {first} in the formula")
-            out.append(tuple([first] + [i + b * dj for dj in d]))
+    reps = [(a * (b - i) - b, *[i] * (m - 1)) for i in range(1, b)]
     if include_zero_family:
-        for d in shift_vectors(zero, m - 2):
-            out.append(tuple([b * (m - 2) - b * sum(d)] + [b * dj for dj in d]))
-    return sorted_unique(out)
+        reps.append((b * (m - 2), *[0] * (m - 1)))
+    return sorted_unique(t for rep in reps for t in translates(params, rep, (0,) * m, None))
 
 
 def family_contains(ms: MaximalSet, t: IntTuple) -> bool:

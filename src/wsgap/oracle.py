@@ -60,8 +60,10 @@ A query thus costs O(m) plus, for the dimension and the envelope, O(b)
 at worst.  A new signature costs O(b) to build, and O(b log b) more the
 first time a dimension or an envelope needs its thetas sorted; nothing
 is enumerated, and a table holds at most 2b + 3 numbers.  The explicit
-enumeration (``local_absolute_maximals``) keeps its own window loop over
-the representatives; the test suite checks the two against each other.
+enumeration (``local_absolute_maximals``) lists the translates below beta
+with the walk that every expansion of the maximal families uses
+(``maximals.translates``), which reads none of the thresholds above; the
+test suite and ``verify`` check the two against each other.
 """
 
 from __future__ import annotations
@@ -78,11 +80,10 @@ from .core import (
     IntTuple,
     Record,
     WsgapError,
-    ceil_div,
     check_tuple,
     sorted_unique,
 )
-from .maximals import absolute_maximals_region
+from .maximals import absolute_maximals_region, translates
 
 NablaMethod = Literal["search", "profile"]
 
@@ -255,31 +256,13 @@ def local_absolute_maximals(params: CurveParams, beta: Sequence[int]) -> LocalPr
     """Explicit enumeration of every absolute maximal element <= beta.
 
     This is the reference the residue arithmetic above is checked
-    against, so it shares none of it: for each representative it
-    enumerates the shifts d with d_j <= U_j = floor((beta_j - rep_j)/b)
-    and sum(d) >= smin = ceil((rep_1 - beta_1)/b).
+    against, so it shares none of it: it lists the lattice translates of
+    each representative with ceiling beta (``maximals.translates``).
     """
     beta = _oracle_args(params, beta)
-    b, m = params.b, params.m
-    found: list[IntTuple] = []
-    for rep in absolute_maximals_region(params).region_reps:
-        U = [(beta[j] - rep[j]) // b for j in range(1, m)]
-        smin = ceil_div(rep[0] - beta[0], b)
-        # d_j <= U_j and sum(d) >= smin bound each d_j below as well; the
-        # last shift starts where the sum of all of them reaches smin.
-        lo = [smin - (sum(U) - U[j]) for j in range(m - 1)]
-        for head in itertools.product(*(range(lo[j], U[j] + 1) for j in range(m - 2))):
-            partial = sum(head)
-            middle = [rep[j + 1] + b * d for j, d in enumerate(head)]
-            for last in range(max(lo[-1], smin - partial), U[-1] + 1):
-                found.append((rep[0] - b * (partial + last), *middle, rep[-1] + b * last))
-    gammas = sorted_unique(found)
-    if gammas:
-        pcm: tuple[int | None, ...] = tuple(
-            max(g[k] for g in gammas) for k in range(m)
-        )
-    else:
-        pcm = (None,) * m
+    gammas = sorted_unique(t for rep in absolute_maximals_region(params).region_reps
+                           for t in translates(params, rep, None, beta))
+    pcm = tuple(map(max, zip(*gammas))) if gammas else (None,) * params.m
     return LocalProfile(beta=beta, gamma_hat_beta=gammas, per_coord_max=pcm)
 
 

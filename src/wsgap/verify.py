@@ -170,21 +170,15 @@ def _diff_detail(computed: Sequence, expected: Sequence) -> str:
 
 def _evaluate_fixture(f: Fixture) -> CheckResult:
     t0 = time.perf_counter()
+    detail = ""
     if f.kind == "relative_maximals":
         computed = mx.expand_positive(mx.relative_maximals_region(f.params))
-        also = mx.lambda_nonneg(f.params)
-        if computed != also:
-            return CheckResult(f.name, "fixture", False,
-                               "expansion and closed formula disagree",
-                               (time.perf_counter() - t0) * 1000)
+        if computed != mx.lambda_nonneg(f.params):
+            detail = "expansion and closed formula disagree"
     elif f.kind == "pure_gaps":
-        profile = gs.pure_gaps(f.params, method="profile").pure_gaps
-        inter = gs.pure_gaps(f.params, method="intersection").pure_gaps
-        if profile != inter:
-            return CheckResult(f.name, "fixture", False,
-                               "profile and intersection methods disagree",
-                               (time.perf_counter() - t0) * 1000)
-        computed = profile
+        computed = gs.pure_gaps(f.params, method="profile").pure_gaps
+        if computed != gs.pure_gaps(f.params, method="intersection").pure_gaps:
+            detail = "profile and intersection methods disagree"
     elif f.kind == "nabla_set":
         computed = gs.nabla_bar_nonneg(f.params, f.arg)
     elif f.kind == "witnesses":
@@ -194,9 +188,9 @@ def _evaluate_fixture(f: Fixture) -> CheckResult:
         ))
     else:
         raise ValueError(f"unknown fixture kind {f.kind!r}")
-    passed = tuple(sorted(computed)) == tuple(sorted(f.expected))
-    detail = "" if passed else _diff_detail(computed, f.expected)
-    return CheckResult(f.name, "fixture", passed, detail,
+    if not detail and tuple(sorted(computed)) != tuple(sorted(f.expected)):
+        detail = _diff_detail(computed, f.expected)
+    return CheckResult(f.name, "fixture", not detail, detail,
                        (time.perf_counter() - t0) * 1000)
 
 
@@ -393,15 +387,14 @@ def _check_region_families(p: CurveParams) -> list[CheckResult]:
     return [stamps.result("region-families", ok, detail)]
 
 
-def _check_formula_classification(p: CurveParams, sample: int = 12,
-                                  seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def _check_formula_classification(p: CurveParams) -> list[CheckResult]:
     """Closed-form families against the emptiness-based classifiers.
 
     Uses the profile route of the classifiers so the full sweep stays
     fast; the search route is exercised by ``check_definition_level``.
     """
     stamps = _Stamps(p)
-    rng = random.Random(_mix_seed(seed, p.a, p.b, p.m, 4))
+    rng = random.Random(_mix_seed(DEFAULT_SEED, p.a, p.b, p.m, 4))
     relative = mx.relative_maximals_region(p)
     absolute = mx.absolute_maximals_region(p)
     ok, detail = True, ""
@@ -419,7 +412,7 @@ def _check_formula_classification(p: CurveParams, sample: int = 12,
                 break
     if ok:
         pool = mx.lambda_nonneg(p) + mx.expand_positive(absolute)
-        for _ in range(sample):
+        for _ in range(12):
             x, y = rng.choice(pool), rng.choice(pool)
             t = lub([x, y])
             if mx.family_contains(relative, t) or mx.family_contains(absolute, t):
@@ -492,8 +485,7 @@ def _check_witnesses(p: CurveParams) -> list[CheckResult]:
     return [stamps.result("witness-coherence", ok, detail)]
 
 
-def _check_report_sanity(p: CurveParams, sample: int = 50,
-                         seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def _check_report_sanity(p: CurveParams) -> list[CheckResult]:
     stamps = _Stamps(p)
     report = gs.gaps(p)
     B = 2 * p.genus - 1
@@ -505,8 +497,8 @@ def _check_report_sanity(p: CurveParams, sample: int = 50,
     if ok and any(min(t) < 0 or sum(t) > B for t in gaps):
         ok, detail = False, "gap outside the bounding simplex"
     if ok:
-        rng = random.Random(_mix_seed(seed, p.a, p.b, p.m, 2))
-        for _ in range(sample):
+        rng = random.Random(_mix_seed(DEFAULT_SEED, p.a, p.b, p.m, 2))
+        for _ in range(50):
             t = tuple(rng.randrange(B + 1) for _ in range(p.m))
             if sum(t) > B:
                 continue

@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 import wsgap as w
 from wsgap import fixtures as fx
 from wsgap import maximals as mx
-from wsgap.core import Box, box_tuples, reduce_to_region
-from wsgap.maximals import family_contains, shift_vectors
+from wsgap.core import Box
+from wsgap.maximals import family_contains
 
 POOL = [w.curve_params(a, b, m) for a, b, m in
         [(2, 3, 2), (3, 4, 3), (4, 5, 2), (4, 5, 3), (4, 7, 3), (5, 9, 4), (2, 5, 3)]]
@@ -56,31 +57,80 @@ class TestRegionFamilies:
             w.relative_maximals_region(p)
 
 
-class TestShiftVectors:
-    @settings(max_examples=150, deadline=None)
-    @given(lo=st.lists(st.integers(-3, 3), min_size=0, max_size=4),
-           cap=st.integers(-4, 8))
-    def test_matches_product_filter(self, lo, cap):
-        # no entry can exceed its own bound by more than the slack
-        slack = cap - sum(lo)
-        expected = [d for d in itertools.product(*(range(l, l + slack + 1) for l in lo))
-                    if sum(d) <= cap]
-        got = list(shift_vectors(lo, cap))
-        assert got == expected  # same vectors, in lexicographic order
-        if cap < sum(lo):
-            assert got == []
+class TestTranslates:
+    """``translates`` against a product over a box of shifts, filtered on
+    the tuples.  On a bounded side each coordinate pins its shift; the
+    open side lies within (sum|rep| + sum|bound|)/b of it, as every
+    translate keeps the coordinate sum of ``rep``."""
 
-    def test_no_parts(self):
-        assert list(shift_vectors((), 0)) == [()]
-        assert list(shift_vectors((), -1)) == []
+    @staticmethod
+    def reference(p, rep, lo, hi):
+        b = p.b
+        span = (sum(map(abs, rep)) + sum(map(abs, lo or hi))) // b + 1
+        ranges = []
+        for j in range(1, p.m):
+            least = None if lo is None else -((rep[j] - lo[j]) // b)
+            most = None if hi is None else (hi[j] - rep[j]) // b
+            ranges.append(range(most - span if least is None else least,
+                                (least + span if most is None else most) + 1))
+        out = []
+        for d in itertools.product(*ranges):  # lexicographic shift order
+            t = tuple(map(operator.add, rep, w.theta_vector(p, d)))
+            if (lo is None or all(map(operator.le, lo, t))) and \
+                    (hi is None or all(map(operator.le, t, hi))):
+                out.append(t)
+        return out
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), b=st.integers(2, 5), m=st.integers(2, 4),
+           sides=st.sampled_from(["box", "floor", "ceiling"]))
+    def test_matches_shift_box_filter(self, data, b, m, sides):
+        p = w.curve_params(b + 1, b, m)
+        rep = (data.draw(st.integers(-15, 15)),
+               *data.draw(st.lists(st.integers(-6, 6), min_size=m - 1, max_size=m - 1)))
+        corner = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m)))
+        if sides == "box":  # a width of -1 leaves the window empty
+            widths = data.draw(st.lists(st.integers(-1, 9), min_size=m, max_size=m))
+            lo, hi = corner, tuple(map(operator.add, corner, widths))
+        else:
+            lo, hi = (corner, None) if sides == "floor" else (None, corner)
+        assert list(mx.translates(p, rep, lo, hi)) == self.reference(p, rep, lo, hi)
+
+    def test_empty_windows(self):
+        p = w.curve_params(5, 4, 3)
+        rep = (6, 1, 1)
+        # every translate sums to 8, so a floor summing above it or a
+        # ceiling summing below it leaves nothing
+        assert list(mx.translates(p, rep, (7, 1, 1), None)) == []
+        assert list(mx.translates(p, rep, None, (-11, 9, 9))) == []
+        assert list(mx.translates(p, rep, None, (-10, 9, 9))) == [(-10, 9, 9)]
+        assert list(mx.translates(p, rep, (0, 2, 2), (20, 4, 4))) == []  # no shift fits between
+        assert list(mx.translates(p, rep, (0, 1, 1), (0, 9, 9))) == []  # the sum misses the window
+        assert list(mx.translates(p, rep, (6, 1, 1), (6, 1, 1))) == [rep]
+
+    def test_lexicographic_order(self):
+        p = w.curve_params(3, 2, 3)
+        got = list(mx.translates(p, (4, 0, 0), (0, 0, 0), None))
+        assert got == [(4, 0, 0), (2, 0, 2), (0, 0, 4), (2, 2, 0), (0, 2, 2), (0, 4, 0)]
 
 
 def brute_force_expand(ms, box):
-    """Independent oracle: scan the whole box and keep lattice translates
-    of the representatives, recognized through canonical reduction."""
-    reps = set(ms.region_reps)
-    return tuple(t for t in box_tuples(box)
-                 if reduce_to_region(ms.params, t)[0] in reps)
+    """Independent oracle: a tuple is a lattice translate of a
+    representative iff its residues mod b at coordinates 2..m and its
+    coordinate sum match that representative's.  So each choice of
+    coordinates 2..m in the box leaves one first coordinate per matching
+    representative, kept when it lies in the box."""
+    b = ms.params.b
+    sums = {}
+    for r in ms.region_reps:
+        sums.setdefault(tuple(c % b for c in r[1:]), []).append(sum(r))
+    out = []
+    for rest in itertools.product(*(range(l, h + 1) for l, h in zip(box.lo[1:], box.hi[1:]))):
+        for total in sums.get(tuple(c % b for c in rest), ()):
+            first = total - sum(rest)
+            if box.lo[0] <= first <= box.hi[0]:
+                out.append((first, *rest))
+    return out
 
 
 class TestExpansion:
