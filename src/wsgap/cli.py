@@ -256,6 +256,7 @@ def _run_dim(params: CurveParams, args: argparse.Namespace) -> dict:
 def _run_sigma(params: CurveParams, args: argparse.Namespace) -> dict:
     from . import gapsets as gs
 
+    _guard_params(params, args.force)
     table = gs.sigma_pair(params)
     return {
         "gaps_q1": list(table.gaps_q1),
@@ -271,6 +272,7 @@ def _run_sigma(params: CurveParams, args: argparse.Namespace) -> dict:
 def _run_superset(params: CurveParams, args: argparse.Namespace) -> dict:
     from . import gapsets as gs
 
+    _guard_cells(2 * params.genus, args.force)
     a_star, a_set = gs.candidate_superset(params)
     return {"a_star": list(a_star), "a": list(a_set)}
 

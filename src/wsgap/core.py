@@ -239,8 +239,9 @@ def check_tuple(params: CurveParams, t: Sequence[int]) -> IntTuple:
     out = tuple(t)
     if len(out) != params.m:
         raise WsgapError(f"expected a tuple of length m={params.m}, got {out!r}")
-    if {*map(type, out)} != {int}:
-        raise WsgapError(f"tuple coordinates must be integers, got {out!r}")
+    for c in out:
+        if type(c) is not int:
+            raise WsgapError(f"tuple coordinates must be integers, got {out!r}")
     return out
 
 

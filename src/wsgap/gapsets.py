@@ -1,6 +1,7 @@
 """Gap and pure-gap enumeration at several points, by cross-checking routes.
 
-Three independent routes produce the gap set:
+Three routes produce the gap set, of which only ``complement`` is
+independent of the other two:
 
 * ``complement``: sweep the simplex {alpha >= 0, sum <= 2g-1} and keep
   the tuples the membership oracle rejects (everything with coordinate
@@ -9,7 +10,10 @@ Three independent routes produce the gap set:
   beta*, the tuples that agree with beta* in one coordinate and are
   strictly smaller elsewhere;
 * ``explicit_s``: the same sets written as explicit index families
-  S_{i,k} in (a, b, m, i) without constructing the maximals first.
+  S_{i,k} in (a, b, m, i).  It expands the same representatives as
+  ``union_nabla`` with the same walk (``maximals.translates``), and the
+  two mark their slabs with one builder (``_cube_rows``): only their
+  slab rules differ.
 
 Pure gaps come from two routes: the ``profile`` test (the componentwise
 maximum of the absolute maximals below alpha is strictly smaller than

@@ -133,7 +133,9 @@ def translates(params: CurveParams, rep: IntTuple, lo: Sequence[int] | None,
 
 def _expand(ms: MaximalSet, lo: Sequence[int] | None,
             hi: Sequence[int] | None) -> tuple[IntTuple, ...]:
-    return sorted_unique(t for rep in ms.region_reps for t in translates(ms.params, rep, lo, hi))
+    # No tuple repeats: the representatives differ in residue at
+    # coordinate 2, and the shifts d fix a translate.
+    return tuple(sorted(t for rep in ms.region_reps for t in translates(ms.params, rep, lo, hi)))
 
 
 def expand_in_box(ms: MaximalSet, box: Box) -> tuple[IntTuple, ...]:
@@ -176,7 +178,8 @@ def _lambda_nonneg(params: CurveParams, include_zero_family: bool) -> tuple[IntT
     reps = [(a * (b - i) - b, *[i] * (m - 1)) for i in range(1, b)]
     if include_zero_family:
         reps.append((b * (m - 2), *[0] * (m - 1)))
-    return sorted_unique(t for rep in reps for t in translates(params, rep, (0,) * m, None))
+    # one residue per representative at coordinate 2, so no repeats, as in _expand
+    return tuple(sorted(t for rep in reps for t in translates(params, rep, (0,) * m, None)))
 
 
 def family_contains(ms: MaximalSet, t: IntTuple) -> bool:

@@ -81,7 +81,6 @@ from .core import (
     Record,
     WsgapError,
     check_tuple,
-    sorted_unique,
 )
 from .maximals import absolute_maximals_region, translates
 
@@ -174,13 +173,20 @@ class _Signature:
 class _Store(dict):
     """A curve's signature tables, keyed by the residue multiset S as the
     sum of ``weights[s]`` = m**s over S: base-m digits that count each
-    residue (at most m - 1 times), so no sort is needed to find a table."""
+    residue (at most m - 1 times), so no sort is needed to find a table.
+    A weight is 0 until its residue is first used (``weight``): all b of
+    them would take O(b**2 log m) bits."""
 
-    __slots__ = ("weights",)
+    __slots__ = ("m", "weights")
 
     def __init__(self, m: int, b: int):
         super().__init__()
-        self.weights = [m ** s for s in range(b)]
+        self.m = m
+        self.weights = [0] * b
+
+    def weight(self, s: int) -> int:
+        w = self.weights[s] = self.m ** s
+        return w
 
 
 @lru_cache(maxsize=CURVE_CACHE_SIZE)
@@ -221,7 +227,7 @@ def _signature(params: CurveParams, beta: Sequence[int]) -> tuple[_Signature, in
     key, t = 0, sum(beta)
     for c in beta[1:]:
         s = c % b
-        key += weights[s]
+        key += weights[s] or store.weight(s)
         t -= s
     tab = store.get(key)
     if tab is None:
@@ -260,8 +266,9 @@ def local_absolute_maximals(params: CurveParams, beta: Sequence[int]) -> LocalPr
     each representative with ceiling beta (``maximals.translates``).
     """
     beta = _oracle_args(params, beta)
-    gammas = sorted_unique(t for rep in absolute_maximals_region(params).region_reps
-                           for t in translates(params, rep, None, beta))
+    # no translate repeats: the families differ in residue at coordinate 2
+    gammas = tuple(sorted(t for rep in absolute_maximals_region(params).region_reps
+                          for t in translates(params, rep, None, beta)))
     pcm = tuple(map(max, zip(*gammas))) if gammas else (None,) * params.m
     return LocalProfile(beta=beta, gamma_hat_beta=gammas, per_coord_max=pcm)
 
@@ -394,25 +401,34 @@ def _is_maximal(params: CurveParams, alpha: IntTuple, method: NablaMethod) -> bo
     return all(_nabla_empty(params, alpha, (i,), method) for i in range(1, params.m + 1))
 
 
+def _maximal_kinds(params: CurveParams, alpha: IntTuple,
+                   method: NablaMethod) -> tuple[bool, bool]:
+    """``(absolute, relative)`` for a checked alpha: maximal with every
+    nabla_J empty, and maximal with every nabla_J nonempty, over the
+    proper J of size >= 2.  The walk over J stops once it has seen both
+    an empty and a nonempty nabla_J; at m = 2 there is no such J, and a
+    maximal element is of both kinds.
+    """
+    if not _is_maximal(params, alpha, method):
+        return False, False
+    seen: set[bool] = set()
+    for J in _proper_big_subsets(params.m):
+        seen.add(_nabla_empty(params, alpha, J, method))
+        if len(seen) == 2:
+            break
+    return False not in seen, True not in seen
+
+
 def is_absolute_maximal(params: CurveParams, alpha: Sequence[int],
                         method: NablaMethod = "search") -> bool:
     """Maximal with nabla_J empty for every proper J of size >= 2."""
-    alpha = _oracle_args(params, alpha)
-    if not _is_maximal(params, alpha, method):
-        return False
-    return all(_nabla_empty(params, alpha, J, method) for J in _proper_big_subsets(params.m))
+    return _maximal_kinds(params, _oracle_args(params, alpha), method)[0]
 
 
 def is_relative_maximal(params: CurveParams, alpha: Sequence[int],
                         method: NablaMethod = "search") -> bool:
     """Maximal with nabla_J nonempty for every proper J of size >= 2."""
-    return _is_relative_maximal(params, _oracle_args(params, alpha), method)
-
-
-def _is_relative_maximal(params: CurveParams, alpha: IntTuple, method: NablaMethod) -> bool:
-    if not _is_maximal(params, alpha, method):
-        return False
-    return not any(_nabla_empty(params, alpha, J, method) for J in _proper_big_subsets(params.m))
+    return _maximal_kinds(params, _oracle_args(params, alpha), method)[1]
 
 
 class RelMaxEquivalence(Record):
@@ -434,7 +450,7 @@ def check_relmax_equivalence(params: CurveParams, alpha: Sequence[int],
     alpha = _oracle_args(params, alpha)
     m = params.m
 
-    definition = _is_relative_maximal(params, alpha, method)
+    definition = _maximal_kinds(params, alpha, method)[1]
 
     nabla_empty = all(_nabla_empty(params, alpha, (i,), method) for i in range(1, m + 1))
     ones = tuple(c - 1 for c in alpha)

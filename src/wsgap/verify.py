@@ -36,7 +36,7 @@ import random
 import signal
 import threading
 import time
-from typing import Callable, Iterable, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import fixtures as fx
 from . import gapsets as gs
@@ -387,41 +387,48 @@ def _check_region_families(p: CurveParams) -> list[CheckResult]:
     return [stamps.result("region-families", ok, detail)]
 
 
-def _check_formula_classification(p: CurveParams) -> list[CheckResult]:
-    """Closed-form families against the emptiness-based classifiers.
+def _reclassify(p: CurveParams, method: oracle.NablaMethod, relatives: Iterable[IntTuple],
+                absolutes: Iterable[IntTuple], others: Iterable[IntTuple]) -> Iterator[str | None]:
+    """The closed-form families against the emptiness-based classifier
+    on one route: the first failure of each part, or None, lazily and in
+    order.  The relative family's elements classify as relative only,
+    the absolute family's as absolute only (at m = 2, where the families
+    coincide, as both), and ``others``, members outside both families,
+    as neither."""
+    both = p.m == 2
+    for label, pool, kinds in (("relative", relatives, (both, True)),
+                               ("absolute", absolutes, (True, both)),
+                               ("non-maximal", others, (False, False))):
+        failure = None
+        for t in pool:
+            got = oracle._maximal_kinds(p, t, method)
+            if got != kinds:
+                failure = f"{label} {t} classified (absolute, relative) = {got}"
+                break
+        yield failure
 
-    Uses the profile route of the classifiers so the full sweep stays
-    fast; the search route is exercised by ``check_definition_level``.
-    """
+
+def _outside_families(p: CurveParams, ts: Iterable[IntTuple]) -> Iterator[IntTuple]:
+    """The tuples of ``ts`` in neither closed-form family."""
+    relative, absolute = mx.relative_maximals_region(p), mx.absolute_maximals_region(p)
+    return (t for t in ts
+            if not (mx.family_contains(relative, t) or mx.family_contains(absolute, t)))
+
+
+def _check_formula_classification(p: CurveParams) -> list[CheckResult]:
+    """The nonnegative relative and positive absolute families, and 12
+    lubs of their elements, reclassified on the profile route, which
+    keeps the full sweep fast; ``check_definition_level`` runs the
+    search route."""
     stamps = _Stamps(p)
     rng = random.Random(_mix_seed(DEFAULT_SEED, p.a, p.b, p.m, 4))
-    relative = mx.relative_maximals_region(p)
-    absolute = mx.absolute_maximals_region(p)
-    ok, detail = True, ""
-    for t in mx.lambda_nonneg(p):
-        if not oracle.is_relative_maximal(p, t, method="profile"):
-            ok, detail = False, f"{t} not classified relative maximal"
-            break
-        if p.m >= 3 and oracle.is_absolute_maximal(p, t, method="profile"):
-            ok, detail = False, f"{t} classified absolute maximal"
-            break
-    if ok:
-        for t in mx.expand_positive(absolute):
-            if not oracle.is_absolute_maximal(p, t, method="profile"):
-                ok, detail = False, f"{t} not classified absolute maximal"
-                break
-    if ok:
-        pool = mx.lambda_nonneg(p) + mx.expand_positive(absolute)
-        for _ in range(12):
-            x, y = rng.choice(pool), rng.choice(pool)
-            t = lub([x, y])
-            if mx.family_contains(relative, t) or mx.family_contains(absolute, t):
-                continue
-            if oracle.is_relative_maximal(p, t, method="profile") or \
-                    oracle.is_absolute_maximal(p, t, method="profile"):
-                ok, detail = False, f"member {t} outside both families classified maximal"
-                break
-    return [stamps.result("formula-classification", ok, detail)]
+    relatives = mx.lambda_nonneg(p)
+    absolutes = mx.expand_positive(mx.absolute_maximals_region(p))
+    pool = relatives + absolutes
+    lubs = (lub([rng.choice(pool), rng.choice(pool)]) for _ in range(12))
+    failure = next(filter(None, _reclassify(p, "profile", relatives, absolutes,
+                                            _outside_families(p, lubs))), None)
+    return [stamps.result("formula-classification", failure is None, failure or "")]
 
 
 def _check_sigma(p: CurveParams) -> list[CheckResult]:
@@ -702,13 +709,9 @@ def oracle_invariants(p: CurveParams, trials: int, seed: int) -> list[CheckResul
             failure = f"membership not lattice-invariant at {alpha}, shift {d}"
             break
         if k % 25 == 0:
-            if oracle.is_relative_maximal(p, alpha, method="profile") != \
-                    oracle.is_relative_maximal(p, shifted, method="profile"):
-                failure = f"relative maximality not lattice-invariant at {alpha}"
-                break
-            if oracle.is_absolute_maximal(p, alpha, method="profile") != \
-                    oracle.is_absolute_maximal(p, shifted, method="profile"):
-                failure = f"absolute maximality not lattice-invariant at {alpha}"
+            if oracle._maximal_kinds(p, alpha, "profile") != \
+                    oracle._maximal_kinds(p, shifted, "profile"):
+                failure = f"maximality not lattice-invariant at {alpha}"
                 break
     record("theta-invariance", failure)
 
@@ -809,55 +812,22 @@ def check_definition_level(params: CurveParams, sample_size: int = 50,
     """Reclassify the closed-form maximals from the raw definitions.
 
     Every family element inside the box [-(b+1), 2g]^m must pass the
-    search-based (exhaustive) classifier for its own kind and fail the
-    other kind for m >= 3, and sampled members outside both families
-    must fail both classifiers.
+    search-based (exhaustive) classifier for its own kind only, and
+    ``sample_size`` sampled members in the box outside both families
+    must pass neither (``_reclassify``).
     """
     p = params
-    box = Box(lo=(-(p.b + 1),) * p.m, hi=(2 * p.genus,) * p.m)
-    relative = mx.relative_maximals_region(p)
-    absolute = mx.absolute_maximals_region(p)
     stamps = _Stamps(p)
-    report = ConformanceReport()
-
-    failure = None
-    for t in mx.expand_in_box(relative, box):
-        if not oracle.is_relative_maximal(p, t, method="search"):
-            failure = f"{t} fails the relative definition"
-            break
-        if p.m >= 3 and oracle.is_absolute_maximal(p, t, method="search"):
-            failure = f"{t} passes the absolute definition"
-            break
-    report.entries.append(stamps.result("definition-level-relative",
-                                        failure is None, failure or ""))
-
-    failure = None
-    for t in mx.expand_in_box(absolute, box):
-        if not oracle.is_absolute_maximal(p, t, method="search"):
-            failure = f"{t} fails the absolute definition"
-            break
-        if p.m >= 3 and oracle.is_relative_maximal(p, t, method="search"):
-            failure = f"{t} passes the relative definition"
-            break
-    report.entries.append(stamps.result("definition-level-absolute",
-                                        failure is None, failure or ""))
-
-    failure = None
+    box = Box(lo=(-(p.b + 1),) * p.m, hi=(2 * p.genus,) * p.m)
     rng = random.Random(_mix_seed(seed, p.a, p.b, p.m, 3))
     reps = _member_reps(p)
-    tested = 0
-    while tested < sample_size:
-        t = _random_member(rng, p, reps)
-        if t not in box:
-            continue
-        if mx.family_contains(relative, t) or mx.family_contains(absolute, t):
-            continue
-        tested += 1
-        if oracle.is_relative_maximal(p, t, method="search") or \
-                oracle.is_absolute_maximal(p, t, method="search"):
-            failure = f"member {t} outside both families passes a definition"
-            break
-    report.entries.append(stamps.result("definition-level-nonmaximal-sample",
-                                        failure is None, failure or ""))
-
-    return report.sorted()
+    members = iter(lambda: _random_member(rng, p, reps), None)  # endless, never None
+    others = _outside_families(p, (t for t in members if t in box))
+    parts = _reclassify(p, "search",
+                        mx.expand_in_box(mx.relative_maximals_region(p), box),
+                        mx.expand_in_box(mx.absolute_maximals_region(p), box),
+                        itertools.islice(others, sample_size))
+    names = ("definition-level-relative", "definition-level-absolute",
+             "definition-level-nonmaximal-sample")
+    return ConformanceReport([stamps.result(name, failure is None, failure or "")
+                              for name, failure in zip(names, parts)]).sorted()

@@ -256,6 +256,22 @@ class TestGuardsAndThreads:
         assert code == 1
         assert "--force" in err
 
+    @pytest.mark.parametrize("argv,name", [
+        (("sigma", "--a", "251", "--b", "256"), "sigma_pair"),
+        (("superset", "--a", "65536", "--b", "65535"), "candidate_superset"),
+    ], ids=["sigma", "superset"])
+    def test_pairing_and_superset_refused_before_any_work(self, capsys, monkeypatch,
+                                                          argv, name):
+        from wsgap import gapsets
+
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{name} ran before the guard")
+
+        monkeypatch.setattr(gapsets, name, no_work)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "exceeds the 100000000 guard" in err and "--force" in err
+
     @pytest.mark.parametrize("what", ["sweep", "all"])
     def test_verify_sweep_refused_before_any_work(self, capsys, monkeypatch, what):
         from wsgap import verify as verify_mod

@@ -108,6 +108,19 @@ class TestTranslates:
         assert list(mx.translates(p, rep, (0, 1, 1), (0, 9, 9))) == []  # the sum misses the window
         assert list(mx.translates(p, rep, (6, 1, 1), (6, 1, 1))) == [rep]
 
+    @pytest.mark.parametrize("p", POOL + [w.curve_params(3, 4, 4)], ids=str)
+    def test_families_never_repeat_a_translate(self, p):
+        """Distinct shifts give distinct translates, and a family's
+        representatives differ in residue at coordinate 2, so the
+        expansions, ``lambda_nonneg`` and the oracle's enumeration sort
+        the walk's output without a set pass."""
+        m, n = p.m, 2 * p.genus
+        windows = [((-(p.b + 1),) * m, (n,) * m), ((0,) * m, None), (None, (n,) * m)]
+        for ms in (mx.absolute_maximals_region(p), mx.relative_maximals_region(p)):
+            for lo, hi in windows:
+                ts = [t for rep in ms.region_reps for t in mx.translates(p, rep, lo, hi)]
+                assert ts and len(ts) == len(set(ts)), (ms.kind, lo, hi)
+
     def test_lexicographic_order(self):
         p = w.curve_params(3, 2, 3)
         got = list(mx.translates(p, (4, 0, 0), (0, 0, 0), None))

@@ -544,3 +544,17 @@ class TestOracleCaches:
         for p in cells:
             assert w.is_member(p, (0, 0))
         assert oracle._residue_table.cache_info().currsize <= maxsize
+
+    def test_key_weights_filled_on_first_use(self):
+        """A query at b = 65535 computes the m**s of its own residues only,
+        not all b of them (O(b**2 log m) bits)."""
+        p = w.curve_params(65536, 65535, 2)
+        oracle._residue_table.cache_clear()
+        try:
+            assert w.is_member(p, (1, 1)) is False
+            weights = oracle._residue_table(p)[2].weights
+            assert len(weights) == p.b
+            assert sum(map(bool, weights)) <= p.m - 1
+            assert weights[1] == p.m
+        finally:
+            oracle._residue_table.cache_clear()

@@ -1,13 +1,16 @@
 import collections
 import hashlib
 import os
+import random
 import threading
 import types
 
 import pytest
 
 import wsgap as w
-from wsgap import verify
+from wsgap import maximals as mx
+from wsgap import oracle, verify
+from wsgap.core import Box
 
 
 class TestFixtures:
@@ -122,6 +125,66 @@ class TestDefinitionLevel:
         b = w.check_definition_level(p, sample_size=10)
         assert [e.name for e in a.entries] == [e.name for e in b.entries]
         assert [e.passed for e in a.entries] == [e.passed for e in b.entries]
+
+
+def _two_predicate_kinds(p, alpha, method):
+    """(absolute, relative) from two separate walks over the big J, one
+    per predicate: the reference ``oracle._maximal_kinds`` must match."""
+    if not oracle._is_maximal(p, alpha, method):
+        return False, False
+    Js = oracle._proper_big_subsets(p.m)
+    return (all(oracle._nabla_empty(p, alpha, J, method) for J in Js),
+            not any(oracle._nabla_empty(p, alpha, J, method) for J in Js))
+
+
+def _c8_cells():
+    """The cells C8 reclassifies on the search route, with the edge
+    cells (4, 5, 2) and (3, 4, 4) (m = a + 1)."""
+    cells = {}
+    for p in [w.curve_params(4, 5, 3), w.curve_params(4, 5, 2), w.curve_params(4, 7, 3),
+              w.curve_params(3, 4, 4), *verify.sweep_cells()]:
+        box = Box(lo=(-(p.b + 1),) * p.m, hi=(2 * p.genus,) * p.m)
+        if box.cell_count() <= 250_000:
+            cells.setdefault((p.a, p.b, p.m), pytest.param(p, box, id=f"a{p.a}-b{p.b}-m{p.m}"))
+    return list(cells.values())
+
+
+class TestMaximalKinds:
+    @pytest.mark.parametrize("p,box", _c8_cells())
+    def test_matches_the_two_predicates(self, p, box):
+        """On both families in the box, and on seeded members and tuples
+        of the box, on both routes."""
+        rng = random.Random(p.a * 100 + p.b * 10 + p.m)
+        reps = verify._member_reps(p)
+        tuples = [*mx.expand_in_box(mx.relative_maximals_region(p), box),
+                  *mx.expand_in_box(mx.absolute_maximals_region(p), box)]
+        tuples += [t for t in (verify._random_member(rng, p, reps) for _ in range(20))
+                   if t in box]
+        tuples += [tuple(rng.randint(lo, hi) for lo, hi in zip(box.lo, box.hi))
+                   for _ in range(20)]
+        for method in ("profile", "search"):
+            got = [oracle._maximal_kinds(p, t, method) for t in tuples]
+            assert got == [_two_predicate_kinds(p, t, method) for t in tuples]
+            assert any(kinds != (False, False) for kinds in got)
+
+    @pytest.mark.parametrize("fault,failing", [
+        # a swap leaves (False, False) as it is: the sample of members
+        # outside both families cannot see it
+        (lambda kinds: kinds[::-1], {"formula-classification", "definition-level-relative",
+                                     "definition-level-absolute"}),
+        (lambda kinds: (not kinds[0], not kinds[1]),
+         {"formula-classification", "definition-level-relative", "definition-level-absolute",
+          "definition-level-nonmaximal-sample"}),
+    ], ids=["swap", "negate"])
+    def test_reclassification_catches_a_faulty_classifier(self, monkeypatch, fault, failing):
+        p = w.curve_params(4, 5, 3)
+        real = oracle._maximal_kinds
+        monkeypatch.setattr(oracle, "_maximal_kinds", lambda *args: fault(real(*args)))
+        results = [*verify.PROPERTY_CHECKS["formula-classification"](p),
+                   *w.check_definition_level(p, sample_size=20).entries]
+        assert {e.name.split(":")[1] for e in results if not e.passed} == failing
+        assert all("classified (absolute, relative) = " in e.detail
+                   for e in results if not e.passed)
 
 
 class TestReport:
