@@ -190,7 +190,7 @@ def _residue_gap_sets(params: CurveParams) -> tuple[TupleRows, TupleRows]:
     ``TupleRows``, and no tuple is built here.
     """
     b, m, n = params.b, params.m, 2 * params.genus
-    f, hit, _ = oracle._residue_table(params)
+    f, hit, _ = oracle._residue_table(params.a, b, m)
     width = min(b, n)  # the residues of coordinates below 2g
     values = list(range(n))
     shared: dict[tuple, list] = {}  # rows by Q, per (u, S')

@@ -34,15 +34,14 @@ F_r >= 0 iff theta_r <= t, where
 and then F_r + 1 = (t - theta_r)//b + 1.  The thresholds theta_r depend
 on beta only through the multiset S, of which a curve has at most
 C(b+m-2, m-1), so each curve keeps a store of signature tables keyed by
-S (``_signature``), filled on first use and capped at ``SIGNATURE_CAP``
-tables, the oldest evicted first.  A table holds theta by family and
-the largest and the smallest theta over S, and later theta in ascending
-order.
+S, filled on first use and capped at ``SIGNATURE_CAP`` tables, the
+oldest evicted first.  A table holds theta by family and the largest
+and the smallest theta over S, and later theta in ascending order.
 Coordinate k reaches beta_k exactly when the one family in the residue
 class of beta_k is feasible: r = beta_k mod b for k >= 2, and for k = 1
 the r = hit[beta_1 mod b] with f_r = beta_1 (mod b), unique because
-f_r = -a*r (mod b) and gcd(a, b) = 1.  So, after one pass over
-coordinates 2..m and one dictionary lookup:
+f_r = -a*r (mod b) and gcd(a, b) = 1.  So, after one pass that checks
+beta and reduces it mod b (``_query``) and two dictionary lookups:
 
 * membership is two comparisons with t: the family reaching
   coordinate 1, and the largest theta over the families of S;
@@ -81,6 +80,7 @@ from .core import (
     Record,
     WsgapError,
     check_tuple,
+    curve_params,
 )
 from .maximals import absolute_maximals_region, translates
 
@@ -126,6 +126,10 @@ class _Signature:
         self.top = max(map(theta.__getitem__, S))
         self.bottom = min(map(theta.__getitem__, S))
         self.order: list[int] | None = None
+
+    def member(self, beta_1: int, t: int, b: int) -> bool:
+        """Whether beta, with this S and t, is a member (see above)."""
+        return self.top <= t and self.theta[self.hit[beta_1 % b]] <= t
 
     def _sorted(self, b: int) -> list[int]:
         self.order = order = sorted(self.theta)
@@ -190,22 +194,22 @@ class _Store(dict):
 
 
 @lru_cache(maxsize=CURVE_CACHE_SIZE)
-def _residue_table(params: CurveParams) -> tuple[tuple[int, ...], tuple[int, ...], _Store]:
-    """``(f, hit, store)``: ``f[r]`` is the first coordinate of family r's
-    representative (f_r, r, ..., r), read from ``absolute_maximals_region``,
-    ``hit[s]`` is the one family with f_r congruent to s mod b, and
-    ``store`` holds the curve's signature tables, filled by ``_signature``
-    for the queries.  The gap kernel (``gapsets._residue_gap_sets``) builds
-    ``_Signature`` tables from the same f and hit for every signature it
-    walks and keeps them out of the store.
+def _residue_table(a: int, b: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...], _Store]:
+    """``(f, hit, store)`` of the curve (a, b) at m points (keyed by
+    integers: a ``CurveParams`` hashes in Python): ``f[r]`` is the first
+    coordinate of family r's representative (f_r, r, ..., r), read from
+    ``absolute_maximals_region``, ``hit[s]`` is the one family with f_r
+    congruent to s mod b, and ``store`` holds the curve's signature tables,
+    filled by ``_query``.  The gap kernel (``gapsets._residue_gap_sets``)
+    builds ``_Signature`` tables from the same f and hit for every
+    signature it walks and keeps them out of the store.
 
     Raises ``WsgapError`` if the representatives are not of that shape or
     two families share a first-coordinate residue, which would break the
     one-family-per-coordinate tests below.
     """
-    b = params.b
     f: list[int | None] = [None] * b
-    for rep in absolute_maximals_region(params).region_reps:
+    for rep in absolute_maximals_region(curve_params(a, b, m)).region_reps:
         r = rep[1]
         if any(c != r for c in rep[2:]) or f[r] is not None:
             raise WsgapError(f"representative {rep} is not (f_r, r, ..., r) for a new r")
@@ -217,44 +221,43 @@ def _residue_table(params: CurveParams) -> tuple[tuple[int, ...], tuple[int, ...
             raise WsgapError(f"families {hit[s]} and {r} share the first-coordinate "
                              f"residue {s} mod {b}")
         hit[s] = r
-    return tuple(f), tuple(hit), _Store(params.m, b)
+    return tuple(f), tuple(hit), _Store(m, b)
 
 
-def _signature(params: CurveParams, beta: Sequence[int]) -> tuple[_Signature, int]:
-    """The table of beta's residue signature, and t = sum(beta) - sum(S)."""
-    f, hit, store = _residue_table(params)
-    b, weights = params.b, store.weights
-    key, t = 0, sum(beta)
+def _query(params: CurveParams, beta: Iterable[int],
+           keep: Collection[int] = ()) -> tuple[Sequence[int], _Signature, int]:
+    """``(beta, table, t)``: beta read once and checked, the table of its
+    residue signature S and t = sum(beta) - sum(S).  Each coordinate is
+    checked to be a plain int in the loop that builds S's key and t; a
+    failed check raises through ``check_tuple``.  With ``keep``, checked
+    1-based indices, beta is first lowered by one off them."""
+    m, b = params.m, params.b
+    if m < 2:
+        raise BadPointCountError("the oracle needs m >= 2")
+    alpha = beta = tuple(beta)
+    if len(alpha) != m or type(alpha[0]) is not int:
+        check_tuple(params, alpha)
+    if keep:  # a coordinate that is no int is left for the check below
+        beta = [c if k in keep or type(c) is not int else c - 1 for k, c in enumerate(alpha, 1)]
+    f, hit, store = _residue_table(params.a, b, m)
+    weights, key, t = store.weights, 0, beta[0]
     for c in beta[1:]:
+        if type(c) is not int:
+            check_tuple(params, alpha)
         s = c % b
         key += weights[s] or store.weight(s)
-        t -= s
+        t += c - s
     tab = store.get(key)
     if tab is None:
         if len(store) >= SIGNATURE_CAP:
             del store[next(iter(store))]
-        S = sorted([c % b for c in beta[1:]])
-        tab = store[key] = _Signature(f, hit, b, S)
-    return tab, t
-
-
-def _oracle_args(params: CurveParams, beta: Sequence[int]) -> IntTuple:
-    if params.m < 2:
-        raise BadPointCountError("the oracle needs m >= 2")
-    return check_tuple(params, beta)
-
-
-def _reached(params: CurveParams, beta: Sequence[int]) -> bool:
-    """Whether beta is a member: at every point k some absolute maximal
-    <= beta equals beta_k."""
-    tab, t = _signature(params, beta)
-    return tab.top <= t and tab.theta[tab.hit[beta[0] % params.b]] <= t
+        tab = store[key] = _Signature(f, hit, b, sorted([c % b for c in beta[1:]]))
+    return beta, tab, t
 
 
 def per_coord_max(params: CurveParams, beta: Sequence[int]) -> tuple[int, ...] | None:
     """Componentwise maximum over the absolute maximals <= beta, or None."""
-    beta = _oracle_args(params, beta)
-    tab, t = _signature(params, beta)
+    beta, tab, t = _query(params, beta)
     return tab.envelope(beta, t, params.b)
 
 
@@ -265,7 +268,9 @@ def local_absolute_maximals(params: CurveParams, beta: Sequence[int]) -> LocalPr
     against, so it shares none of it: it lists the lattice translates of
     each representative with ceiling beta (``maximals.translates``).
     """
-    beta = _oracle_args(params, beta)
+    if params.m < 2:
+        raise BadPointCountError("the oracle needs m >= 2")
+    beta = check_tuple(params, beta)
     # no translate repeats: the families differ in residue at coordinate 2
     gammas = tuple(sorted(t for rep in absolute_maximals_region(params).region_reps
                           for t in translates(params, rep, None, beta)))
@@ -275,7 +280,8 @@ def local_absolute_maximals(params: CurveParams, beta: Sequence[int]) -> LocalPr
 
 def is_member(params: CurveParams, beta: Sequence[int]) -> bool:
     """Whether beta belongs to the generalized semigroup at the m points."""
-    return _reached(params, _oracle_args(params, beta))
+    beta, tab, t = _query(params, beta)
+    return tab.member(beta[0], t, params.b)
 
 
 def dim_L(params: CurveParams, beta: Sequence[int]) -> int:
@@ -287,30 +293,27 @@ def dim_L(params: CurveParams, beta: Sequence[int]) -> int:
     class of f_r mod b, and families never share a class, so the count
     is a sum of window lengths.
     """
-    tab, t = _signature(params, _oracle_args(params, beta))
+    _, tab, t = _query(params, beta)
     return tab.dim(t, params.b)
 
 
 def _check_J(params: CurveParams, J: Iterable[int]) -> set[int]:
     """Validate 1-based point indices and return them as a set."""
-    Js = list(J)
-    if not Js:
-        raise WsgapError("J must be nonempty")
-    # bool is an int subclass, and True would pass for point 1
-    if {*map(type, Js)} != {int} or min(Js) < 1 or max(Js) > params.m:
-        raise WsgapError(f"J must contain point indices in 1..{params.m}, got {Js}")
+    Js, m = list(J), params.m
+    for k in Js:
+        # bool is an int subclass, and True would pass for point 1
+        if type(k) is not int or not 0 < k <= m:
+            raise WsgapError(f"J must contain point indices in 1..{m}, got {Js}")
     Jset = {*Js}
-    if len(Jset) == params.m:
+    if not Jset:
+        raise WsgapError("J must be nonempty")
+    if len(Jset) == m:
         raise WsgapError("J must be a proper subset of the point indices")
     return Jset
 
 
-def nabla_J_empty(
-    params: CurveParams,
-    alpha: Sequence[int],
-    J: Iterable[int],
-    method: NablaMethod = "search",
-) -> bool:
+def nabla_J_empty(params: CurveParams, alpha: Sequence[int], J: Iterable[int],
+                  method: NablaMethod = "search") -> bool:
     """Whether no member agrees with alpha on J and is smaller elsewhere.
 
     ``J`` holds 1-based point indices.  The default decides the question
@@ -320,30 +323,32 @@ def nabla_J_empty(
     is used by the large sweeps.  The two agree, and the test suite
     checks that they do.
     """
-    alpha = _oracle_args(params, alpha)
-    return _nabla_empty(params, alpha, _check_J(params, J), method)
+    try:
+        J = _check_J(params, J)
+    except (WsgapError, TypeError):
+        _query(params, alpha)  # a bad alpha is reported before a bad J
+        raise
+    return _nabla_empty(params, alpha, J, method)
 
 
-def _nabla_empty(params: CurveParams, alpha: IntTuple, J: Collection[int],
+def _nabla_empty(params: CurveParams, alpha: Iterable[int], J: Collection[int],
                  method: NablaMethod) -> bool:
-    """``nabla_J_empty`` on a checked alpha and checked 1-based indices J."""
+    """``nabla_J_empty`` on checked 1-based indices J."""
     if method == "profile":
         # A member of nabla_J exists iff, for every j in J, some absolute
         # maximal reaches alpha_j at coordinate j while staying <= alpha on
         # J and < alpha elsewhere (componentwise maxima of such witnesses
         # assemble the member): iff alpha lowered by one off J is reached
         # at every point of J.
-        beta = []
-        for k, c in enumerate(alpha, 1):
-            beta.append(c if k in J else c - 1)
-        tab, t = _signature(params, beta)
-        b, theta = params.b, tab.theta
+        beta, tab, t = _query(params, alpha, J)
+        b, theta, hit = params.b, tab.theta, tab.hit
         for k in J:
             # point 1 reads the family of its first-coordinate class, k >= 2 family beta_k mod b
             x = beta[k - 1] % b
-            if theta[tab.hit[x] if k == 1 else x] > t:
+            if theta[hit[x] if k == 1 else x] > t:
                 return True
         return False
+    alpha, _, _ = _query(params, alpha)
     if method != "search":
         raise WsgapError(f"unknown nabla method {method!r}")
     return _nabla_J_empty_search(params, alpha, J)
@@ -369,7 +374,8 @@ def _nabla_J_empty_search(params: CurveParams, alpha: IntTuple, J: Collection[in
     def rec(idx: int, partial_sum: int) -> bool:
         """True when a member is found among completions from ``idx`` on."""
         if idx == len(free):
-            return _reached(params, beta)
+            _, tab, t = _query(params, beta)
+            return tab.member(beta[0], t, params.b)
         k = free[idx]
         for v in range(his[idx], los[idx] - 1, -1):
             if partial_sum + v + tail_his[idx] < 0:
@@ -382,53 +388,52 @@ def _nabla_J_empty_search(params: CurveParams, alpha: IntTuple, J: Collection[in
     return not rec(0, fixed_sum)
 
 
-def _proper_big_subsets(m: int) -> list[tuple[int, ...]]:
-    """All J with 2 <= |J| <= m-1, as 1-based index tuples."""
-    out = []
-    for size in range(2, m):
-        out.extend(itertools.combinations(range(1, m + 1), size))
-    return out
-
-
 def is_maximal(params: CurveParams, alpha: Sequence[int], method: NablaMethod = "search") -> bool:
     """Member with nabla(alpha) empty, i.e. all single-index nablas empty."""
-    return _is_maximal(params, _oracle_args(params, alpha), method)
+    return _maximal(params, alpha, method) is not None
 
 
-def _is_maximal(params: CurveParams, alpha: IntTuple, method: NablaMethod) -> bool:
-    if not _reached(params, alpha):
-        return False
-    return all(_nabla_empty(params, alpha, (i,), method) for i in range(1, params.m + 1))
+def _maximal(params: CurveParams, alpha: Iterable[int], method: NablaMethod) -> IntTuple | None:
+    """alpha, checked, if it is maximal, else None."""
+    alpha, tab, t = _query(params, alpha)
+    maximal = tab.member(alpha[0], t, params.b) and all(
+        _nabla_empty(params, alpha, (i,), method) for i in range(1, params.m + 1))
+    return alpha if maximal else None
 
 
-def _maximal_kinds(params: CurveParams, alpha: IntTuple,
-                   method: NablaMethod) -> tuple[bool, bool]:
-    """``(absolute, relative)`` for a checked alpha: maximal with every
-    nabla_J empty, and maximal with every nabla_J nonempty, over the
-    proper J of size >= 2.  The walk over J stops once it has seen both
-    an empty and a nonempty nabla_J; at m = 2 there is no such J, and a
-    maximal element is of both kinds.
-    """
-    if not _is_maximal(params, alpha, method):
-        return False, False
+def _big_nabla_kinds(params: CurveParams, alpha: IntTuple,
+                     method: NablaMethod) -> tuple[bool, bool]:
+    """Whether every nabla_J(alpha) is empty, and whether none is, over
+    the proper J of size >= 2; the walk stops once it has seen both."""
     seen: set[bool] = set()
-    for J in _proper_big_subsets(params.m):
-        seen.add(_nabla_empty(params, alpha, J, method))
-        if len(seen) == 2:
-            break
+    for size in range(2, params.m):
+        for J in itertools.combinations(range(1, params.m + 1), size):
+            seen.add(_nabla_empty(params, alpha, J, method))
+            if len(seen) == 2:
+                return False, False
     return False not in seen, True not in seen
+
+
+def _maximal_kinds(params: CurveParams, alpha: Iterable[int],
+                   method: NablaMethod) -> tuple[bool, bool]:
+    """``(absolute, relative)``: maximal with every nabla_J empty, and
+    maximal with every nabla_J nonempty, over the proper J of size >= 2.
+    At m = 2 there is no such J, and a maximal element is of both kinds.
+    """
+    alpha = _maximal(params, alpha, method)
+    return (False, False) if alpha is None else _big_nabla_kinds(params, alpha, method)
 
 
 def is_absolute_maximal(params: CurveParams, alpha: Sequence[int],
                         method: NablaMethod = "search") -> bool:
     """Maximal with nabla_J empty for every proper J of size >= 2."""
-    return _maximal_kinds(params, _oracle_args(params, alpha), method)[0]
+    return _maximal_kinds(params, alpha, method)[0]
 
 
 def is_relative_maximal(params: CurveParams, alpha: Sequence[int],
                         method: NablaMethod = "search") -> bool:
     """Maximal with nabla_J nonempty for every proper J of size >= 2."""
-    return _maximal_kinds(params, _oracle_args(params, alpha), method)[1]
+    return _maximal_kinds(params, alpha, method)[1]
 
 
 class RelMaxEquivalence(Record):
@@ -446,35 +451,24 @@ class RelMaxEquivalence(Record):
 
 def check_relmax_equivalence(params: CurveParams, alpha: Sequence[int],
                              method: NablaMethod = "search") -> RelMaxEquivalence:
-    """Evaluate the three characterizations of relative maximality."""
-    alpha = _oracle_args(params, alpha)
-    m = params.m
+    """Evaluate the three characterizations of relative maximality,
+    deciding each singleton nabla once for all three."""
+    alpha, tab, t = _query(params, alpha)
+    m, b = params.m, params.b
+    member = tab.member(alpha[0], t, b)
+    singles = [_nabla_empty(params, alpha, (i,), method) for i in range(1, m + 1)]
+    nabla_empty = all(singles)
 
-    definition = _maximal_kinds(params, alpha, method)[1]
+    definition = member and nabla_empty and _big_nabla_kinds(params, alpha, method)[1]
 
-    nabla_empty = all(_nabla_empty(params, alpha, (i,), method) for i in range(1, m + 1))
-    ones = tuple(c - 1 for c in alpha)
-    if nabla_empty:
-        (top, t), (low, u) = _signature(params, alpha), _signature(params, ones)
-        dimension_step = top.dim(t, params.b) == low.dim(u, params.b) + (m - 1)
-    else:
-        dimension_step = False
+    dimension_step = nabla_empty and (
+        tab.dim(t, b) == dim_L(params, [c - 1 for c in alpha]) + (m - 1))
 
-    pivot_exists = False
-    for i in range(1, m + 1):
-        if not _nabla_empty(params, alpha, (i,), method):
-            continue
-        if m == 2:
-            # the pair set {i, j} is the full index set: it holds exactly
-            # the tuple alpha itself, so nonemptiness is membership
-            if _reached(params, alpha):
-                pivot_exists = True
-                break
-        else:
-            if all(not _nabla_empty(params, alpha, (i, j), method)
-                   for j in range(1, m + 1) if j != i):
-                pivot_exists = True
-                break
+    # at m = 2 the pair set {i, j} is the full index set: it holds exactly
+    # the tuple alpha itself, so nonemptiness is membership
+    pivot_exists = any(empty and (member if m == 2 else all(
+        not _nabla_empty(params, alpha, (i, j), method) for j in range(1, m + 1) if j != i))
+        for i, empty in enumerate(singles, 1))
 
     return RelMaxEquivalence(alpha=alpha, definition=definition,
                              dimension_step=dimension_step, pivot_exists=pivot_exists)

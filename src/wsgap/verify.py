@@ -417,17 +417,22 @@ def _outside_families(p: CurveParams, ts: Iterable[IntTuple]) -> Iterator[IntTup
 
 def _check_formula_classification(p: CurveParams) -> list[CheckResult]:
     """The nonnegative relative and positive absolute families, and 12
-    lubs of their elements, reclassified on the profile route, which
-    keeps the full sweep fast; ``check_definition_level`` runs the
-    search route."""
+    members outside both, reclassified on the profile route, which keeps
+    the full sweep fast; ``check_definition_level`` runs the search route.
+    The lubs of 12 pairs of family elements that fall outside are topped
+    up to 12 from at most 100 draws of ``_random_member``: on the
+    smallest curves every such lub is a family element."""
     stamps = _Stamps(p)
     rng = random.Random(_mix_seed(DEFAULT_SEED, p.a, p.b, p.m, 4))
     relatives = mx.lambda_nonneg(p)
     absolutes = mx.expand_positive(mx.absolute_maximals_region(p))
     pool = relatives + absolutes
-    lubs = (lub([rng.choice(pool), rng.choice(pool)]) for _ in range(12))
-    failure = next(filter(None, _reclassify(p, "profile", relatives, absolutes,
-                                            _outside_families(p, lubs))), None)
+    lubs = [lub([rng.choice(pool), rng.choice(pool)]) for _ in range(12)]
+    others = list(_outside_families(p, lubs))
+    draws, reps = random.Random(_mix_seed(DEFAULT_SEED, p.a, p.b, p.m, 5)), _member_reps(p)
+    members = (_random_member(draws, p, reps) for _ in range(100))
+    others += itertools.islice(_outside_families(p, members), 12 - len(others))
+    failure = next(filter(None, _reclassify(p, "profile", relatives, absolutes, others)), None)
     return [stamps.result("formula-classification", failure is None, failure or "")]
 
 

@@ -375,9 +375,10 @@ class TestResidueGapKernel:
     @pytest.mark.parametrize("p,r", [(P453, 1), (P453, 3), (w.hermitian_params(3, 3), 1)],
                              ids=["4-5-3-r1", "4-5-3-r3", "3-4-3-r1"])
     def test_cube_check_catches_a_shifted_family(self, p, r, monkeypatch):
-        f, hit, _ = oracle._residue_table(p)
+        f, hit, _ = oracle._residue_table(p.a, p.b, p.m)
         shifted = f[:r] + (f[r] + p.b,) + f[r + 1:]
-        monkeypatch.setattr(oracle, "_residue_table", lambda params: (shifted, hit, oracle._Store(p.m, p.b)))
+        monkeypatch.setattr(oracle, "_residue_table",
+                            lambda a, b, m: (shifted, hit, oracle._Store(p.m, p.b)))
         gs._residue_gap_sets.cache_clear()
         with pytest.raises(w.WsgapError, match="not a member"):
             gs._residue_gap_sets(p)
@@ -386,7 +387,7 @@ class TestResidueGapKernel:
     def test_cube_check_matches_per_prefix_check(self, p, monkeypatch):
         """The kernel raises exactly when the per-prefix check over the whole
         cube fails, on tables with families shifted by multiples of b."""
-        f, hit, _ = oracle._residue_table(p)
+        f, hit, _ = oracle._residue_table(p.a, p.b, p.m)
         rng = random.Random(p.a * 100 + p.b * 10 + p.m)
         tables = [f[:r] + (f[r] + k * p.b,) + f[r + 1:]
                   for r in range(p.b) for k in (-2, -1, 1, 2)]
@@ -396,7 +397,7 @@ class TestResidueGapKernel:
             for table in tables:
                 # a fresh signature store per table, as the oracle reads it too
                 entry = (table, hit, oracle._Store(p.m, p.b))
-                monkeypatch.setattr(oracle, "_residue_table", lambda params: entry)
+                monkeypatch.setattr(oracle, "_residue_table", lambda a, b, m: entry)
                 gs._residue_gap_sets.cache_clear()
                 try:
                     gs._residue_gap_sets(p)
@@ -425,7 +426,7 @@ class TestResidueGapKernel:
     @pytest.mark.parametrize("p", [P473, w.hermitian_params(8, 3)], ids=str)
     def test_kernel_keeps_its_tables_out_of_the_query_store(self, p):
         oracle.is_member(p, (1,) * p.m)
-        store = oracle._residue_table(p)[2]
+        store = oracle._residue_table(p.a, p.b, p.m)[2]
         before = len(store)
         assert before
         gs._residue_gap_sets.cache_clear()

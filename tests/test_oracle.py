@@ -109,6 +109,13 @@ class TestNabla:
         with pytest.raises(w.WsgapError):
             w.nabla_J_empty(P453, (3, 3, 3), J, method)
 
+    @pytest.mark.parametrize("method", ["search", "profile"])
+    def test_bad_alpha_reported_before_an_unreadable_J(self, method):
+        with pytest.raises(w.WsgapError, match=r"^expected a tuple of length m=3, got \(1, 2\)$"):
+            w.nabla_J_empty(P453, iter((1, 2)), None, method)
+        with pytest.raises(TypeError):
+            w.nabla_J_empty(P453, (1, 2, 3), None, method)
+
 
 class TestMaximality:
     @pytest.mark.parametrize("method", ["search", "profile"])
@@ -127,22 +134,50 @@ class TestMaximality:
             assert w.is_absolute_maximal(P452, t)
 
 
+# the scalar ops of the query stream, nabla on the profile route
+SCALAR_OPS = {
+    "is_member": w.is_member,
+    "dim_L": w.dim_L,
+    "per_coord_max": w.per_coord_max,
+    "nabla_J_empty": lambda p, beta: w.nabla_J_empty(p, beta, (1, 3), "profile"),
+}
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls of the named ``oracle`` globals from here on."""
+    calls = collections.Counter()
+    for name in names:
+        real = getattr(oracle, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
 class TestPredicateChecks:
     @pytest.mark.parametrize("method", ["search", "profile"])
     @pytest.mark.parametrize("predicate", [w.is_relative_maximal, w.check_relmax_equivalence],
                              ids=["is_relative_maximal", "check_relmax_equivalence"])
     def test_alpha_checked_once(self, monkeypatch, predicate, method):
-        calls = collections.Counter()
-        for name in ("check_tuple", "_check_J"):
-            real = getattr(oracle, name)
-
-            def counted(*args, _real=real, _name=name):
-                calls[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(oracle, name, counted)
+        """A valid alpha is checked inside each signature read, with no
+        separate pass, and the nablas the predicates decide skip the J check."""
+        calls = _count_calls(monkeypatch, "check_tuple", "_check_J")
         predicate(w.hermitian_params(5, 4), (12, 0, 0, 0), method)
-        assert calls == {"check_tuple": 1}
+        assert calls == {}
+
+    @pytest.mark.parametrize("op", SCALAR_OPS.values(), ids=SCALAR_OPS)
+    def test_scalar_op_reads_once(self, monkeypatch, op):
+        """Each scalar op makes one pass: one checked signature read, one
+        curve-table lookup and, for a nabla, one J check."""
+        calls = _count_calls(monkeypatch, "check_tuple", "_check_J", "_query", "_residue_table")
+        for beta in [(2, 3, 3), (-1, 4, 9), iter((12, 0, 0))]:
+            calls.clear()
+            op(P453, beta)
+            nabla = op is SCALAR_OPS["nabla_J_empty"]
+            assert calls == {"_query": 1, "_residue_table": 1, **({"_check_J": 1} if nabla else {})}
 
     @pytest.mark.parametrize("predicate", [w.is_maximal, w.is_absolute_maximal,
                                            w.is_relative_maximal])
@@ -173,6 +208,24 @@ class TestRelMaxEquivalence:
     def test_equivalence_agrees_randomly(self, p, data):
         alpha = data.draw(tuple_st(p, -4, 2 * p.genus))
         assert w.check_relmax_equivalence(p, alpha, method="profile").agree
+
+    @pytest.mark.parametrize("method", ["search", "profile"])
+    def test_each_singleton_nabla_decided_once(self, monkeypatch, method):
+        p = w.hermitian_params(5, 4)
+        singletons = collections.Counter()
+        real = oracle._nabla_empty
+
+        def counted(params, alpha, J, method):
+            if len(J) == 1:
+                singletons[tuple(J)] += 1
+            return real(params, alpha, J, method)
+
+        monkeypatch.setattr(oracle, "_nabla_empty", counted)
+        for alpha in [(3, 3, 3, 3), (12, 0, 0, 0), (0, 0, 0, 1), (24, 1, 1, 1)]:
+            singletons.clear()
+            w.check_relmax_equivalence(p, alpha, method)
+            assert sum(singletons.values()) <= p.m
+            assert max(singletons.values()) == 1
 
 
 class TestOracleProperties:
@@ -384,7 +437,7 @@ def test_signature_store_matches_enumeration(p, count, monkeypatch):
         assert nablas["profile"] == nablas["search"]
         assert searched in (None, nablas["search"])
         searched = nablas["search"]
-        assert len(oracle._residue_table(p)[2]) <= cap
+        assert len(oracle._residue_table(p.a, p.b, p.m)[2]) <= cap
     oracle._residue_table.cache_clear()
 
 
@@ -525,7 +578,7 @@ class TestOracleCaches:
         assert len(signatures) == cap + 101
         oracle._residue_table.cache_clear()
         try:
-            store = oracle._residue_table(p)[2]
+            store = oracle._residue_table(p.a, p.b, p.m)[2]
             first = (p.b, *signatures[0])
             before = (w.is_member(p, first), w.dim_L(p, first), w.per_coord_max(p, first))
             for S in signatures:
@@ -552,7 +605,7 @@ class TestOracleCaches:
         oracle._residue_table.cache_clear()
         try:
             assert w.is_member(p, (1, 1)) is False
-            weights = oracle._residue_table(p)[2].weights
+            weights = oracle._residue_table(p.a, p.b, p.m)[2].weights
             assert len(weights) == p.b
             assert sum(map(bool, weights)) <= p.m - 1
             assert weights[1] == p.m

@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import itertools
 import os
 import random
 import threading
@@ -130,9 +131,9 @@ class TestDefinitionLevel:
 def _two_predicate_kinds(p, alpha, method):
     """(absolute, relative) from two separate walks over the big J, one
     per predicate: the reference ``oracle._maximal_kinds`` must match."""
-    if not oracle._is_maximal(p, alpha, method):
+    if oracle._maximal(p, alpha, method) is None:
         return False, False
-    Js = oracle._proper_big_subsets(p.m)
+    Js = [J for size in range(2, p.m) for J in itertools.combinations(range(1, p.m + 1), size)]
     return (all(oracle._nabla_empty(p, alpha, J, method) for J in Js),
             not any(oracle._nabla_empty(p, alpha, J, method) for J in Js))
 
@@ -185,6 +186,26 @@ class TestMaximalKinds:
         assert {e.name.split(":")[1] for e in results if not e.passed} == failing
         assert all("classified (absolute, relative) = " in e.detail
                    for e in results if not e.passed)
+
+    def test_formula_classification_reaches_outside_members(self, monkeypatch):
+        """Every default sweep cell classifies members outside both
+        families, the smallest curves included, where every lub drawn
+        from the family pool is a family element."""
+        seen = {}
+        real = verify._reclassify
+
+        def recording(p, method, relatives, absolutes, others):
+            seen[p] = others = list(others)
+            return real(p, method, relatives, absolutes, others)
+
+        monkeypatch.setattr(verify, "_reclassify", recording)
+        for p in verify.sweep_cells():
+            [result] = verify.PROPERTY_CHECKS["formula-classification"](p)
+            assert result.passed, result.detail
+            assert 1 <= len(seen[p]) <= 12
+            assert not any(mx.family_contains(region(p), t) for t in seen[p]
+                           for region in (mx.relative_maximals_region,
+                                          mx.absolute_maximals_region))
 
 
 class TestReport:
