@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run ``wsgap verify``'s per-cell checks, and a render check, beyond the test sweep.
+"""Run ``wsgap verify``'s per-cell checks, a count check and a render check, beyond the test sweep.
 
 The test suite and ``wsgap verify`` run the checks on every coprime
 (a, b, m) with a <= 5, b <= 9.  This script runs the same checks on the
@@ -12,37 +12,48 @@ larger curves people run:
   pure-gap routes profile and intersection, the zero family, the axes,
   the candidate superset, the coordinate symmetry, the region families,
   the formula classification, the pairing at m = 2, the witnesses and
-  the report sanity), ``verify.oracle_invariants`` at 2000 trials, and a
-  render check: the command line's emitters, streaming into a sink,
+  the report sanity), ``verify.oracle_invariants`` at 2000 trials, a
+  count check and a render check.  The count check compares
+  ``gapsets.gap_counts``, the kernel plan's closed form, with the
+  lengths of the kernel's rows, each side walked without being kept,
+  and at m = 2 the pure-gap count with the inversions of sigma.  In the
+  render check the command line's emitters, streaming into a sink,
   print an envelope of the kernel's gap rows, and one of its pure-gap
   rows, in JSON, text and CSV byte for byte as per-tuple encoders print
-  the same envelope with the tuples built from the rows.
+  the same envelope with the tuples built from the rows; each envelope
+  is printed twice, from the report's collected rows and from the
+  ``RowStream`` the command line prints for ``gaps`` and ``pure-gaps``.
 * Norm-trace (2, 4) at m = 4: the property checks ``pure-methods``,
-  ``zero-family`` and ``witnesses``, and ``verify.oracle_invariants``,
-  since ``symmetry`` and ``report-sanity`` build every gap tuple there.
-  ``check`` takes the names of the property checks to run, and the
-  render check runs only when all of them run.
+  ``zero-family`` and ``witnesses``, ``verify.oracle_invariants`` and
+  the count check, since ``symmetry`` and ``report-sanity`` build every
+  gap tuple there.  ``check`` takes the names of the property checks to
+  run, and the render check runs only when all of them run.
 * Hermitian q = 64 at m = 2 (b = 65, genus 2016): the oracle invariants
-  alone, in about 0.5 s, so the oracle's signature tables meet a b
+  and the count check alone, so the oracle's signature tables meet a b
   beyond the curves above.  At m = 3 they would take about 10 s per 200
   trials, nearly all of it in ``profile-enumeration-agreement``, whose
   reference ``oracle.local_absolute_maximals`` lists and sorts about
   130,000 translates a call; the tables answer in microseconds.
+* Hermitian q = 11 and q = 16 at m = 4: the count check alone.  At
+  q = 16 the kernel walks 62,779,592 gaps and 3,547,856 pure gaps, in
+  about 1.3 s and 40 MB, where the collected rows would take 222 MB.
 
 With ``--seed N`` it runs, in place of those curves, the property checks,
-the oracle invariants seeded from N and the render check on 12 coprime
-cells drawn from N outside the a <= 5, b <= 9 sweep box (a <= 12,
-b <= 40, a != b, m <= min(4, a + 1), (2g)^m <= 10^7).  Each line names
-the cell and the seed, so a disagreement can be rerun.
+the oracle invariants seeded from N, the count check and the render
+check on 12 coprime cells drawn from N outside the a <= 5, b <= 9 sweep
+box (a <= 12, b <= 40, a != b, m <= min(4, a + 1), (2g)^m <= 10^7).
+Each line names the cell and the seed, so a disagreement can be rerun.
 
 It prints one line per curve with the time of each part, then the name
 and detail of each failing check, and exits 1 on any failure.  A check
 that reads a route an earlier check of the curve built finds it cached.
 
-It is not part of the test suite: a run takes 20 to 23 s on two cores,
-the largest lines norm-trace (2, 4) at m = 4 and Hermitian q = 32 at
-m = 2 (about 5 s each) and q = 8 at m = 4 (about 3 s, of which the
-render check 1.4 s).  Seeded runs of seeds 1, 2 and 3 take 5 to 16 s.
+It is not part of the test suite: a run took 17 s on two cores, and
+40 s in a slow spell of the same host.  The largest lines of the 17 s
+run were norm-trace (2, 4) at m = 4 (3.6 s), Hermitian q = 32 at m = 2
+(3.1 s, of which the render check 1.5 s) and q = 8 at m = 4 (2.7 s, of
+which the render check 1.3 s).  Seeded runs of seeds 1, 2 and 3 took 4
+to 11 s.
 
     PYTHONPATH=src python3 scripts/check_large.py [--seed N]
 """
@@ -58,6 +69,7 @@ import time
 
 import wsgap as w
 from wsgap import cli, verify
+from wsgap import gapsets as gs
 
 CELLS = (
     [(f"hermitian q={q} m={m}", w.hermitian_params(q, m))
@@ -71,6 +83,8 @@ CELLS = (
 PARTIAL = [("norm-trace ell=2 r=4 m=4", w.norm_trace_params(2, 4, 4),
             ("pure-methods", "zero-family", "witnesses")),
            ("hermitian q=64 m=2", w.hermitian_params(64, 2), ())]
+# curves whose counts alone are checked
+COUNTS_ONLY = [(f"hermitian q={q} m=4", w.hermitian_params(q, 4)) for q in (11, 16)]
 ORACLE_TRIALS = 2000
 SEEDED_CELLS = 12
 SEEDED_CUBE = 10**7
@@ -123,32 +137,58 @@ def per_tuple(fmt, env, key):
 
 
 def check_rendering(params, report):
-    """The streaming emitters against per-tuple encoders, in all three formats."""
+    """The streaming emitters against per-tuple encoders, in all three
+    formats, on the report's collected rows and on the rows the command
+    line streams from the kernel's plan."""
     bad = []
     for key, rows in (("gaps", report.gap_rows), ("pure_gaps", report.pure_rows)):
-        env = envelope(params, key, rows)
+        streamed, _ = gs.stream_rows(params, pure=key == "pure_gaps")
         for fmt, emit in cli._EMITTERS.items():
-            sink = io.StringIO()
-            emit(env, sink)
-            if sink.getvalue() != per_tuple(fmt, env, key):
-                bad.append(f"{fmt} envelope of {key} differs from the per-tuple encoding")
+            expected = per_tuple(fmt, envelope(params, key, rows), key)
+            for source, shown in (("collected", rows), ("streamed", streamed)):
+                sink = io.StringIO()
+                emit(envelope(params, key, shown), sink)
+                if sink.getvalue() != expected:
+                    bad.append(f"{fmt} envelope of {source} {key} differs from the "
+                               f"per-tuple encoding")
+    return bad
+
+
+def check_counts(params):
+    """``gap_counts`` against the lengths of the kernel's rows, each side
+    walked without being kept, and at m = 2 the pure-gap count against
+    the inversions of sigma."""
+    counts = gs.gap_counts(params)
+    walked = tuple(sum(len(lasts) for _, lasts in gs.stream_rows(params, pure)[0].rows())
+                   for pure in (False, True))
+    bad = [] if counts == walked else [f"gap_counts {counts} != walked lengths {walked}"]
+    if params.m == 2 and counts[1] != len(gs.sigma_pair(params).inversions):
+        bad.append(f"pure-gap count {counts[1]} != the inversions of sigma")
     return bad
 
 
 def check(params, seed=verify.DEFAULT_SEED, checks=tuple(verify.PROPERTY_CHECKS)):
     """The failing checks and the time of each part, for one curve: the
-    named property checks, the oracle invariants, and the render check
-    when every property check runs."""
+    named property checks, the oracle invariants, the counts, and the
+    render check when every property check runs."""
     bad, times = [], {}
     parts = [(name, verify.PROPERTY_CHECKS[name]) for name in checks]
     parts.append(("oracle", lambda p: verify.oracle_invariants(p, ORACLE_TRIALS, seed)))
     for name, fn in parts:
         results, times[name] = timed(fn, params)
         bad += [f"{e.name}: {e.detail}" for e in results if not e.passed]
+    counts_bad, times["counts"] = timed(check_counts, params)
+    bad += counts_bad
     if set(checks) == set(verify.PROPERTY_CHECKS):
         rendering_bad, times["rendering"] = timed(check_rendering, params, w.gaps(params))
         bad += rendering_bad
     return bad, times
+
+
+def count_only(params):
+    """``check_counts`` alone, timed as ``check`` times its parts."""
+    bad, elapsed = timed(check_counts, params)
+    return bad, {"counts": elapsed}
 
 
 def seeded_cells(seed):
@@ -175,7 +215,8 @@ def main(argv=None):
     if args.seed is None:
         runs = [(label, params, check) for label, params in CELLS] + \
             [(label, params, lambda p, names=names: check(p, checks=names))
-             for label, params, names in PARTIAL]
+             for label, params, names in PARTIAL] + \
+            [(label, params, count_only) for label, params in COUNTS_ONLY]
     else:
         runs = [(f"a={p.a} b={p.b} m={p.m} seed={args.seed}", p,
                  lambda p: check(p, args.seed)) for p in seeded_cells(args.seed)]

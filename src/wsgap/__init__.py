@@ -32,7 +32,7 @@ _EXPORTS = {
         "local_absolute_maximals", "nabla_J_empty", "per_coord_max",
     ),
     "gapsets": (
-        "GapReport", "SigmaTable", "candidate_superset", "gaps",
+        "GapReport", "SigmaTable", "candidate_superset", "gap_counts", "gaps",
         "nabla_bar_nonneg", "numerical_gaps", "pure_gap_witness", "pure_gaps",
         "sigma_gap_set", "sigma_literal", "sigma_pair", "sigma_pure_gap_set",
     ),

@@ -14,10 +14,15 @@ Exit codes: 0 success, 1 domain error (message on standard error),
 ``gapsets`` and ``verify`` are imported by the subcommands that use them,
 and ``json`` and ``csv`` by the emitters that use them; the package
 does not import ``dataclasses``.  Payload tuple lists are
-``core.TupleRows``.  The payload is computed and checked whole, then
-the envelope is streamed to standard output row by row, so no copy of
-the whole output is held; a reader that closes the pipe early leaves
-exit status 0.
+``core.TupleRows``, except those of ``gaps --method complement`` and
+``pure-gaps --method profile`` at m >= 2: there the gap kernel's plan is
+built and checked whole, with its exact counts, and the payload holds a
+``gapsets.RowStream`` that walks the rows as the emitter prints them,
+so every error is raised before the first byte and no row is kept.
+The envelope is streamed to standard output row by row, so no copy of
+the whole output is held; ``timing_ms``, which every format prints after
+the payload, is read as it is written.  A reader that closes the pipe
+early leaves exit status 0.
 
 ``run``, the entry point of the ``wsgap`` script and of ``python -m
 wsgap.cli``, exits without interpreter teardown once the output is
@@ -195,7 +200,8 @@ def _guard_params(params: CurveParams, force: bool) -> None:
 # ---------------------------------------------------------------------------
 # payload builders
 
-def _tuples_payload(key: str, rows: TupleRows) -> dict:
+def _tuples_payload(key: str, rows) -> dict:
+    # rows: a TupleRows, or the RowStream of a streamed gap set
     return {key: rows, "count": len(rows)}
 
 
@@ -227,9 +233,14 @@ def _run_gaps(params: CurveParams, args: argparse.Namespace) -> dict:
     from . import gapsets as gs
 
     _guard_params(params, args.force)
-    report = gs.gaps(params, method=args.method.replace("-", "_"))
-    payload = _tuples_payload("gaps", report.gap_rows)
-    payload.update({"method": report.method, "stats": report.stats})
+    method = args.method.replace("-", "_")
+    if method == "complement" and params.m > 1:
+        rows, stats = gs.stream_rows(params)
+    else:
+        report = gs.gaps(params, method=method)
+        rows, stats = report.gap_rows, report.stats
+    payload = _tuples_payload("gaps", rows)
+    payload.update({"method": method, "stats": stats})
     return payload
 
 
@@ -237,9 +248,13 @@ def _run_pure_gaps(params: CurveParams, args: argparse.Namespace) -> dict:
     from . import gapsets as gs
 
     _guard_params(params, args.force)
-    report = gs.pure_gaps(params, method=args.method)
-    payload = _tuples_payload("pure_gaps", report.pure_rows)
-    payload.update({"method": report.method, "stats": report.stats})
+    if args.method == "profile" and params.m > 1:
+        rows, stats = gs.stream_rows(params, pure=True)
+    else:
+        report = gs.pure_gaps(params, method=args.method)
+        rows, stats = report.pure_rows, report.stats
+    payload = _tuples_payload("pure_gaps", rows)
+    payload.update({"method": args.method, "stats": stats})
     return payload
 
 
@@ -355,16 +370,24 @@ def _csv_tuple(key: str):
     return lambda n: f"{key},," + ";".join(["%d"] * n) + ",\n"
 
 
+def _timing_ms(envelope: dict) -> float:
+    """The envelope's ``timing_ms``: a number, or a clock read now."""
+    timing = envelope["timing_ms"]
+    return timing() if callable(timing) else timing
+
+
 def _emit_json(envelope: dict, out) -> None:
     import json
 
     # json.dumps(indent=2) runs the pure-Python encoder, so each tuple list
-    # goes in as a placeholder and is spliced back rendered by template.
+    # goes in as a placeholder and is spliced back rendered by template;
+    # timing_ms, which follows the payload, is read once the rows are out.
     payload = dict(envelope["payload"])
     keys = sorted(key for key in _TUPLE_KEYS if key in payload)
     for key in keys:
         payload[key] = "\0" + key
-    rest = json.dumps({**envelope, "payload": payload}, sort_keys=True, indent=2)
+    rest = json.dumps({**envelope, "payload": payload, "timing_ms": "\0timing_ms"},
+                      sort_keys=True, indent=2)
     for key in keys:  # sort_keys prints the placeholders in this order
         head, _, rest = rest.partition(json.dumps("\0" + key))
         out.write(head)
@@ -377,7 +400,8 @@ def _emit_json(envelope: dict, out) -> None:
         for row in rows:
             out.write(",\n" + row)
         out.write("\n    ]")
-    out.write(rest + "\n")
+    head, _, rest = rest.partition(json.dumps("\0timing_ms"))
+    out.write(head + json.dumps(_timing_ms(envelope)) + rest + "\n")
 
 
 def _scalar(value) -> str:
@@ -412,7 +436,7 @@ def _emit_text(envelope: dict, out) -> None:
                 out.write(f"{status} {chk['name']}{detail}\n")
         else:
             out.write(f"{key}: {_scalar(value)}\n")
-    out.write(f"# timing_ms: {envelope['timing_ms']}\n")
+    out.write(f"# timing_ms: {_timing_ms(envelope)}\n")
 
 
 def _emit_csv(envelope: dict, out) -> None:
@@ -441,7 +465,7 @@ def _emit_csv(envelope: dict, out) -> None:
                     writer.writerow(["check-detail", chk["name"], "", chk["detail"]])
         else:
             writer.writerow([key, "", "", _scalar(value)])
-    writer.writerow(["meta", "timing_ms", "", envelope["timing_ms"]])
+    writer.writerow(["meta", "timing_ms", "", _timing_ms(envelope)])
 
 
 _EMITTERS = {"json": _emit_json, "text": _emit_text, "csv": _emit_csv}
@@ -477,7 +501,8 @@ def main(argv=None) -> int:
         "params": _params_echo(params) if params is not None else
                   {"a": None, "b": None, "m": None, "genus": None, "field_size": None},
         "payload": payload,
-        "timing_ms": round((time.perf_counter() - t0) * 1000, 3),
+        # read as it is written, after the payload
+        "timing_ms": lambda: round((time.perf_counter() - t0) * 1000, 3),
     }
     try:
         _EMITTERS[args.format](envelope, sys.stdout)

@@ -33,12 +33,19 @@ The complement gaps and the profile pure gaps come from one kernel built
 on the oracle's signature tables (``oracle._Signature``): per prefix of
 the first m-1 coordinates and per residue class of the last, where the
 members start and below which no coordinate is reached.  Both depend on
-the prefix only through its residues mod b and the sum of its quotients,
-so the kernel computes each such row once, in pure Python, and walks
-only the simplex.  The union_nabla and explicit_s routes stay
-independent of it, as cross-checks: each lists its sets as slabs of
-[0, 2g-1]^m, and one builder marks the slabs in byte blocks kept only
-where slabs touch.
+the prefix only through its residues mod b and the sum of its quotients.
+The kernel has two parts.  The plan (``_plan``, one bounded cache per
+curve) computes each such row, or at m = 2 the cells it is cut from,
+once, in pure Python; it runs the whole-cube test and checks that the
+pure cells lie inside the gap cells, so it raises every error the kernel
+can raise, and it sums the exact counts (``gap_counts``) without a row.
+The walk (``_walk``) then goes over the simplex only and yields one
+side's rows in lexicographic order.  The library collects both sides
+and keeps them with the plan; the command line prints a ``RowStream``,
+which walks afresh each time it is read, so no row is kept.  The
+union_nabla and explicit_s routes stay independent of the kernel, as
+cross-checks: each lists its sets as slabs of [0, 2g-1]^m, and one
+builder marks the slabs in byte blocks kept only where slabs touch.
 Their rows, and those of the intersection route, are cached per curve,
 so that callers comparing the routes build each one once.
 
@@ -54,6 +61,7 @@ reads ``GapReport.gaps`` or ``.pure_gaps``, and are then kept.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -140,9 +148,40 @@ def numerical_gaps(a: int, b: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+class _Plan:
+    """The kernel's plan for one curve (see ``_plan``): ``split[v]`` is
+    divmod(v, b) for v below 2g, ``width`` is min(b, 2g), ``depth`` = m-2
+    the length of a head, ``leaves`` the leaves of each side per
+    signature in lexicographic order, and ``counts`` the exact numbers of
+    gaps and pure gaps.  ``collected`` holds the rows of both sides once
+    ``_residue_gap_sets`` has walked them."""
+
+    __slots__ = ("split", "width", "depth", "leaves", "counts", "collected")
+
+    def __init__(self, split: list[tuple[int, int]], width: int, depth: int,
+                 leaves: tuple[list, list], counts: tuple[int, int]) -> None:
+        self.split, self.width, self.depth = split, width, depth
+        self.leaves, self.counts = leaves, counts
+        self.collected: tuple[TupleRows, TupleRows] | None = None
+
+
+class _CellRows:
+    """The rows by Q of one signature at m = 2, built as they are read:
+    row Q holds the w >= b*Q whose cell is set, as w - b*Q."""
+
+    __slots__ = ("cells", "values", "b")
+
+    def __init__(self, cells: bytes, values: list[int], b: int) -> None:
+        self.cells, self.values, self.b = cells, values, b
+
+    def __getitem__(self, Q: int) -> IntTuple:
+        return tuple(itertools.compress(self.values, self.cells[self.b * Q:]))
+
+
 @lru_cache(maxsize=CURVE_CACHE_SIZE)
-def _residue_gap_sets(params: CurveParams) -> tuple[TupleRows, TupleRows]:
-    """Gaps and pure gaps in row form, from the oracle's signature tables.
+def _plan(params: CurveParams) -> _Plan:
+    """The complement/profile kernel's plan for one curve, from the
+    oracle's signature tables, built and checked whole.
 
     By ``oracle._Signature``, coordinate k of beta is reached iff
     theta_{r_k} <= t, where theta_r = f_r + b*#{x in S : x < r}, S holds
@@ -164,13 +203,18 @@ def _residue_gap_sets(params: CurveParams) -> tuple[TupleRows, TupleRows]:
     beta_m < L, where L = 2g - sum(P) = 2g - sum(sig) - b*Q.  So a row
     depends on (sig, Q) alone.  Taking w = beta_m + b*Q, which keeps the
     class s and adds Q to the quotient, the gap row of (sig, Q) is the cut
-    list W = {w < 2g - sum(sig) : floor(w/b) < H(w mod b)} from b*Q on,
-    shifted down by b*Q; the pure row is the same with h.  H and h read
-    sig only through u and the multiset S', so signatures that permute
-    s_2..s_{m-1} share their tables and rows.  Each row is built once as
-    a tuple and shared by every prefix with the same (sig, Q).  The b
-    tables of one S' are built here, read for every u and dropped; they
-    stay out of the oracle's store of query tables.
+    list W = {w < room : floor(w/b) < H(w mod b)}, room = 2g - sum(sig),
+    from b*Q on, shifted down by b*Q; the pure row is the same with h.
+    Both read sig only through u and the multiset S', so signatures that
+    permute s_2..s_{m-1} share one leaf.  The b tables of one S' are
+    built here, read for every u and dropped; they stay out of the
+    oracle's store of query tables.
+
+    Per (u, S') the plan keeps, for each side (0 the gaps, 1 the pure
+    gaps), a leaf of rows by Q: at m >= 3 the rows themselves, each one
+    tuple shared by every prefix with the same (sig, Q); at m = 2, where
+    each (sig, Q) is one prefix and no row is shared, the cells, from
+    which ``_walk`` builds a row when it reaches the prefix.
 
     Over every prefix of the whole cube [0, 2g-1]^(m-1), the first
     beta_m >= 0 in each class s with sum(beta) >= 2g must be a member,
@@ -179,87 +223,166 @@ def _residue_gap_sets(params: CurveParams) -> tuple[TupleRows, TupleRows]:
     Riemann-Roch promises.  The test is one per signature.  That first
     beta_m has quotient ceil((max(L, 0) - s)/b), so the test reads
     ceil((max(L, 0) - s)/b) + Q >= H(s), and the left side equals
-    max(c(s), Q) with c(s) = ceil((2g - sum(sig) - s)/b): if L >= 0 it
-    is c(s), and c(s) >= Q; if L < 0 it is Q, and c(s) <= Q.  It only
-    grows with Q, and Q = 0 occurs for every signature (the prefix sig
-    itself lies in the cube), so the whole cube passes iff every
-    signature has H(s) <= max(c(s), 0) for every s.
+    max(c(s), Q) with c(s) = ceil((room - s)/b): if L >= 0 it is c(s),
+    and c(s) >= Q; if L < 0 it is Q, and c(s) <= Q.  It only grows with
+    Q, and Q = 0 occurs for every signature (the prefix sig itself lies
+    in the cube), so the whole cube passes iff every signature has
+    H(s) <= max(c(s), 0) for every s.  Each (u, S') must also keep its
+    pure cells inside its gap cells, or ``WsgapError`` is raised.
 
-    Prefixes of the simplex go in lexicographic order and each row holds
-    its beta_m in ascending order: the sets come out as sorted
-    ``TupleRows``, and no tuple is built here.
+    The counts need no row.  Class s of (sig, Q) holds the w of class s
+    with b*Q <= w < min(room, E_s), E_s = s + b*H(s) (s + b*h(s) for
+    pure gaps), that is K_s - Q of them when positive, with
+    K_s = ceil((min(room, E_s) - s)/b).  C(Q+m-2, m-2) prefixes share the
+    signature and Q, so by the hockey-stick identity the signature holds
+    sum_s C(K_s+m-1, m) tuples, and (u, S') stands for the multinomial
+    number of orderings of S'.  The plan sums the same terms by quotient
+    instead of by class: a cell w with floor(w/b) = k lies in the rows
+    Q = 0..k, which C(k+m-1, m-1) prefixes hold, so the signature holds
+    sum_k C(k+m-1, m-1) times the cells of the block [b*k, b*k + b),
+    counted in C by ``bytes.count``.  Summed by class, in Python, the plan
+    of ``curve_params(3, 35, 4)`` took about three times as long.
     """
     b, m, n = params.b, params.m, 2 * params.genus
     f, hit, _ = oracle._residue_table(params.a, b, m)
     width = min(b, n)  # the residues of coordinates below 2g
     values = list(range(n))
-    shared: dict[tuple, list] = {}  # rows by Q, per (u, S')
+    shared: dict[tuple, list] = {}  # leaves per (u, S')
+    counts = [0, 0]
+    weights = [math.comb(k + m - 1, m - 1) for k in range(n // b + 1)]
     for rest in itertools.combinations_with_replacement(range(width), m - 2):
         tables = [oracle._Signature(f, hit, b, sorted(rest + (s,))) for s in range(b)]
+        orderings = math.factorial(m - 2)
+        for _, run in itertools.groupby(rest):
+            orderings //= math.factorial(len(list(run)))
         for u in range(width):
-            shared[u, rest] = _signature_rows(u, hit[u], tables, n - u - sum(rest), values)
-    leaves = [shared[u, tuple(sorted(others))]  # per signature in lexicographic order
-              for u, *others in itertools.product(range(width), repeat=m - 1)]
-
-    gap_prefixes: list[IntTuple] = []
-    gap_lasts: list[IntTuple] = []
-    pure_prefixes: list[IntTuple] = []
-    pure_lasts: list[IntTuple] = []
-    split = [divmod(v, b) for v in values]
-
-    def walk(head: IntTuple, total: int, quot: int, index: int) -> None:
-        inner = len(head) == m - 2
-        for v in range(n - total):
-            q, s = split[v]
-            prefix = head + (v,)
-            if inner:
-                gap, pure = leaves[index + s][quot + q]
-                if gap:
-                    gap_prefixes.append(prefix)
-                    gap_lasts.append(gap)
-                if pure:
-                    pure_prefixes.append(prefix)
-                    pure_lasts.append(pure)
-            else:
-                walk(prefix, total + v, quot + q, (index + s) * width)
-
-    walk((), 0, 0, 0)
-    return TupleRows(gap_prefixes, gap_lasts), TupleRows(pure_prefixes, pure_lasts)
+            room = n - u - sum(rest)
+            ends = _class_ends(u, hit[u], tables)
+            # the first w >= max(room, 0) of class s lies below max(room, 0) + b,
+            # and the test H(s) <= max(c(s), 0) says ends[0][s] is at most that w
+            if max(ends[0]) >= max(room, 0) + b:
+                raise WsgapError("a tuple with coordinate sum >= 2g is not a member")
+            sides = [bytes(map(operator.lt, values[:max(room, 0)], itertools.cycle(side_ends)))
+                     for side_ends in ends]
+            if int.from_bytes(sides[1], "big") & ~int.from_bytes(sides[0], "big"):
+                raise WsgapError("pure gaps outside the gap set")  # a pure cell, no gap cell
+            leaf = []
+            for side, cells in enumerate(sides):
+                blocks = [cells.count(1, shift, shift + b) for shift in range(0, room, b)]
+                counts[side] += orderings * sum(map(operator.mul, weights, blocks))
+                if m == 2:
+                    leaf.append(_CellRows(cells, values, b))
+                else:  # the row of Q holds the cells w >= b*Q, as w - b*Q
+                    leaf.append([tuple(itertools.compress(values, cells[shift:]))
+                                 for shift in range(0, room, b)])
+            shared[u, rest] = leaf
+    leaves = tuple([shared[u, tuple(sorted(others))][side]  # in lexicographic order
+                    for u, *others in itertools.product(range(width), repeat=m - 1)]
+                   for side in (0, 1))
+    return _Plan([divmod(v, b) for v in values], width, m - 2, leaves, tuple(counts))
 
 
-def _signature_rows(u: int, reach: int, tables: list[oracle._Signature], room: int,
-                    values: list[int]) -> list[tuple[IntTuple, IntTuple]]:
-    """(gap row, pure row) by quotient sum Q for the signatures of one u and S'.
+def _class_ends(u: int, reach: int, tables: list[oracle._Signature]) -> tuple[list, list]:
+    """The class ends of one u and S', for the gaps and the pure gaps.
 
-    In the terms of ``_residue_gap_sets``: ``u`` is the residue of beta_1,
-    ``reach`` is r_1 = hit[u], ``tables[s]`` is the table of S' + {s} and
-    ``room`` is 2g - sum(sig); ``values[v]`` is v.  Raises ``WsgapError``
-    if the signatures fail the whole-cube test.
+    In the terms of ``_plan``: ``u`` is the residue of beta_1, ``reach``
+    is r_1 = hit[u] and ``tables[s]`` is the table of S' + {s}.  A
+    threshold A on class s is kept as its end s + b*A: the w of class s
+    with floor(w/b) < A are the w < s + b*A.
     """
     b = len(tables)
-    # A threshold A on class s is kept as its end s + b*A: the w of class s
-    # with floor(w/b) < A are the w < s + b*A.  -((u - y) // b) is
-    # ceil((y - u)/b), and y is the max (for H) or the min (for h) of
-    # theta[reach] and the table's top or bottom.
     ends: list[int] = []
     pure_ends: list[int] = []
+    # -((u - y) // b) is ceil((y - u)/b), and y is the max (for H) or the
+    # min (for h) of theta[reach] and the table's top or bottom
     for s, tab in enumerate(tables):
         x, top, bottom = tab.theta[reach], tab.top, tab.bottom
         ends.append(s - b * ((u - (x if x > top else top)) // b))
         pure_ends.append(s - b * ((u - (x if x < bottom else bottom)) // b))
-    # the first w >= max(room, 0) of class s lies below max(room, 0) + b,
-    # and the test H(s) <= max(c(s), 0) says ends[s] is at most that w
-    if max(ends) >= max(room, 0) + b:
-        raise WsgapError("a tuple with coordinate sum >= 2g is not a member")
-    if room <= 0:
-        return []
-    cells = values[:room]
-    gap_cells = bytes(map(operator.lt, cells, itertools.cycle(ends)))
-    pure_cells = bytes(map(operator.lt, cells, itertools.cycle(pure_ends)))
-    # the row of Q holds the cells w >= b*Q, as w - b*Q
-    return [(tuple(itertools.compress(values, gap_cells[shift:])),
-             tuple(itertools.compress(values, pure_cells[shift:])))
-            for shift in range(0, room, b)]
+    return ends, pure_ends
+
+
+def _heads(plan: _Plan, head: IntTuple = (), total: int = 0, quot: int = 0,
+           index: int = 0) -> Iterator[tuple[IntTuple, int, int, int]]:
+    """``(head, total, quot, index)`` for each head of m-2 coordinates
+    with sum below 2g, in lexicographic order: its sum, its quotient sum
+    and its leaf index times the width."""
+    if len(head) == plan.depth:
+        yield head, total, quot, index
+        return
+    for v in range(len(plan.split) - total):
+        q, s = plan.split[v]
+        yield from _heads(plan, head + (v,), total + v, quot + q, (index + s) * plan.width)
+
+
+def _walk(plan: _Plan, side: int) -> Iterator[tuple[IntTuple, IntTuple]]:
+    """``(prefix, lasts)`` for every nonempty row of one side of the
+    plan, 0 for the gaps and 1 for the pure gaps, in lexicographic order
+    of the prefixes, each ``lasts`` ascending."""
+    leaves, split = plan.leaves[side], plan.split
+    n = len(split)
+    for head, total, quot, index in _heads(plan):
+        for v in range(n - total):
+            q, s = split[v]
+            lasts = leaves[index + s][quot + q]
+            if lasts:
+                yield head + (v,), lasts
+
+
+def _residue_gap_sets(params: CurveParams) -> tuple[TupleRows, TupleRows]:
+    """Gaps and pure gaps in row form: both sides of the plan walked and
+    kept with it, so a curve's rows are built once while it stays cached."""
+    plan = _plan(params)
+    if plan.collected is None:
+        collected = []
+        for side in (0, 1):
+            prefixes: list[IntTuple] = []
+            lasts: list[IntTuple] = []
+            for prefix, row in _walk(plan, side):
+                prefixes.append(prefix)
+                lasts.append(row)
+            collected.append(TupleRows(prefixes, lasts))
+        plan.collected = tuple(collected)
+    return plan.collected
+
+
+class RowStream:
+    """One side of the kernel's sets in row form, never held: every
+    ``rows()`` call walks the plan afresh, and ``len`` is the plan's
+    exact count.  The command line prints it as it prints ``TupleRows``."""
+
+    __slots__ = ("_plan", "_side")
+
+    def __init__(self, plan: _Plan, side: int) -> None:
+        self._plan, self._side = plan, side
+
+    def __len__(self) -> int:
+        return self._plan.counts[self._side]
+
+    def rows(self) -> Iterator[tuple[IntTuple, IntTuple]]:
+        """(prefix, last coordinates) of every row, in order."""
+        return _walk(self._plan, self._side)
+
+
+def stream_rows(params: CurveParams, pure: bool = False) -> tuple[RowStream, dict]:
+    """The ``complement`` gaps, or the ``profile`` pure gaps, as a
+    ``RowStream``, with the stats of their ``GapReport`` (m >= 2).
+
+    The plan is built and checked here, so every error is raised before
+    the first row is walked, and the stats come from its counts.
+    """
+    if params.m < 2:
+        raise BadPointCountError("streamed rows need m >= 2")
+    plan = _plan(params)
+    return RowStream(plan, int(pure)), _stats(params, *plan.counts, "complement", "profile")
+
+
+def gap_counts(params: CurveParams) -> tuple[int, int]:
+    """The numbers of gaps and of pure gaps, read off the kernel's plan
+    without building a row; it raises where the kernel raises."""
+    if params.m == 1:
+        return params.genus, params.genus
+    return _plan(params).counts
 
 
 def _cube_rows(m: int, n: int, slabs: Iterable[Sequence[int | range]]) -> TupleRows:
@@ -394,22 +517,23 @@ def _route_rows(params: CurveParams, method: str, include_zero_family: bool) -> 
     return _cube_rows(params.m, 2 * params.genus, slabs)
 
 
+def _stats(params: CurveParams, gap_count: int, pure_count: int, gap_method: str,
+           pure_method: str) -> dict:
+    B = 2 * params.genus - 1
+    return {
+        "gap_count": gap_count,
+        "pure_gap_count": pure_count,
+        "bounding_box": {"lo": [0] * params.m, "hi": [B] * params.m},
+        "gap_method": gap_method,
+        "pure_gap_method": pure_method,
+    }
+
+
 def _report(params: CurveParams, gap_rows: TupleRows, pure_rows: TupleRows, method: str,
             gap_method: str, pure_method: str) -> GapReport:
-    B = 2 * params.genus - 1
-    return GapReport(
-        params=params,
-        gap_rows=gap_rows,
-        pure_rows=pure_rows,
-        method=method,
-        stats={
-            "gap_count": len(gap_rows),
-            "pure_gap_count": len(pure_rows),
-            "bounding_box": {"lo": [0] * params.m, "hi": [B] * params.m},
-            "gap_method": gap_method,
-            "pure_gap_method": pure_method,
-        },
-    )
+    return GapReport(params=params, gap_rows=gap_rows, pure_rows=pure_rows, method=method,
+                     stats=_stats(params, len(gap_rows), len(pure_rows), gap_method,
+                                  pure_method))
 
 
 def _single_point_report(params: CurveParams, method: str, gap_method: str) -> GapReport:

@@ -200,7 +200,7 @@ def _residue_table(a: int, b: int, m: int) -> tuple[tuple[int, ...], tuple[int, 
     coordinate of family r's representative (f_r, r, ..., r), read from
     ``absolute_maximals_region``, ``hit[s]`` is the one family with f_r
     congruent to s mod b, and ``store`` holds the curve's signature tables,
-    filled by ``_query``.  The gap kernel (``gapsets._residue_gap_sets``)
+    filled by ``_query``.  The gap kernel's plan (``gapsets._plan``)
     builds ``_Signature`` tables from the same f and hit for every
     signature it walks and keeps them out of the store.
 

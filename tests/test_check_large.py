@@ -27,7 +27,7 @@ CURVES = [w.hermitian_params(4, 3), w.curve_params(4, 5, 2)]
 def test_check_passes_and_times_every_part(check_large, p):
     bad, times = check_large.check(p)
     assert bad == []
-    assert list(times) == [*w.verify.PROPERTY_CHECKS, "oracle", "rendering"]
+    assert list(times) == [*w.verify.PROPERTY_CHECKS, "oracle", "counts", "rendering"]
 
 
 @pytest.mark.parametrize("p", CURVES, ids=str)
@@ -35,13 +35,44 @@ def test_subset_run_times_only_its_checks(check_large, p):
     # no render check unless every property check runs
     bad, times = check_large.check(p, checks=("witnesses", "pure-methods"))
     assert bad == []
-    assert list(times) == ["witnesses", "pure-methods", "oracle"]
+    assert list(times) == ["witnesses", "pure-methods", "oracle", "counts"]
 
 
 def test_oracle_only_run(check_large):
     bad, times = check_large.check(w.curve_params(4, 5, 2), checks=())
     assert bad == []
-    assert list(times) == ["oracle"]
+    assert list(times) == ["oracle", "counts"]
+
+
+def test_count_only_run(check_large):
+    bad, times = check_large.count_only(w.hermitian_params(4, 4))
+    assert bad == []
+    assert list(times) == ["counts"]
+
+
+@pytest.mark.parametrize("p", CURVES, ids=str)
+def test_check_reports_a_wrong_count(check_large, monkeypatch, p):
+    real = gs.gap_counts
+    monkeypatch.setattr(gs, "gap_counts", lambda params: (real(params)[0] + 1, real(params)[1]))
+    assert any(line.startswith("gap_counts ") for line in check_large.count_only(p)[0])
+    if p.m == 2:
+        monkeypatch.setattr(gs, "gap_counts", lambda params: (real(params)[0],
+                                                              real(params)[1] - 1))
+        assert any("inversions of sigma" in line for line in check_large.count_only(p)[0])
+
+
+def test_render_check_reads_the_streamed_rows(check_large, monkeypatch):
+    p = w.hermitian_params(4, 3)
+    real = gs.RowStream.rows
+
+    def drop_first(stream):
+        rows = real(stream)
+        next(rows)
+        return rows
+
+    monkeypatch.setattr(gs.RowStream, "rows", drop_first)
+    bad = check_large.check_rendering(p, w.gaps(p))
+    assert bad and all("streamed" in line for line in bad)
 
 
 @pytest.mark.parametrize("p", CURVES, ids=str)

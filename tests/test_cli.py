@@ -14,6 +14,7 @@ import wsgap as w
 from wsgap import cli
 from wsgap import fixtures as fx
 from wsgap import gapsets as gs
+from wsgap import oracle
 
 
 def run_cli(capsys, *argv):
@@ -424,9 +425,20 @@ def _reference_csv(envelope):
 REFERENCE_EMITTERS = {"json": _reference_json, "text": _reference_text, "csv": _reference_csv}
 
 
+def _spelled(rows):
+    """The tuples of ``TupleRows`` or of a streamed ``RowStream``, in order."""
+    return [prefix + (v,) for prefix, lasts in rows.rows() for v in lasts]
+
+
+def _emitted(fmt, envelope):
+    out = io.StringIO()
+    cli._EMITTERS[fmt](envelope, out)
+    return out.getvalue()
+
+
 def _assert_emitters_match(envelope):
     # the reference encoders take the tuple lists that row payloads stand for
-    payload = {key: list(value.tuples) if isinstance(value, gs.TupleRows) else value
+    payload = {key: _spelled(value) if key in cli._TUPLE_KEYS else value
                for key, value in envelope["payload"].items()}
     as_tuples = {**envelope, "payload": payload}
     for fmt, reference in REFERENCE_EMITTERS.items():
@@ -457,7 +469,10 @@ class TestEmitterBytes:
                             lambda env, out: seen.append(env) or real(env, out))
         code, _, err = run_cli(capsys, *argv, "--format", fmt)
         assert code == 0, err
-        return seen[0]
+        # main hands over a clock, read as the emitter writes timing_ms; the
+        # reference encoders take a number
+        assert callable(seen[0]["timing_ms"])
+        return {**seen[0], "timing_ms": 1.5}
 
     @pytest.mark.parametrize("argv", [
         ("gaps", "--a", "4", "--b", "5", "--m", "1"),                      # 1-tuples
@@ -482,9 +497,18 @@ class TestEmitterBytes:
         ("--a", "2", "--b", "3", "--m", "2"),                             # no pure gaps
     ], ids=lambda curve: "-".join(curve[1::2]))
     def test_kernel_rows(self, monkeypatch, capsys, command, curve):
+        """The streamed rows are the library's collected rows, and every
+        emitter prints them as it prints the collected rows."""
         envelope = self._envelope(monkeypatch, capsys, command, *curve)
-        rows = envelope["payload"]["gaps" if command == "gaps" else "pure_gaps"]
-        assert isinstance(rows, gs.TupleRows)
+        key = "gaps" if command == "gaps" else "pure_gaps"
+        rows = envelope["payload"][key]
+        report = gs.gaps(cli._resolve_params(cli.build_parser().parse_args([command, *curve])))
+        collected = report.gap_rows if key == "gaps" else report.pure_rows
+        assert list(rows.rows()) == list(collected.rows())
+        assert len(rows) == len(collected)
+        as_collected = {**envelope, "payload": {**envelope["payload"], key: collected}}
+        for fmt in cli._EMITTERS:
+            assert _emitted(fmt, envelope) == _emitted(fmt, as_collected), fmt
         _assert_emitters_match(envelope)
 
     @pytest.mark.parametrize("fmt, q, m", [("json", "32", "2"), ("text", "8", "4"),
@@ -495,7 +519,8 @@ class TestEmitterBytes:
                                   "--q", q, "--m", m, fmt=fmt)
         sink = _WriteSizes()
         cli._EMITTERS[fmt](envelope, sink)
-        payload = {**envelope["payload"], "gaps": list(envelope["payload"]["gaps"].tuples)}
+        params = w.hermitian_params(int(q), int(m))
+        payload = {**envelope["payload"], "gaps": list(w.gaps(params).gaps)}
         assert sink.getvalue() == REFERENCE_EMITTERS[fmt]({**envelope, "payload": payload})
         assert max(sink.sizes) < 64 * 1024
 
@@ -511,6 +536,43 @@ class TestEmitterBytes:
             "timing_ms": 1.5,
         }
         _assert_emitters_match(envelope)
+
+
+class TestStreamedFaults:
+    """The streamed ``gaps`` and ``pure-gaps`` check the kernel's plan
+    whole before they print: a fault exits 1 with nothing on stdout."""
+
+    ARGV = ("--a", "4", "--b", "5", "--m", "3")
+
+    def _assert_refused(self, capsys, message):
+        gs._plan.cache_clear()  # the faulty plan is built here, and dropped after
+        try:
+            for command in ("gaps", "pure-gaps"):
+                for fmt in ("json", "text", "csv"):
+                    code, out, err = run_cli(capsys, command, *self.ARGV, "--format", fmt)
+                    assert (code, out) == (1, ""), (command, fmt)
+                    assert message in err
+        finally:
+            gs._plan.cache_clear()
+
+    def test_shifted_family_is_refused(self, monkeypatch, capsys):
+        # as in test_gapsets' test_cube_check_catches_a_shifted_family
+        p = w.curve_params(4, 5, 3)
+        f, hit, _ = oracle._residue_table(p.a, p.b, p.m)
+        shifted = f[:1] + (f[1] + p.b,) + f[2:]
+        monkeypatch.setattr(oracle, "_residue_table",
+                            lambda a, b, m: (shifted, hit, oracle._Store(p.m, p.b)))
+        self._assert_refused(capsys, "not a member")
+
+    def test_pure_end_above_its_gap_end_is_refused(self, monkeypatch, capsys):
+        real = gs._class_ends
+
+        def planted(u, reach, tables):
+            ends, pure_ends = real(u, reach, tables)
+            return ends, [end + len(tables) for end in ends]
+
+        monkeypatch.setattr(gs, "_class_ends", planted)
+        self._assert_refused(capsys, "pure gaps outside the gap set")
 
 
 def test_closed_pipe_exits_cleanly():

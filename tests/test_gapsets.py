@@ -224,7 +224,7 @@ class TestProfileEngine:
         assert list(w.pure_gaps(p).pure_gaps) == expected_pure
 
     def test_cache_stays_bounded(self):
-        maxsize = gs._residue_gap_sets.cache_info().maxsize
+        maxsize = gs._plan.cache_info().maxsize
         assert maxsize is not None
         cells = [w.curve_params(a, b, 2) for a in (2, 3) for b in range(3, 40)
                  if b % a][:maxsize + 3]
@@ -234,7 +234,7 @@ class TestProfileEngine:
             w.pure_gap_witness(p, (1, 1))
             w.sigma_pair(p)
             w.relative_maximals_region(p)
-        per_curve = (gs._residue_gap_sets, gs.numerical_gaps,
+        per_curve = (gs._plan, gs.numerical_gaps,
                      mx.absolute_maximals_region, mx.relative_maximals_region,
                      mx._lambda_nonneg)
         for cached in per_curve:
@@ -379,7 +379,7 @@ class TestResidueGapKernel:
         shifted = f[:r] + (f[r] + p.b,) + f[r + 1:]
         monkeypatch.setattr(oracle, "_residue_table",
                             lambda a, b, m: (shifted, hit, oracle._Store(p.m, p.b)))
-        gs._residue_gap_sets.cache_clear()
+        gs._plan.cache_clear()
         with pytest.raises(w.WsgapError, match="not a member"):
             gs._residue_gap_sets(p)
 
@@ -398,7 +398,7 @@ class TestResidueGapKernel:
                 # a fresh signature store per table, as the oracle reads it too
                 entry = (table, hit, oracle._Store(p.m, p.b))
                 monkeypatch.setattr(oracle, "_residue_table", lambda a, b, m: entry)
-                gs._residue_gap_sets.cache_clear()
+                gs._plan.cache_clear()
                 try:
                     gs._residue_gap_sets(p)
                     raised = False
@@ -408,7 +408,7 @@ class TestResidueGapKernel:
                 assert raised == _per_prefix_check_fails(p), table
                 outcomes.add(raised)
         finally:
-            gs._residue_gap_sets.cache_clear()
+            gs._plan.cache_clear()
         assert outcomes == {False, True}
 
     def test_routes_skip_the_reference_enumeration(self, monkeypatch):
@@ -416,7 +416,7 @@ class TestResidueGapKernel:
             raise AssertionError("local_absolute_maximals called")
 
         monkeypatch.setattr(oracle, "local_absolute_maximals", enumeration)
-        gs._residue_gap_sets.cache_clear()
+        gs._plan.cache_clear()
         for p in (P453, w.hermitian_params(4, 2)):
             for method in gs.GAP_METHODS:
                 w.gaps(p, method)
@@ -429,7 +429,7 @@ class TestResidueGapKernel:
         store = oracle._residue_table(p.a, p.b, p.m)[2]
         before = len(store)
         assert before
-        gs._residue_gap_sets.cache_clear()
+        gs._plan.cache_clear()
         gs._residue_gap_sets(p)
         assert len(store) == before
 
@@ -473,6 +473,48 @@ def test_routes_agree_outside_the_sweep_box(spec):
                for e in verify.PROPERTY_CHECKS[name](p)]
     assert results
     assert all(e.passed for e in results), [(e.name, e.detail) for e in results if not e.passed]
+
+
+def _report_counts(p):
+    """The (gap_count, pure_gap_count) stats of every gap and pure-gap route."""
+    reports = [w.gaps(p, method) for method in gs.GAP_METHODS]
+    reports += [w.pure_gaps(p, method) for method in gs.PURE_METHODS]
+    return {(r.stats["gap_count"], r.stats["pure_gap_count"]) for r in reports}
+
+
+class TestGapCounts:
+    """``gap_counts`` reads the numbers off the kernel's plan, and every
+    route's report counts as many."""
+
+    def test_sweep_cells(self):
+        cells = list(verify.sweep_cells())
+        cells += [w.curve_params(a, b, 1) for a, b in [(2, 3), (4, 5), (5, 9)]]
+        for p in cells:
+            assert _report_counts(p) == {gs.gap_counts(p)}, p
+
+    @pytest.mark.parametrize("p", LARGE_B_CURVES + KERNEL_CURVES, ids=str)
+    def test_large_curves(self, p):
+        assert _report_counts(p) == {gs.gap_counts(p)}
+
+    @pytest.mark.parametrize("spec", OUTSIDE_BOX, ids=lambda spec: "-".join(map(str, spec)))
+    def test_outside_the_sweep_box(self, spec):
+        p = w.curve_params(*spec)
+        assert _report_counts(p) == {gs.gap_counts(p)}
+
+    @pytest.mark.parametrize("p", [w.hermitian_params(5, 2), P473, w.hermitian_params(4, 4)],
+                             ids=str)
+    def test_counts_walk_no_row(self, monkeypatch, p):
+        expected = len(w.gaps(p).gaps), len(w.pure_gaps(p).pure_gaps)
+
+        def walk(plan, side):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(gs, "_walk", walk)
+        gs._plan.cache_clear()
+        try:
+            assert gs.gap_counts(p) == expected
+        finally:
+            gs._plan.cache_clear()
 
 
 class TestRowForm:
@@ -541,7 +583,7 @@ class TestRowForm:
 
     def test_cube_routes_leave_kernel_gaps_unbuilt(self, monkeypatch):
         p = w.hermitian_params(4, 3)
-        gs._residue_gap_sets.cache_clear()
+        gs._plan.cache_clear()
         kernel_gaps, kernel_pure = gs._residue_gap_sets(p)
         built = self._spy(monkeypatch)
         for method in ("union_nabla", "explicit_s"):
@@ -561,7 +603,7 @@ class TestRowForm:
         from wsgap import cli
 
         built = self._spy(monkeypatch)
-        gs._residue_gap_sets.cache_clear()
+        gs._plan.cache_clear()
         assert cli.main([*argv, "--preset", "hermitian", "--q", "4", "--m", "3",
                          "--format", fmt]) == 0
         assert capsys.readouterr().out
