@@ -24,10 +24,12 @@ larger curves people run:
   is printed twice, from the report's collected rows and from the
   ``RowStream`` the command line prints for ``gaps`` and ``pure-gaps``.
 * Norm-trace (2, 4) at m = 4: the property checks ``pure-methods``,
-  ``zero-family`` and ``witnesses``, ``verify.oracle_invariants`` and
-  the count check, since ``symmetry`` and ``report-sanity`` build every
-  gap tuple there.  ``check`` takes the names of the property checks to
-  run, and the render check runs only when all of them run.
+  ``zero-family``, ``symmetry``, ``witnesses`` and ``report-sanity``,
+  ``verify.oracle_invariants`` and the count check.  ``symmetry`` and
+  ``report-sanity`` read the gap rows there, in 0.4 and 0.2 s, where
+  building every gap tuple took 2.5 and 1.2 s and 263 MB.  ``check``
+  takes the names of the property checks to run, and the render check
+  runs only when all of them run.
 * Hermitian q = 64 at m = 2 (b = 65, genus 2016): the oracle invariants
   and the count check alone, so the oracle's signature tables meet a b
   beyond the curves above.  At m = 3 they would take about 10 s per 200
@@ -48,12 +50,12 @@ It prints one line per curve with the time of each part, then the name
 and detail of each failing check, and exits 1 on any failure.  A check
 that reads a route an earlier check of the curve built finds it cached.
 
-It is not part of the test suite: a run took 17 s on two cores, and
-40 s in a slow spell of the same host.  The largest lines of the 17 s
-run were norm-trace (2, 4) at m = 4 (3.6 s), Hermitian q = 32 at m = 2
-(3.1 s, of which the render check 1.5 s) and q = 8 at m = 4 (2.7 s, of
-which the render check 1.3 s).  Seeded runs of seeds 1, 2 and 3 took 4
-to 11 s.
+It is not part of the test suite: a run took 16 s on two cores, and
+40 s in a slow spell of the same host.  The largest lines of the 16 s
+run were norm-trace (2, 4) at m = 4 (3.9 s, of which ``symmetry`` 0.4 s
+and ``report-sanity`` 0.2 s), Hermitian q = 32 at m = 2 (2.8 s, of
+which the render check 1.4 s) and q = 8 at m = 4 (2.2 s, of which the
+render check 1.2 s).  Seeded runs of seeds 1, 2 and 3 took 4 to 11 s.
 
     PYTHONPATH=src python3 scripts/check_large.py [--seed N]
 """
@@ -81,7 +83,7 @@ CELLS = (
 )
 # curves that run some property checks, or none, with the oracle invariants
 PARTIAL = [("norm-trace ell=2 r=4 m=4", w.norm_trace_params(2, 4, 4),
-            ("pure-methods", "zero-family", "witnesses")),
+            ("pure-methods", "zero-family", "symmetry", "witnesses", "report-sanity")),
            ("hermitian q=64 m=2", w.hermitian_params(64, 2), ())]
 # curves whose counts alone are checked
 COUNTS_ONLY = [(f"hermitian q={q} m=4", w.hermitian_params(q, 4)) for q in (11, 16)]

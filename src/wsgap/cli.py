@@ -20,9 +20,9 @@ built and checked whole, with its exact counts, and the payload holds a
 ``gapsets.RowStream`` that walks the rows as the emitter prints them,
 so every error is raised before the first byte and no row is kept.
 The envelope is streamed to standard output row by row, so no copy of
-the whole output is held; ``timing_ms``, which every format prints after
-the payload, is read as it is written.  A reader that closes the pipe
-early leaves exit status 0.
+the whole output is held (JSON writes the encoder's chunks in batches);
+``timing_ms``, which every format prints after the payload, is read as
+it is written.  A reader that closes the pipe early leaves exit status 0.
 
 ``run``, the entry point of the ``wsgap`` script and of ``python -m
 wsgap.cli``, exits without interpreter teardown once the output is
@@ -376,32 +376,47 @@ def _timing_ms(envelope: dict) -> float:
     return timing() if callable(timing) else timing
 
 
+# encoder chunks joined into one write
+_JSON_BATCH = 1024
+
+
 def _emit_json(envelope: dict, out) -> None:
     import json
 
-    # json.dumps(indent=2) runs the pure-Python encoder, so each tuple list
-    # goes in as a placeholder and is spliced back rendered by template;
-    # timing_ms, which follows the payload, is read once the rows are out.
-    payload = dict(envelope["payload"])
-    keys = sorted(key for key in _TUPLE_KEYS if key in payload)
-    for key in keys:
-        payload[key] = "\0" + key
-    rest = json.dumps({**envelope, "payload": payload, "timing_ms": "\0timing_ms"},
-                      sort_keys=True, indent=2)
-    for key in keys:  # sort_keys prints the placeholders in this order
-        head, _, rest = rest.partition(json.dumps("\0" + key))
-        out.write(head)
-        rows = _render_rows(envelope["payload"][key], _json_tuple, ",\n")
-        first = next(rows, None)
-        if first is None:
-            out.write("[]")
+    # The indenting encoder is pure Python and yields each string value as
+    # one chunk, so each tuple list goes in as a placeholder string whose
+    # chunk is swapped for the rows rendered by template, and timing_ms,
+    # which follows the payload, is read when its placeholder comes.  The
+    # other chunks are written in batches.
+    payload = envelope["payload"]
+    marks = {json.dumps("\0" + key): key for key in _TUPLE_KEYS if key in payload}
+    timing = json.dumps("\0timing_ms")
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(
+        {**envelope, "payload": {**payload, **{key: "\0" + key for key in marks.values()}},
+         "timing_ms": "\0timing_ms"})
+    batch: list[str] = []
+    for chunk in chunks:
+        if chunk == timing:
+            chunk = json.dumps(_timing_ms(envelope))
+        elif chunk in marks:
+            out.write("".join(batch))
+            batch.clear()
+            rows = _render_rows(payload[marks[chunk]], _json_tuple, ",\n")
+            first = next(rows, None)
+            if first is None:
+                out.write("[]")
+                continue
+            out.write("[\n" + first)
+            for row in rows:
+                out.write(",\n" + row)
+            out.write("\n    ]")
             continue
-        out.write("[\n" + first)
-        for row in rows:
-            out.write(",\n" + row)
-        out.write("\n    ]")
-    head, _, rest = rest.partition(json.dumps("\0timing_ms"))
-    out.write(head + json.dumps(_timing_ms(envelope)) + rest + "\n")
+        batch.append(chunk)
+        if len(batch) >= _JSON_BATCH:
+            out.write("".join(batch))
+            batch.clear()
+    batch.append("\n")
+    out.write("".join(batch))
 
 
 def _scalar(value) -> str:

@@ -14,15 +14,17 @@ provides:
 * canonical reduction into the fundamental region where coordinates
   2..m lie in [0, b),
 * deterministic iteration over integer boxes,
-* the row form in which every tuple set moves between modules, and
+* the row form in which every tuple set moves between modules,
+* ``curve_cache``, the one registry of bounded per-curve caches, and
 * ``Record``, the frozen-record base of every result type of the package.
 
-All types are immutable and all functions are pure, so everything here
-is safe to use from concurrent callers.
+All types are immutable and all functions but the cache registry's are
+pure, so everything else here is safe to use from concurrent callers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -38,6 +40,25 @@ MAX_DEGREE = 1 << 16
 # package: the calls of one command or one verify cell all hit the same
 # entries, and a long-lived process cannot grow the caches.
 CURVE_CACHE_SIZE = 8
+
+# Every per-curve cache of the package, in the order they were made.
+CURVE_CACHES: list = []
+
+
+def curve_cache(func):
+    """``functools.lru_cache(maxsize=CURVE_CACHE_SIZE)`` of ``func``,
+    recorded in ``CURVE_CACHES`` so that ``clear_curve_caches`` empties it.
+    The cache is the plain ``lru_cache`` object, with its C call path,
+    ``cache_info`` and ``cache_clear``."""
+    cached = functools.lru_cache(maxsize=CURVE_CACHE_SIZE)(func)
+    CURVE_CACHES.append(cached)
+    return cached
+
+
+def clear_curve_caches() -> None:
+    """Empty every per-curve cache: ``verify`` does so after each cell."""
+    for cached in CURVE_CACHES:
+        cached.cache_clear()
 
 
 class WsgapError(ValueError):

@@ -63,11 +63,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
-    CURVE_CACHE_SIZE,
     BadPointCountError,
     CurveParams,
     IntTuple,
@@ -75,6 +73,7 @@ from .core import (
     TupleRows,
     WsgapError,
     check_tuple,
+    curve_cache,
     sorted_unique,
 )
 from . import maximals as mx
@@ -111,7 +110,7 @@ class GapReport(Record):
         return self.pure_rows.tuples
 
 
-@lru_cache(maxsize=CURVE_CACHE_SIZE)
+@curve_cache
 def _is_subset(small: TupleRows, big: TupleRows) -> bool:
     """Whether every tuple of ``small`` lies in ``big``, by one merge of
     their rows.
@@ -135,7 +134,7 @@ def _is_subset(small: TupleRows, big: TupleRows) -> bool:
     return True
 
 
-@lru_cache(maxsize=CURVE_CACHE_SIZE)
+@curve_cache
 def numerical_gaps(a: int, b: int) -> tuple[int, ...]:
     """Gaps of the numerical semigroup generated by a and b, ascending."""
     g = (a - 1) * (b - 1) // 2
@@ -178,7 +177,7 @@ class _CellRows:
         return tuple(itertools.compress(self.values, self.cells[self.b * Q:]))
 
 
-@lru_cache(maxsize=CURVE_CACHE_SIZE)
+@curve_cache
 def _plan(params: CurveParams) -> _Plan:
     """The complement/profile kernel's plan for one curve, from the
     oracle's signature tables, built and checked whole.
@@ -499,7 +498,7 @@ def _witness_walk(params: CurveParams, include_zero_family: bool) -> Iterator[tu
     return walk((), list(mx.lambda_nonneg(params, include_zero_family)), [])
 
 
-@lru_cache(maxsize=CURVE_CACHE_SIZE)
+@curve_cache
 def _route_rows(params: CurveParams, method: str, include_zero_family: bool) -> TupleRows:
     """The rows of one cross-check route: the ``union_nabla`` or
     ``explicit_s`` gaps, or the ``intersection`` pure gaps.

@@ -22,11 +22,9 @@ families coincide.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
 from typing import Iterator, Literal, Sequence
 
 from .core import (
-    CURVE_CACHE_SIZE,
     Box,
     BadPointCountError,
     CurveParams,
@@ -35,6 +33,7 @@ from .core import (
     WsgapError,
     ceil_div,
     check_tuple,
+    curve_cache,
     in_region,
     reduce_to_region,
     sorted_unique,
@@ -59,19 +58,27 @@ class MaximalSet(Record):
             raise WsgapError(f"{self.kind} representative outside the fundamental region")
 
 
-@lru_cache(maxsize=CURVE_CACHE_SIZE)
+@curve_cache
 def absolute_maximals_region(params: CurveParams) -> MaximalSet:
     """The b absolute-maximal representatives in the fundamental region."""
     if params.m < 2:
         raise BadPointCountError("maximal families need m >= 2")
-    a, b, m = params.a, params.b, params.m
+    return MaximalSet(kind="absolute", region_reps=absolute_reps(params.a, params.b, params.m),
+                      params=params)
+
+
+def absolute_reps(a: int, b: int, m: int) -> tuple[IntTuple, ...]:
+    """The absolute-maximal representatives of the curve (a, b) at m
+    points, sorted and unchecked.  Uncached: ``absolute_maximals_region``
+    and the oracle's residue table both read them, so a curve fills one
+    region entry whatever its field metadata."""
     reps = [(0,) * m]
     for i in range(1, b):
         reps.append(tuple([a * (b - i) - b * (m - 1)] + [i] * (m - 1)))
-    return MaximalSet(kind="absolute", region_reps=sorted_unique(reps), params=params)
+    return sorted_unique(reps)
 
 
-@lru_cache(maxsize=CURVE_CACHE_SIZE)
+@curve_cache
 def relative_maximals_region(params: CurveParams) -> MaximalSet:
     """The b relative-maximal representatives in the fundamental region."""
     if params.m < 2:
@@ -170,7 +177,7 @@ def lambda_nonneg(params: CurveParams, include_zero_family: bool = False) -> tup
     return _lambda_nonneg(params, bool(include_zero_family))
 
 
-@lru_cache(maxsize=CURVE_CACHE_SIZE)
+@curve_cache
 def _lambda_nonneg(params: CurveParams, include_zero_family: bool) -> tuple[IntTuple, ...]:
     if params.m < 2:
         raise BadPointCountError("maximal families need m >= 2")

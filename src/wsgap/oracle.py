@@ -68,21 +68,19 @@ test suite and ``verify`` check the two against each other.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from operator import add
 from typing import Collection, Iterable, Literal, Sequence
 
 from .core import (
-    CURVE_CACHE_SIZE,
     BadPointCountError,
     CurveParams,
     IntTuple,
     Record,
     WsgapError,
     check_tuple,
-    curve_params,
+    curve_cache,
 )
-from .maximals import absolute_maximals_region, translates
+from .maximals import absolute_maximals_region, absolute_reps, translates
 
 NablaMethod = Literal["search", "profile"]
 
@@ -193,12 +191,12 @@ class _Store(dict):
         return w
 
 
-@lru_cache(maxsize=CURVE_CACHE_SIZE)
+@curve_cache
 def _residue_table(a: int, b: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...], _Store]:
     """``(f, hit, store)`` of the curve (a, b) at m points (keyed by
     integers: a ``CurveParams`` hashes in Python): ``f[r]`` is the first
     coordinate of family r's representative (f_r, r, ..., r), read from
-    ``absolute_maximals_region``, ``hit[s]`` is the one family with f_r
+    ``maximals.absolute_reps``, ``hit[s]`` is the one family with f_r
     congruent to s mod b, and ``store`` holds the curve's signature tables,
     filled by ``_query``.  The gap kernel's plan (``gapsets._plan``)
     builds ``_Signature`` tables from the same f and hit for every
@@ -209,7 +207,7 @@ def _residue_table(a: int, b: int, m: int) -> tuple[tuple[int, ...], tuple[int, 
     one-family-per-coordinate tests below.
     """
     f: list[int | None] = [None] * b
-    for rep in absolute_maximals_region(curve_params(a, b, m)).region_reps:
+    for rep in absolute_reps(a, b, m):
         r = rep[1]
         if any(c != r for c in rep[2:]) or f[r] is not None:
             raise WsgapError(f"representative {rep} is not (f_r, r, ..., r) for a new r")

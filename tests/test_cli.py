@@ -538,6 +538,43 @@ class TestEmitterBytes:
         _assert_emitters_match(envelope)
 
 
+class TestJsonStream:
+    """``_emit_json`` writes the encoder's chunks in bounded batches, with
+    the rows and ``timing_ms`` swapped in: it prints what ``json.dumps``
+    prints for the same envelope."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--what", "all"),
+        ("gaps", "--a", "4", "--b", "7", "--m", "3"),
+        ("maximals", "--kind", "relative", "--scope", "nonneg", "--a", "4", "--b", "5",
+         "--m", "3"),
+        ("pure-gaps", "--a", "2", "--b", "3", "--m", "2"),                 # empty list
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_matches_json_dumps(self, monkeypatch, capsys, argv):
+        envelope = TestEmitterBytes()._envelope(monkeypatch, capsys, *argv)
+        payload = {key: [list(t) for t in _spelled(value)] if key in cli._TUPLE_KEYS else value
+                   for key, value in envelope["payload"].items()}
+        sink = _WriteSizes()
+        cli._emit_json(envelope, sink)
+        assert sink.getvalue() == json.dumps({**envelope, "payload": payload},
+                                             sort_keys=True, indent=2) + "\n"
+        assert max(sink.sizes) < 64 * 1024
+        if argv[0] == "verify":  # about 200 KB, so several batches
+            assert len(sink.sizes) > 3
+
+    def test_timing_read_after_the_rows(self, monkeypatch, capsys):
+        envelope = TestEmitterBytes()._envelope(monkeypatch, capsys, "gaps", "--a", "4",
+                                                "--b", "7", "--m", "3")
+        sink = io.StringIO()
+        written = []
+        cli._emit_json({**envelope, "timing_ms": lambda: written.append(sink.tell()) or 2.5},
+                       sink)
+        text = sink.getvalue()
+        rows_end = text.index("\n    ]") + len("\n    ]")
+        assert len(written) == 1 and written[0] >= rows_end
+        assert json.loads(text)["timing_ms"] == 2.5
+
+
 class TestStreamedFaults:
     """The streamed ``gaps`` and ``pure-gaps`` check the kernel's plan
     whole before they print: a fault exits 1 with nothing on stdout."""

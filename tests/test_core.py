@@ -1,6 +1,8 @@
 import ast
 import copy
 import dataclasses
+import functools
+import importlib
 import pathlib
 import pickle
 import warnings
@@ -366,3 +368,39 @@ def test_library_has_no_unused_import():
                 offenders += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                               if (alias.asname or alias.name.partition(".")[0]) not in used]
     assert offenders == []
+
+
+def test_every_per_curve_cache_is_registered():
+    """Every ``lru_cache`` of the package sized ``CURVE_CACHE_SIZE`` is in
+    the registry that ``clear_curve_caches`` empties, and is still a plain
+    ``lru_cache`` object."""
+    from wsgap import core
+
+    found = set()
+    for path in sorted(pathlib.Path(w.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"wsgap.{path.stem}" if path.stem != "__init__"
+                                         else "wsgap")
+        for value in vars(module).values():
+            params = getattr(value, "cache_parameters", None)
+            if callable(params) and params()["maxsize"] == core.CURVE_CACHE_SIZE:
+                found.add(value)
+    assert {f"{f.__module__}.{f.__name__}" for f in found} == {
+        "wsgap.gapsets._is_subset", "wsgap.gapsets.numerical_gaps", "wsgap.gapsets._plan",
+        "wsgap.gapsets._route_rows", "wsgap.maximals.absolute_maximals_region",
+        "wsgap.maximals.relative_maximals_region", "wsgap.maximals._lambda_nonneg",
+        "wsgap.oracle._residue_table"}
+    assert found <= set(core.CURVE_CACHES)
+    assert len(set(map(id, core.CURVE_CACHES))) == len(core.CURVE_CACHES)
+    assert all(type(f) is type(functools.lru_cache(maxsize=1)(len)) for f in core.CURVE_CACHES)
+
+
+def test_clear_curve_caches_empties_every_registered_cache():
+    from wsgap import core
+
+    p = w.hermitian_params(3, 3)
+    w.gaps(p, "union_nabla")
+    w.pure_gaps(p, "intersection")
+    w.sigma_pair(w.hermitian_params(3, 2))
+    assert any(f.cache_info().currsize for f in core.CURVE_CACHES)
+    core.clear_curve_caches()
+    assert [f.cache_info().currsize for f in core.CURVE_CACHES] == [0] * len(core.CURVE_CACHES)

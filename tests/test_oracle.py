@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wsgap as w
-from wsgap import oracle
+from wsgap import core, oracle
 from wsgap.core import add
 
 P453 = w.curve_params(4, 5, 3)
@@ -558,14 +558,27 @@ class TestOracleCaches:
                 continue
             for dec in node.decorator_list:
                 name = dec.func if isinstance(dec, ast.Call) else dec
-                if getattr(name, "id", getattr(name, "attr", None)) in ("lru_cache", "cache"):
+                if getattr(name, "id", getattr(name, "attr", None)) in (
+                        "lru_cache", "cache", "curve_cache"):
                     cached[node.name] = dec
-        # one per-curve table, keyed by the curve alone
+        # one per-curve table, keyed by the curve alone, in the bounded registry
         assert set(cached) == {"_residue_table"}
-        for dec in cached.values():
-            assert isinstance(dec, ast.Call)
-            assert not any(isinstance(kw.value, ast.Constant) and kw.value.value is None
-                           for kw in dec.keywords)
+        assert oracle._residue_table in core.CURVE_CACHES
+        assert oracle._residue_table.cache_parameters()["maxsize"] == core.CURVE_CACHE_SIZE
+
+    def test_preset_curve_fills_one_region_entry(self):
+        """The residue table reads the representatives without a region
+        entry of its own, so a preset curve, whose ``field_size`` is set,
+        keeps one entry in the region cache."""
+        p = w.hermitian_params(8, 3)
+        core.clear_curve_caches()
+        try:
+            w.is_member(p, (1, 2, 3))
+            region = w.absolute_maximals_region(p)
+            assert w.absolute_maximals_region.cache_info().currsize == 1
+            assert region.region_reps == w.maximals.absolute_reps(p.a, p.b, p.m)
+        finally:
+            core.clear_curve_caches()
 
     def test_signature_store_stays_bounded(self):
         """A long-lived process that meets more than cap + 100 signatures on

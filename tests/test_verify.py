@@ -10,7 +10,7 @@ import pytest
 
 import wsgap as w
 from wsgap import maximals as mx
-from wsgap import oracle, verify
+from wsgap import core, oracle, verify
 from wsgap.core import Box
 
 
@@ -503,6 +503,168 @@ def test_sweep_builds_each_route_once_per_cell(monkeypatch):
     finally:
         verify.gs._route_rows.cache_clear()
     assert calls == {"_cube_rows": 3 * len(cells), "_witness_walk": 3 * len(cells)}
+
+
+def test_sweep_leaves_every_curve_cache_empty(monkeypatch):
+    """Each cell's cache entries are dropped once the cell is done, in
+    the caller, which runs every cell here."""
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    assert w.run_property_sweep(3, 4, 3).ok
+    assert w.run_oracle_invariants(3, 4, 3, trials=5).ok
+    assert {f.__name__: f.cache_info().currsize for f in core.CURVE_CACHES} == {
+        f.__name__: 0 for f in core.CURVE_CACHES}
+
+
+def test_each_cell_starts_with_empty_caches(monkeypatch):
+    """No cell reads another cell's entries: every cell, in the caller or
+    in a forked child, begins with every per-curve cache empty."""
+    def sizes(p):
+        filled = [f.__name__ for f in core.CURVE_CACHES if f.cache_info().currsize]
+        w.gaps(p)  # fill some, for the next cell to find
+        return [verify.CheckResult(f"a{p.a}-b{p.b}-m{p.m}:empty", "property", not filled,
+                                   " ".join(filled))]
+
+    monkeypatch.setitem(verify.PROPERTY_CHECKS, "empty", sizes)
+    core.clear_curve_caches()
+    report = w.run_property_sweep(max_a=4, max_b=5, max_m=3, checks=("empty",))
+    assert report.ok, report.failures()
+
+
+def _symmetry_by_tuples(m, gaps, pure):
+    """The coordinate-symmetry result by its definition: every
+    permutation of coordinates 2..m applied to every tuple."""
+    gap_set, pure_set = set(gaps), set(pure)
+    for perm_tail in itertools.islice(itertools.permutations(range(1, m)), 1, None):
+        perm = (0,) + perm_tail
+        if verify._moves(perm, gap_set):
+            return False, f"gap set moved by permutation {perm}"
+        if verify._moves(perm, pure_set):
+            return False, f"pure-gap set moved by permutation {perm}"
+    return True, ""
+
+
+def _sanity_by_tuples(p, gaps):
+    """The gap-report-sanity result as the check read every gap tuple."""
+    B = 2 * p.genus - 1
+    if not all(a < b for a, b in zip(gaps, gaps[1:])):
+        return False, "gap list not sorted or not duplicate-free"
+    if any(min(t) < 0 or sum(t) > B for t in gaps):
+        return False, "gap outside the bounding simplex"
+    gap_set = set(gaps)
+    rng = random.Random(verify._mix_seed(verify.DEFAULT_SEED, p.a, p.b, p.m, 2))
+    for _ in range(50):
+        t = tuple(rng.randrange(B + 1) for _ in range(p.m))
+        if sum(t) <= B and (t in gap_set) == w.is_member(p, t):
+            return False, f"grid and oracle disagree on {t}"
+    return True, ""
+
+
+def _row_checks(monkeypatch, p, gap_rows, pure_rows):
+    """(passed, detail) of coordinate-symmetry and gap-report-sanity on
+    ``p`` when its gap report carries the given rows."""
+    report = types.SimpleNamespace(gap_rows=gap_rows, pure_rows=pure_rows,
+                                   gaps=gap_rows.tuples, pure_gaps=pure_rows.tuples)
+    with monkeypatch.context() as patch:
+        patch.setattr(verify.gs, "gaps", lambda params: report)
+        return [(e.passed, e.detail)
+                for e in verify._check_symmetry(p) + verify._check_report_sanity(p)]
+
+
+def _by_tuples(p, gap_rows, pure_rows):
+    return [_symmetry_by_tuples(p.m, gap_rows.tuples, pure_rows.tuples),
+            _sanity_by_tuples(p, gap_rows.tuples)]
+
+
+class TestRowChecks:
+    """coordinate-symmetry and gap-report-sanity read rows, and give the
+    results and details of the checks that read every tuple."""
+
+    def test_sweep_cells_match_the_tuple_checks(self, monkeypatch):
+        for p in w.sweep_cells():
+            report = w.gaps(p)
+            got = _row_checks(monkeypatch, p, report.gap_rows, report.pure_rows)
+            assert got == _by_tuples(p, report.gap_rows, report.pure_rows) == [(True, "")] * 2
+
+    @staticmethod
+    def _variants(p):
+        """Hand-made gap rows of ``p``: each a name, gap rows and pure rows."""
+        report = w.gaps(p)
+        gaps, pure = list(report.gaps), list(report.pure_gaps)
+        rows = list(report.gap_rows.rows())
+        k = next(k for k, (_, lasts) in enumerate(rows) if len(lasts) >= 3)
+        prefix, lasts = rows[k]
+        B, m = 2 * p.genus - 1, p.m
+        outside = (0, B + 1) + (0,) * (m - 2)
+        orbit = sorted({(0, *perm) for perm in itertools.permutations((B + 1,) + (0,) * (m - 2))})
+        negative = sorted({(0, *perm) for perm in itertools.permutations((-1,) + (0,) * (m - 2))})
+        of = w.TupleRows.of
+        yield "as-is", report.gap_rows, report.pure_rows
+        yield "unsorted-lasts", w.TupleRows(
+            [r[0] for r in rows], [r[1][::-1] if j == k else r[1] for j, r in enumerate(rows)]), \
+            report.pure_rows
+        yield "split-prefix", w.TupleRows(
+            [r[0] for r in rows[:k]] + [prefix, prefix] + [r[0] for r in rows[k + 1:]],
+            [r[1] for r in rows[:k]] + [lasts[:1], lasts[1:]] + [r[1] for r in rows[k + 1:]]), \
+            report.pure_rows
+        yield "split-out-of-order", w.TupleRows(
+            [r[0] for r in rows[:k]] + [prefix] + [r[0] for r in rows[k + 1:]] + [prefix],
+            [r[1] for r in rows[:k]] + [lasts[1:]] + [r[1] for r in rows[k + 1:]] + [lasts[:1]]), \
+            report.pure_rows
+        yield "duplicate", of(gaps[:5] + gaps[4:]), report.pure_rows
+        yield "duplicate-pure", report.gap_rows, of(pure[:1] + pure)
+        yield "reversed", of(gaps[::-1]), of(pure[::-1])
+        yield "outside-appended", of(gaps + [outside]), report.pure_rows
+        yield "outside-sorted", of(sorted(gaps + [outside])), report.pure_rows
+        yield "outside-orbit", of(sorted(gaps + orbit)), report.pure_rows
+        yield "negative-orbit", of(sorted(gaps + negative)), report.pure_rows
+        yield "outside-pure", report.gap_rows, of(sorted(pure + [outside]))
+        yield "dropped", of(gaps[:len(gaps) // 2] + gaps[len(gaps) // 2 + 1:]), report.pure_rows
+        # a tuple the oracle check samples, dropped from the gaps or added to them
+        rng = random.Random(verify._mix_seed(verify.DEFAULT_SEED, p.a, p.b, m, 2))
+        draws = [tuple(rng.randrange(B + 1) for _ in range(m)) for _ in range(50)]
+        sampled = [t for t in draws if sum(t) <= B]
+        for t in sampled[:1]:
+            if t in report.gaps:
+                yield "sampled-gap-dropped", of(g for g in gaps if g != t), report.pure_rows
+            else:
+                yield "sampled-member-added", of(sorted(gaps + [t])), report.pure_rows
+
+    @pytest.mark.parametrize("p", [w.curve_params(4, 5, 3), w.hermitian_params(3, 4),
+                                   w.curve_params(5, 7, 4), w.curve_params(3, 7, 2)], ids=str)
+    def test_hand_made_rows_match_the_tuple_checks(self, monkeypatch, p):
+        outcomes = set()
+        for name, gap_rows, pure_rows in self._variants(p):
+            got = _row_checks(monkeypatch, p, gap_rows, pure_rows)
+            assert got == _by_tuples(p, gap_rows, pure_rows), name
+            outcomes.update(got)
+        assert (True, "") in outcomes and len(outcomes) >= 3
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_swaps_decide_as_every_permutation(self, m):
+        """Random small sets, some closed under a few permutations, in
+        shuffled rows with repeats: the swaps of neighbours fix a set
+        exactly when every permutation of coordinates 2..m does."""
+        rng = random.Random(m)
+        perms = [(0,) + tail for tail in itertools.permutations(range(1, m))]
+        outcomes = set()
+        for _ in range(150):
+            tuples = {tuple(rng.randrange(-1, 3) for _ in range(m)) for _ in range(rng.randrange(12))}
+            for _ in range(rng.randrange(4)):
+                perm = rng.choice(perms)
+                tuples |= {tuple(t[i] for i in perm) for t in tuples}
+            listed = list(tuples) + rng.sample(sorted(tuples), min(2, len(tuples)))
+            rng.shuffle(listed)
+            expected = not any(verify._moves(perm, tuples) for perm in perms)
+            assert verify._fixed_by_swaps(w.TupleRows.of(listed), m) == expected, listed
+            outcomes.add(expected)
+        assert outcomes == ({True} if m == 2 else {True, False})
+
+    def test_lasts_by_prefix_is_the_tuple_set(self):
+        rows = w.TupleRows([(0, 1), (0, 0), (0, 1), (2, 2)], [(5, 3, 5), (1,), (4, 3), (0,)])
+        assert verify._lasts_by_prefix(rows) == {(0, 1): (3, 4, 5), (0, 0): (1,), (2, 2): (0,)}
+        shared = (1, 2, 3)
+        kept = verify._lasts_by_prefix(w.TupleRows([(0,), (1,)], [shared, shared]))
+        assert kept[(0,)] is shared and kept[(1,)] is shared
 
 
 def _fields(report):
