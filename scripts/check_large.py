@@ -49,6 +49,10 @@ Each line names the cell and the seed, so a disagreement can be rerun.
 It prints one line per curve with the time of each part, then the name
 and detail of each failing check, and exits 1 on any failure.  A check
 that reads a route an earlier check of the curve built finds it cached.
+Once a curve is done, every per-curve cache is emptied
+(``core.clear_curve_caches``), as ``wsgap verify`` does after each
+cell: no curve reads another's entries, and a full run peaks at about
+150 MB max-RSS, against 186 MB when the caches kept the last 8 curves.
 
 It is not part of the test suite: a run took 16 s on two cores, and
 40 s in a slow spell of the same host.  The largest lines of the 16 s
@@ -70,7 +74,7 @@ import sys
 import time
 
 import wsgap as w
-from wsgap import cli, verify
+from wsgap import cli, core, verify
 from wsgap import gapsets as gs
 
 CELLS = (
@@ -226,6 +230,7 @@ def main(argv=None):
     for label, params, fn in runs:
         t0 = time.perf_counter()
         bad, times = fn(params)
+        core.clear_curve_caches()
         parts = " ".join(f"{k}={v:.2f}s" for k, v in times.items())
         status = "FAIL" if bad else "ok"
         print(f"{status:4} {label}: {time.perf_counter() - t0:.2f}s ({parts})", flush=True)

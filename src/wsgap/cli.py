@@ -19,6 +19,8 @@ does not import ``dataclasses``.  Payload tuple lists are
 built and checked whole, with its exact counts, and the payload holds a
 ``gapsets.RowStream`` that walks the rows as the emitter prints them,
 so every error is raised before the first byte and no row is kept.
+``verify``'s payload holds its ``verify.CheckResult``s, which each
+emitter renders from their fields.
 The envelope is streamed to standard output row by row, so no copy of
 the whole output is held (JSON writes the encoder's chunks in batches);
 ``timing_ms``, which every format prints after the payload, is read as
@@ -306,10 +308,12 @@ def _run_verify(args: argparse.Namespace) -> dict:
         report.extend(verify.run_property_sweep(args.max_a, args.max_b, args.max_m))
         report.extend(verify.run_oracle_invariants(args.max_a, args.max_b, args.max_m,
                                                    trials=args.trials, seed=seed))
-    payload = report.sorted().to_payload()
-    payload["what"] = args.what
-    payload["bounds"] = {"max_a": args.max_a, "max_b": args.max_b, "max_m": args.max_m}
-    return payload
+    report = report.sorted()
+    # ConformanceReport.to_payload's keys, with the CheckResults themselves
+    # as the checks: the emitters render each from its fields
+    return {"checks": report.entries, "passed": report.passed, "failed": report.failed,
+            "total": len(report.entries), "ok": report.ok, "what": args.what,
+            "bounds": {"max_a": args.max_a, "max_b": args.max_b, "max_m": args.max_m}}
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +374,21 @@ def _csv_tuple(key: str):
     return lambda n: f"{key},," + ";".join(["%d"] * n) + ",\n"
 
 
+# a check as json.dumps(indent=2) lays out CheckResult.to_payload() inside
+# envelope["payload"]["checks"]
+_JSON_CHECK = ('      {\n        "detail": %s,\n        "kind": %s,\n        "ms": %r,\n'
+               '        "name": %s,\n        "passed": %s\n      }')
+
+
+def _json_checks(checks):
+    """Each ``verify.CheckResult`` of ``checks`` rendered by ``_JSON_CHECK``."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    for c in checks:
+        yield _JSON_CHECK % (quote(c.detail), quote(c.kind), round(c.ms, 3), quote(c.name),
+                             "true" if c.passed else "false")
+
+
 def _timing_ms(envelope: dict) -> float:
     """The envelope's ``timing_ms``: a number, or a clock read now."""
     timing = envelope["timing_ms"]
@@ -384,12 +403,12 @@ def _emit_json(envelope: dict, out) -> None:
     import json
 
     # The indenting encoder is pure Python and yields each string value as
-    # one chunk, so each tuple list goes in as a placeholder string whose
-    # chunk is swapped for the rows rendered by template, and timing_ms,
-    # which follows the payload, is read when its placeholder comes.  The
-    # other chunks are written in batches.
+    # one chunk, so each tuple list and the checks go in as placeholder
+    # strings whose chunks are swapped for the items rendered by template,
+    # and timing_ms, which follows the payload, is read when its
+    # placeholder comes.  The other chunks are written in batches.
     payload = envelope["payload"]
-    marks = {json.dumps("\0" + key): key for key in _TUPLE_KEYS if key in payload}
+    marks = {json.dumps("\0" + key): key for key in (*_TUPLE_KEYS, "checks") if key in payload}
     timing = json.dumps("\0timing_ms")
     chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(
         {**envelope, "payload": {**payload, **{key: "\0" + key for key in marks.values()}},
@@ -401,14 +420,16 @@ def _emit_json(envelope: dict, out) -> None:
         elif chunk in marks:
             out.write("".join(batch))
             batch.clear()
-            rows = _render_rows(payload[marks[chunk]], _json_tuple, ",\n")
-            first = next(rows, None)
+            key = marks[chunk]
+            items = (_json_checks(payload[key]) if key == "checks"
+                     else _render_rows(payload[key], _json_tuple, ",\n"))
+            first = next(items, None)
             if first is None:
                 out.write("[]")
                 continue
             out.write("[\n" + first)
-            for row in rows:
-                out.write(",\n" + row)
+            for item in items:
+                out.write(",\n" + item)
             out.write("\n    ]")
             continue
         batch.append(chunk)
@@ -446,9 +467,9 @@ def _emit_text(envelope: dict, out) -> None:
             out.write(f"{key}: " + " ".join(str(v) for v in value) + "\n")
         elif key == "checks":
             for chk in value:
-                status = "PASS" if chk["passed"] else "FAIL"
-                detail = f" {chk['detail']}" if chk["detail"] else ""
-                out.write(f"{status} {chk['name']}{detail}\n")
+                status = "PASS" if chk.passed else "FAIL"
+                detail = f" {chk.detail}" if chk.detail else ""
+                out.write(f"{status} {chk.name}{detail}\n")
         else:
             out.write(f"{key}: {_scalar(value)}\n")
     out.write(f"# timing_ms: {_timing_ms(envelope)}\n")
@@ -474,10 +495,9 @@ def _emit_csv(envelope: dict, out) -> None:
                 writer.writerow([key, idx, "", v])
         elif key == "checks":
             for chk in value:
-                writer.writerow(["check", chk["name"], "",
-                                 "pass" if chk["passed"] else "fail"])
-                if chk["detail"]:
-                    writer.writerow(["check-detail", chk["name"], "", chk["detail"]])
+                writer.writerow(["check", chk.name, "", "pass" if chk.passed else "fail"])
+                if chk.detail:
+                    writer.writerow(["check-detail", chk.name, "", chk.detail])
         else:
             writer.writerow([key, "", "", _scalar(value)])
     writer.writerow(["meta", "timing_ms", "", _timing_ms(envelope)])

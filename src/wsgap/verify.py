@@ -12,23 +12,26 @@ from the raw emptiness definitions.  These four return a
 The per-cell entry points, which ``scripts/check_large.py`` also runs,
 are ``PROPERTY_CHECKS`` (name to one-cell check) and ``oracle_invariants``.
 
-The sweep and the oracle battery run their cells in one process per
-CPU: the caller runs one share of the cells and a forked child each
-other share, so each check's ``ms`` is measured in the process that ran
-the check.  The reports are sorted by check name, whichever process ran
-a check.  The checks of one cell run in one process and share their
-inputs: the gap routes keep their rows in per-curve caches, so the
-``union_nabla``, ``explicit_s`` and ``intersection`` rows that
-``gap-methods`` and ``pure-methods`` build are the ones ``zero-family``
-reads again, and each check's ``ms`` holds only the work it did first.
-Once a cell is done, its process empties every per-curve cache
-(``core.clear_curve_caches``): the cells are distinct curves, so no cell
-reads another's entries, and a process's memory follows the cell it
-runs, not the cells it has finished: ``wsgap verify --what all --format
-json`` peaks at about 16.7 MB max-RSS on a 2-vCPU VM, against 20.9 MB
-when each process kept its last 8 cells.  Row sets are compared row by
-row, and the symmetry and report-sanity checks read rows; tuples are
-built only when rows differ or a check fails.
+The sweep and the oracle battery run their cells in forked children,
+one per CPU and at most one per cell; the calling process runs no cell,
+so each check's ``ms`` is measured in the child that ran the check.
+The reports are sorted by check name, whichever child ran a check.  The
+checks of one cell run in one child and share their inputs: the gap
+routes keep their rows in per-curve caches, so the ``union_nabla``,
+``explicit_s`` and ``intersection`` rows that ``gap-methods`` and
+``pure-methods`` build are the ones ``zero-family`` reads again, and
+each check's ``ms`` holds only the work it did first.  Once a cell is
+done, its child empties every per-curve cache
+(``core.clear_curve_caches``): the cells are distinct curves, so no
+cell reads another's entries, and a child's memory follows the cell it
+runs, not the cells it has finished.  The caller only deals the cells
+and reads the replies, so its heap is not fragmented by the dozens of
+cells one share holds: ``wsgap verify --what all --format json`` peaks
+at about 14.9 MB max-RSS on a 2-vCPU VM, against 16.7 MB when the
+caller ran a share of each round itself and 20.9 MB when each process
+kept its last 8 cells.  Row sets are compared row by row, and the
+symmetry and report-sanity checks read rows; tuples are built only when
+rows differ or a check fails.
 """
 
 from __future__ import annotations
@@ -254,7 +257,7 @@ class _Stamps:
     Across checks the same holds: a route that an earlier check of the
     cell built is a cache hit for the later ones, since every check of a
     cell runs in one process.  The times are read in the process that
-    runs the check, the caller or a forked child (``_run_cells``).
+    runs the check, a forked child of the sweep (``_run_cells``).
     """
 
     def __init__(self, p: CurveParams) -> None:
@@ -600,7 +603,7 @@ PROPERTY_CHECKS: dict[str, Callable[[CurveParams], list[CheckResult]]] = {
 
 
 # ---------------------------------------------------------------------------
-# one process per CPU
+# one forked child per CPU
 
 def _cpu_count() -> int:
     """The number of CPUs this process may run on."""
@@ -612,31 +615,35 @@ def _cpu_count() -> int:
 
 def _run_cells(cells: Sequence[CurveParams],
                run_cell: Callable[[CurveParams], list[CheckResult]]) -> list[CheckResult]:
-    """The results of ``run_cell`` on every cell, in one process per CPU.
+    """The results of ``run_cell`` on every cell, in one forked child per
+    CPU.
 
-    The cells are dealt round-robin over ``n`` processes, at most one per
-    CPU and per cell: the caller runs share 0, ``cells[0::n]``, and a
-    child forked for each other share ``k`` runs ``cells[k::n]`` and
-    sends its results back through a pipe.  The cells are independent,
-    so each process empties its per-curve caches after each cell
-    (``_run_share``), and each result's ``ms`` is measured in the
-    process that ran it.  The results come back share by share; callers
-    sort them by their unique names.
+    The cells are dealt round-robin over ``n = min(CPUs, cells)``
+    children, so one child even on one CPU and none for no cells: the
+    child forked for share ``k`` runs ``cells[k::n]`` and sends its
+    results back through a pipe.  The caller runs no cell: it reads the
+    replies in share order and reaps the children, so it holds no cell's
+    memory, and the children of a later round are not forked from a
+    heap that earlier cells have fragmented.  The
+    cells are independent, so each child empties its per-curve caches
+    after each cell (``_run_share``), and each result's ``ms`` is
+    measured in the child that ran it.  The results come back share by
+    share; callers sort them by their unique names.
 
-    With one CPU, without ``os.fork``, or while the caller has other
-    threads (forking them is unsafe), ``n`` is 1 and the caller runs
-    every cell.  An exception in a child's share is raised here with its
-    type and message; before any exception leaves, the children still
-    running are killed.  No child outlives the call.
+    Without ``os.fork``, or while the caller has other threads (forking
+    them is unsafe), the caller runs every cell itself, in the same way.
+    An exception in a child's share is raised here with its type and
+    message; before any exception leaves, the children still running
+    are killed.  No child outlives the call.
     """
-    n = max(1, min(_cpu_count(), len(cells)))
     if not hasattr(os, "fork") or threading.active_count() > 1:
-        n = 1
+        return _run_share(cells, run_cell)
+    n = min(_cpu_count(), len(cells))
     pids: list[int] = []
     pipes: list[int] = []    # read ends, pipes[k] from pids[k]
     reaped: set[int] = set()
     try:
-        for k in range(1, n):
+        for k in range(n):
             read, write = os.pipe()
             pipes.append(read)
             try:
@@ -646,7 +653,7 @@ def _run_cells(cells: Sequence[CurveParams],
             finally:
                 os.close(write)
             pids.append(pid)
-        results = _run_share(cells[::n], run_cell)
+        results: list[CheckResult] = []
         for pid, read in zip(pids, pipes):
             chunks = []
             while chunk := os.read(read, 1 << 16):
@@ -674,9 +681,9 @@ def _run_cells(cells: Sequence[CurveParams],
 
 def _run_share(cells: Sequence[CurveParams],
                run_cell: Callable[[CurveParams], list[CheckResult]]) -> list[CheckResult]:
-    """The results of ``run_cell`` on each cell in turn, with every
-    per-curve cache emptied after each cell: the cells are distinct
-    curves, so no cell reads another's entries."""
+    """The results of ``run_cell`` on each cell in turn, in this process,
+    with every per-curve cache emptied after each cell: the cells are
+    distinct curves, so no cell reads another's entries."""
     results: list[CheckResult] = []
     for p in cells:
         results += run_cell(p)
@@ -719,8 +726,8 @@ def run_property_sweep(max_a: int = 5, max_b: int = 9, max_m: int = 4,
     """Run the structural invariants over the whole parameter sweep.
 
     ``checks`` selects a subset of the ``PROPERTY_CHECKS`` names; the
-    merged report is sorted by check name.  The cells run in one process
-    per CPU (``_run_cells``).
+    merged report is sorted by check name.  The cells run in one forked
+    child per CPU (``_run_cells``).
     """
     selected = tuple(PROPERTY_CHECKS if checks is None else checks)
     unknown = [c for c in selected if c not in PROPERTY_CHECKS]
@@ -762,7 +769,7 @@ def run_oracle_invariants(max_a: int = 5, max_b: int = 9, max_m: int = 4,
                           trials: int = 1000,
                           seed: int = DEFAULT_SEED) -> ConformanceReport:
     """Seeded random trials of the oracle invariants over the sweep, in
-    one process per CPU (``_run_cells``); at least one trial."""
+    one forked child per CPU (``_run_cells``); at least one trial."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     return ConformanceReport(_run_cells(

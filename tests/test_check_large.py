@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import wsgap as w
+from wsgap import core
 from wsgap import gapsets as gs
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "check_large.py"
@@ -101,3 +102,21 @@ def test_seeded_cells_repeat_and_stay_outside_the_box(check_large):
         assert not (p.a <= 5 and p.b <= 9)
         assert 2 <= p.m <= min(4, p.a + 1)
         assert (2 * p.genus) ** p.m <= 10**7
+
+
+def test_each_curve_starts_with_empty_caches(check_large, monkeypatch, capsys):
+    """``main`` empties every per-curve cache once a curve is done."""
+    filled = []
+
+    def fill(p, seed):
+        filled.append([f.__name__ for f in core.CURVE_CACHES if f.cache_info().currsize])
+        w.gaps(p)
+        return [], {}
+
+    monkeypatch.setattr(check_large, "seeded_cells", lambda seed: CURVES)
+    monkeypatch.setattr(check_large, "check", fill)
+    core.clear_curve_caches()
+    assert check_large.main(["--seed", "1"]) == 0
+    assert filled == [[], []]
+    assert all(f.cache_info().currsize == 0 for f in core.CURVE_CACHES)
+    assert "2/2 curves agree" in capsys.readouterr().out

@@ -430,6 +430,15 @@ def _spelled(rows):
     return [prefix + (v,) for prefix, lasts in rows.rows() for v in lasts]
 
 
+def _reference_payload(payload, spell=_spelled):
+    """The payload as the reference encoders take it: each tuple list
+    spelled by ``spell``, and each ``CheckResult`` of ``verify`` through
+    its ``to_payload()``."""
+    return {key: spell(value) if key in cli._TUPLE_KEYS
+            else [c.to_payload() for c in value] if key == "checks" else value
+            for key, value in payload.items()}
+
+
 def _emitted(fmt, envelope):
     out = io.StringIO()
     cli._EMITTERS[fmt](envelope, out)
@@ -437,10 +446,9 @@ def _emitted(fmt, envelope):
 
 
 def _assert_emitters_match(envelope):
-    # the reference encoders take the tuple lists that row payloads stand for
-    payload = {key: _spelled(value) if key in cli._TUPLE_KEYS else value
-               for key, value in envelope["payload"].items()}
-    as_tuples = {**envelope, "payload": payload}
+    # the reference encoders take the tuple lists that row payloads stand
+    # for, and the check dicts that CheckResults stand for
+    as_tuples = {**envelope, "payload": _reference_payload(envelope["payload"])}
     for fmt, reference in REFERENCE_EMITTERS.items():
         out = io.StringIO()
         cli._EMITTERS[fmt](envelope, out)
@@ -486,6 +494,16 @@ class TestEmitterBytes:
     def test_command_envelopes(self, monkeypatch, capsys, argv):
         envelope = self._envelope(monkeypatch, capsys, *argv)
         _assert_emitters_match(envelope)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_verify_all_checks(self, monkeypatch, capsys, fmt):
+        """``verify --what all`` prints its CheckResults as the reference
+        encoders print their ``to_payload()`` dicts."""
+        envelope = self._envelope(monkeypatch, capsys, "verify", "--what", "all", fmt=fmt)
+        checks = envelope["payload"]["checks"]
+        assert len(checks) == 1268 and all(type(c) is w.CheckResult for c in checks)
+        reference = {**envelope, "payload": _reference_payload(envelope["payload"])}
+        assert _emitted(fmt, envelope) == REFERENCE_EMITTERS[fmt](reference)
 
     @pytest.mark.parametrize("command", ["gaps", "pure-gaps"])
     @pytest.mark.parametrize("curve", [
@@ -537,6 +555,22 @@ class TestEmitterBytes:
         }
         _assert_emitters_match(envelope)
 
+    @given(st.lists(st.builds(w.CheckResult, st.text(max_size=12),
+                              st.sampled_from(["fixture", "property"]), st.booleans(),
+                              st.text(max_size=20),
+                              st.one_of(st.floats(0, 1e7), st.integers(0, 10**6))),
+                    max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_generated_checks(self, checks):
+        envelope = {
+            "schema": cli.SCHEMA, "tool_version": w.__version__, "command": "verify",
+            "params": {"a": None, "b": None, "m": None, "genus": None, "field_size": None},
+            "payload": {"checks": checks, "ok": all(c.passed for c in checks),
+                        "total": len(checks), "what": "all"},
+            "timing_ms": 1.5,
+        }
+        _assert_emitters_match(envelope)
+
 
 class TestJsonStream:
     """``_emit_json`` writes the encoder's chunks in bounded batches, with
@@ -552,8 +586,8 @@ class TestJsonStream:
     ], ids=lambda argv: " ".join(argv[:2]))
     def test_matches_json_dumps(self, monkeypatch, capsys, argv):
         envelope = TestEmitterBytes()._envelope(monkeypatch, capsys, *argv)
-        payload = {key: [list(t) for t in _spelled(value)] if key in cli._TUPLE_KEYS else value
-                   for key, value in envelope["payload"].items()}
+        payload = _reference_payload(envelope["payload"],
+                                     lambda rows: [list(t) for t in _spelled(rows)])
         sink = _WriteSizes()
         cli._emit_json(envelope, sink)
         assert sink.getvalue() == json.dumps({**envelope, "payload": payload},

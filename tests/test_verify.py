@@ -505,14 +505,50 @@ def test_sweep_builds_each_route_once_per_cell(monkeypatch):
     assert calls == {"_cube_rows": 3 * len(cells), "_witness_walk": 3 * len(cells)}
 
 
-def test_sweep_leaves_every_curve_cache_empty(monkeypatch):
+def _cache_sizes():
+    return {f.__name__: f.cache_info().currsize for f in core.CURVE_CACHES}
+
+
+def _while_a_thread_runs(fn):
+    """``fn()`` while another thread is alive, so the sweep forks nothing."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        return fn()
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def test_sweep_leaves_every_curve_cache_empty():
     """Each cell's cache entries are dropped once the cell is done, in
-    the caller, which runs every cell here."""
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    the caller, which runs every cell itself while another thread runs."""
+    assert _while_a_thread_runs(lambda: w.run_property_sweep(3, 4, 3).ok)
+    assert _while_a_thread_runs(lambda: w.run_oracle_invariants(3, 4, 3, trials=5).ok)
+    assert _cache_sizes() == {name: 0 for name in _cache_sizes()}
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_sweep_never_fills_the_callers_caches(monkeypatch, cpus):
+    """The forked children run every cell, so the caller's per-curve
+    caches, emptied first, are empty whenever a cell is done and after
+    the sweep."""
+    parent, seen = os.getpid(), []
+
+    def clear():
+        if os.getpid() == parent:
+            seen.append(_cache_sizes())
+        core.clear_curve_caches()
+
+    monkeypatch.setattr(verify, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(verify, "clear_curve_caches", clear)
+    core.clear_curve_caches()
     assert w.run_property_sweep(3, 4, 3).ok
     assert w.run_oracle_invariants(3, 4, 3, trials=5).ok
-    assert {f.__name__: f.cache_info().currsize for f in core.CURVE_CACHES} == {
-        f.__name__: 0 for f in core.CURVE_CACHES}
+    empty = {name: 0 for name in _cache_sizes()}
+    assert all(sizes == empty for sizes in seen) and _cache_sizes() == empty
 
 
 def test_each_cell_starts_with_empty_caches(monkeypatch):
@@ -677,7 +713,7 @@ def _no_child_left():
 
 
 class TestProcessPerCPU:
-    """The sweep cells run in one forked process per CPU."""
+    """The sweep cells run in one forked child per CPU, never in the caller."""
 
     def test_one_process_gives_the_same_results(self, monkeypatch):
         many = (_fields(w.run_property_sweep()), _fields(w.run_oracle_invariants(trials=200)))
@@ -687,14 +723,14 @@ class TestProcessPerCPU:
         _no_child_left()
 
     @staticmethod
-    def _raise_in(monkeypatch, caller, where, exc):
+    def _raise_in(monkeypatch, caller, exc):
         """Make ``caller``'s per-cell work raise ``exc(cell)`` on the cells
-        run in a child (``where="child"``) or in the caller itself, with
-        the cells dealt over three processes."""
+        run in a child, not in the caller itself, with the cells dealt over
+        three children."""
         parent = os.getpid()
 
         def check(p):
-            if (os.getpid() != parent) == (where == "child"):
+            if os.getpid() != parent:
                 raise exc(p)
             return []
 
@@ -709,47 +745,65 @@ class TestProcessPerCPU:
     def test_child_exception_is_raised_in_the_caller(self, monkeypatch, caller):
         cells = w.sweep_cells(3, 5, 2)
         assert len(cells) > 3
-        run = self._raise_in(monkeypatch, caller, "child",
+        run = self._raise_in(monkeypatch, caller,
                              lambda p: w.WsgapError(f"cell {p.a},{p.b},{p.m} is wrong"))
         with pytest.raises(w.WsgapError) as exc:
             run()
-        # cells[1] is the first cell of the first child, which is read first
+        # cells[0] is the first cell of share 0, whose reply is read first
         assert type(exc.value) is w.WsgapError
-        assert str(exc.value) == f"cell {cells[1].a},{cells[1].b},{cells[1].m} is wrong"
+        assert str(exc.value) == f"cell {cells[0].a},{cells[0].b},{cells[0].m} is wrong"
         _no_child_left()
 
     def test_unpicklable_child_exception_keeps_its_message(self, monkeypatch):
         class Local(Exception):
             pass
 
-        run = self._raise_in(monkeypatch, "sweep", "child", lambda p: Local("odd cell"))
+        run = self._raise_in(monkeypatch, "sweep", lambda p: Local("odd cell"))
         with pytest.raises(w.WsgapError, match="^Local: odd cell$"):
             run()
         _no_child_left()
 
     def test_caller_exception_reaps_the_children(self, monkeypatch):
-        run = self._raise_in(monkeypatch, "sweep", "caller", lambda p: KeyError(p.b))
-        with pytest.raises(KeyError):
-            run()
+        """A failure in the caller while it reads the first reply, with
+        every child still to be reaped."""
+        def failing(data):
+            raise KeyError("reply")
+
+        monkeypatch.setattr(verify, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(verify.marshal, "loads", failing)
+        with pytest.raises(KeyError, match="reply"):
+            w.run_property_sweep(max_a=3, max_b=5, max_m=2, checks=("sigma",))
         _no_child_left()
 
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_every_cell_runs_in_a_child(self, monkeypatch, cpus):
+        monkeypatch.setattr(verify, "_cpu_count", lambda: cpus)
+        monkeypatch.setitem(verify.PROPERTY_CHECKS, "pid", lambda p: [verify.CheckResult(
+            f"a{p.a}-b{p.b}-m{p.m}:pid", "property", True, str(os.getpid()))])
+        report = w.run_property_sweep(max_a=3, max_b=5, max_m=2, checks=("pid",))
+        pids = {int(e.detail) for e in report.entries if e.name.endswith(":pid")}
+        assert len(report.entries) == len(w.sweep_cells(3, 5, 2)) + 1  # and the coverage
+        assert os.getpid() not in pids and len(pids) == cpus
+        _no_child_left()
+
+    def test_no_cell_forks_nothing(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked for no cell")
+
+        monkeypatch.setattr(verify.os, "fork", no_fork)
+        assert w.sweep_cells(5, 9, 1) == ()
+        assert [e.name for e in w.run_property_sweep(max_m=1).entries] == ["sweep-coverage"]
+        assert w.run_oracle_invariants(max_m=1).entries == []
+
     def test_child_that_dies_without_a_reply(self, monkeypatch):
-        run = self._raise_in(monkeypatch, "sweep", "child", lambda p: os._exit(3))
+        run = self._raise_in(monkeypatch, "sweep", lambda p: os._exit(3))
         with pytest.raises(w.WsgapError, match="died without a reply, exit status 3"):
             run()
         _no_child_left()
 
     def test_no_fork_while_other_threads_run(self, monkeypatch):
-        run = self._raise_in(monkeypatch, "sweep", "child", lambda p: w.WsgapError("forked"))
-        stop = threading.Event()
-        thread = threading.Thread(target=stop.wait)
-        thread.start()
-        try:
-            assert run().ok  # every cell ran in the caller
-        finally:
-            stop.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
+        run = self._raise_in(monkeypatch, "sweep", lambda p: w.WsgapError("forked"))
+        assert _while_a_thread_runs(run).ok  # every cell ran in the caller
         with pytest.raises(w.WsgapError, match="forked"):
             run()
         _no_child_left()
