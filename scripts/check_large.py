@@ -15,14 +15,13 @@ larger curves people run:
   the report sanity), ``verify.oracle_invariants`` at 2000 trials, a
   count check and a render check.  The count check compares
   ``gapsets.gap_counts``, the kernel plan's closed form, with the
-  lengths of the kernel's rows, each side walked without being kept,
+  lengths of the rows of ``gapsets.gaps``'s report, each side walked,
   and at m = 2 the pure-gap count with the inversions of sigma.  In the
   render check the command line's emitters, streaming into a sink,
-  print an envelope of the kernel's gap rows, and one of its pure-gap
+  print an envelope of the report's gap rows, and one of its pure-gap
   rows, in JSON, text and CSV byte for byte as per-tuple encoders print
-  the same envelope with the tuples built from the rows; each envelope
-  is printed twice, from the report's collected rows and from the
-  ``RowStream`` the command line prints for ``gaps`` and ``pure-gaps``.
+  the same envelope with the tuples built from the rows; the report is
+  the one the command line prints for ``gaps`` and ``pure-gaps``.
 * Norm-trace (2, 4) at m = 4: the property checks ``pure-methods``,
   ``zero-family``, ``symmetry``, ``witnesses`` and ``report-sanity``,
   ``verify.oracle_invariants`` and the count check.  ``symmetry`` and
@@ -38,7 +37,7 @@ larger curves people run:
   130,000 translates a call; the tables answer in microseconds.
 * Hermitian q = 11 and q = 16 at m = 4: the count check alone.  At
   q = 16 the kernel walks 62,779,592 gaps and 3,547,856 pure gaps, in
-  about 1.3 s and 40 MB, where the collected rows would take 222 MB.
+  about 1.3 s and 40 MB: each side is read once, so no row is kept.
 
 With ``--seed N`` it runs, in place of those curves, the property checks,
 the oracle invariants seeded from N, the count check and the render
@@ -144,29 +143,27 @@ def per_tuple(fmt, env, key):
 
 def check_rendering(params, report):
     """The streaming emitters against per-tuple encoders, in all three
-    formats, on the report's collected rows and on the rows the command
-    line streams from the kernel's plan."""
+    formats, on the rows of the report the command line prints."""
     bad = []
     for key, rows in (("gaps", report.gap_rows), ("pure_gaps", report.pure_rows)):
-        streamed, _ = gs.stream_rows(params, pure=key == "pure_gaps")
         for fmt, emit in cli._EMITTERS.items():
-            expected = per_tuple(fmt, envelope(params, key, rows), key)
-            for source, shown in (("collected", rows), ("streamed", streamed)):
-                sink = io.StringIO()
-                emit(envelope(params, key, shown), sink)
-                if sink.getvalue() != expected:
-                    bad.append(f"{fmt} envelope of {source} {key} differs from the "
-                               f"per-tuple encoding")
+            env = envelope(params, key, rows)
+            expected = per_tuple(fmt, env, key)
+            sink = io.StringIO()
+            emit(env, sink)
+            if sink.getvalue() != expected:
+                bad.append(f"{fmt} envelope of {key} differs from the per-tuple encoding")
     return bad
 
 
 def check_counts(params):
-    """``gap_counts`` against the lengths of the kernel's rows, each side
-    walked without being kept, and at m = 2 the pure-gap count against
-    the inversions of sigma."""
+    """``gap_counts`` against the lengths of the rows of ``gapsets.gaps``'s
+    report, each side walked, and at m = 2 the pure-gap count against the
+    inversions of sigma."""
     counts = gs.gap_counts(params)
-    walked = tuple(sum(len(lasts) for _, lasts in gs.stream_rows(params, pure)[0].rows())
-                   for pure in (False, True))
+    report = gs.gaps(params)
+    walked = tuple(sum(len(lasts) for _, lasts in rows.rows())
+                   for rows in (report.gap_rows, report.pure_rows))
     bad = [] if counts == walked else [f"gap_counts {counts} != walked lengths {walked}"]
     if params.m == 2 and counts[1] != len(gs.sigma_pair(params).inversions):
         bad.append(f"pure-gap count {counts[1]} != the inversions of sigma")

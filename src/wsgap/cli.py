@@ -14,17 +14,15 @@ Exit codes: 0 success, 1 domain error (message on standard error),
 ``gapsets`` and ``verify`` are imported by the subcommands that use them,
 and ``json`` and ``csv`` by the emitters that use them; the package
 does not import ``dataclasses``.  Payload tuple lists are
-``core.TupleRows``, except those of ``gaps --method complement`` and
-``pure-gaps --method profile`` at m >= 2: there the gap kernel's plan is
-built and checked whole, with its exact counts, and the payload holds a
-``gapsets.RowStream`` that walks the rows as the emitter prints them,
-so every error is raised before the first byte and no row is kept.
-``verify``'s payload holds its ``verify.CheckResult``s, which each
-emitter renders from their fields.
-The envelope is streamed to standard output row by row, so no copy of
-the whole output is held (JSON writes the encoder's chunks in batches);
-``timing_ms``, which every format prints after the payload, is read as
-it is written.  A reader that closes the pipe early leaves exit status 0.
+``core.TupleRows``: ``gaps`` and ``pure-gaps`` print the rows of the
+library's ``GapReport``.  Its kernel sides are built and checked whole,
+with their exact counts, before the first byte, and the side printed is
+walked once, as the emitter prints it, and not kept.  ``verify``'s
+payload holds its ``verify.CheckResult``s, which each emitter renders
+from their fields.  The envelope is streamed to standard output row by
+row, so no copy of the whole output is held; ``timing_ms``, which every
+format prints after the payload, is read as it is written.  A reader
+that closes the pipe early leaves exit status 0.
 
 ``run``, the entry point of the ``wsgap`` script and of ``python -m
 wsgap.cli``, exits without interpreter teardown once the output is
@@ -202,8 +200,7 @@ def _guard_params(params: CurveParams, force: bool) -> None:
 # ---------------------------------------------------------------------------
 # payload builders
 
-def _tuples_payload(key: str, rows) -> dict:
-    # rows: a TupleRows, or the RowStream of a streamed gap set
+def _tuples_payload(key: str, rows: TupleRows) -> dict:
     return {key: rows, "count": len(rows)}
 
 
@@ -236,13 +233,9 @@ def _run_gaps(params: CurveParams, args: argparse.Namespace) -> dict:
 
     _guard_params(params, args.force)
     method = args.method.replace("-", "_")
-    if method == "complement" and params.m > 1:
-        rows, stats = gs.stream_rows(params)
-    else:
-        report = gs.gaps(params, method=method)
-        rows, stats = report.gap_rows, report.stats
-    payload = _tuples_payload("gaps", rows)
-    payload.update({"method": method, "stats": stats})
+    report = gs.gaps(params, method=method)
+    payload = _tuples_payload("gaps", report.gap_rows)
+    payload.update({"method": method, "stats": report.stats})
     return payload
 
 
@@ -250,13 +243,9 @@ def _run_pure_gaps(params: CurveParams, args: argparse.Namespace) -> dict:
     from . import gapsets as gs
 
     _guard_params(params, args.force)
-    if args.method == "profile" and params.m > 1:
-        rows, stats = gs.stream_rows(params, pure=True)
-    else:
-        report = gs.pure_gaps(params, method=args.method)
-        rows, stats = report.pure_rows, report.stats
-    payload = _tuples_payload("pure_gaps", rows)
-    payload.update({"method": args.method, "stats": stats})
+    report = gs.pure_gaps(params, method=args.method)
+    payload = _tuples_payload("pure_gaps", report.pure_rows)
+    payload.update({"method": args.method, "stats": report.stats})
     return payload
 
 
@@ -395,49 +384,37 @@ def _timing_ms(envelope: dict) -> float:
     return timing() if callable(timing) else timing
 
 
-# encoder chunks joined into one write
-_JSON_BATCH = 1024
-
-
 def _emit_json(envelope: dict, out) -> None:
+    """``json.dumps(envelope, sort_keys=True, indent=2)`` and a newline,
+    written value by value: each dict key by key, each tuple list and the
+    checks item by item from their templates, and every other value by
+    ``json.dumps`` re-indented to its depth.  ``timing_ms``, a clock,
+    is read when its turn comes, after the payload."""
     import json
 
-    # The indenting encoder is pure Python and yields each string value as
-    # one chunk, so each tuple list and the checks go in as placeholder
-    # strings whose chunks are swapped for the items rendered by template,
-    # and timing_ms, which follows the payload, is read when its
-    # placeholder comes.  The other chunks are written in batches.
-    payload = envelope["payload"]
-    marks = {json.dumps("\0" + key): key for key in (*_TUPLE_KEYS, "checks") if key in payload}
-    timing = json.dumps("\0timing_ms")
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(
-        {**envelope, "payload": {**payload, **{key: "\0" + key for key in marks.values()}},
-         "timing_ms": "\0timing_ms"})
-    batch: list[str] = []
-    for chunk in chunks:
-        if chunk == timing:
-            chunk = json.dumps(_timing_ms(envelope))
-        elif chunk in marks:
-            out.write("".join(batch))
-            batch.clear()
-            key = marks[chunk]
-            items = (_json_checks(payload[key]) if key == "checks"
-                     else _render_rows(payload[key], _json_tuple, ",\n"))
+    def write(key, value, pad: str) -> None:
+        if key in _TUPLE_KEYS or key == "checks":
+            items = (_json_checks(value) if key == "checks"
+                     else _render_rows(value, _json_tuple, ",\n"))
             first = next(items, None)
             if first is None:
                 out.write("[]")
-                continue
+                return
             out.write("[\n" + first)
             for item in items:
                 out.write(",\n" + item)
-            out.write("\n    ]")
-            continue
-        batch.append(chunk)
-        if len(batch) >= _JSON_BATCH:
-            out.write("".join(batch))
-            batch.clear()
-    batch.append("\n")
-    out.write("".join(batch))
+            out.write(f"\n{pad}]")
+        elif isinstance(value, dict) and value:
+            for i, k in enumerate(sorted(value)):
+                out.write(f"{',' if i else '{'}\n{pad}  {json.dumps(k)}: ")
+                write(k, value[k], pad + "  ")
+            out.write(f"\n{pad}}}")
+        else:
+            value = value() if callable(value) else value
+            out.write(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad))
+
+    write(None, envelope, "")
+    out.write("\n")
 
 
 def _scalar(value) -> str:

@@ -28,7 +28,7 @@ import functools
 import itertools
 import math
 import warnings
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 IntTuple = tuple[int, ...]
 
@@ -383,17 +383,37 @@ class TupleRows:
     of their prefixes and each ``lasts`` ascends; several rows may share
     one ``lasts`` tuple.  The constructor takes the prefixes and the lasts
     of the rows as two sequences in order; ``of`` groups a list of tuples.
-    Everything is immutable, since a cache hands the same rows to every
-    caller.  ``tuples`` builds the tuples on first access and keeps them.
+
+    ``walked`` makes the walked form: ``walk()`` yields the rows afresh on
+    every read and the length is given, so a set read once is never held.
+    The second read keeps the rows it walks, and later reads take them
+    from there.  ``walk`` is that callable, None for rows built held.
+    The rows a caller reads never change, since a cache hands the same
+    rows to every caller.  ``tuples`` builds the tuples on first access
+    and keeps them.  Pickle and copy rebuild either form as held rows.
     """
 
-    __slots__ = ("_prefixes", "_lasts", "_len", "_tuples")
+    __slots__ = ("_prefixes", "_lasts", "_len", "_tuples", "_reads", "walk")
 
     def __init__(self, prefixes: Iterable[IntTuple], lasts: Iterable[IntTuple]) -> None:
         self._prefixes = tuple(prefixes)
         self._lasts = tuple(lasts)
         self._len = sum(map(len, self._lasts))
         self._tuples: tuple[IntTuple, ...] | None = None
+        self._reads = 0
+        self.walk = None
+
+    @classmethod
+    def walked(cls, walk: Callable[[], Iterator[tuple[IntTuple, IntTuple]]],
+               length: int) -> TupleRows:
+        """The rows ``walk()`` yields in order, ``length`` tuples in all."""
+        rows = cls((), ())
+        rows._prefixes, rows._len, rows.walk = None, length, walk
+        return rows
+
+    def __reduce__(self) -> tuple:
+        rows = list(self.rows())
+        return TupleRows, ([prefix for prefix, _ in rows], [lasts for _, lasts in rows])
 
     @classmethod
     def of(cls, tuples: Iterable[IntTuple]) -> TupleRows:
@@ -421,4 +441,19 @@ class TupleRows:
 
     def rows(self) -> Iterator[tuple[IntTuple, IntTuple]]:
         """(prefix, last coordinates) of every row, in order."""
-        return zip(self._prefixes, self._lasts)
+        if self._prefixes is not None:
+            return zip(self._prefixes, self._lasts)
+        self._reads += 1
+        return self.walk() if self._reads == 1 else self._keep()
+
+    def _keep(self) -> Iterator[tuple[IntTuple, IntTuple]]:
+        """A walk that keeps its rows once it has yielded them all."""
+        prefixes: list[IntTuple] = []
+        lasts: list[IntTuple] = []
+        for prefix, row in self.walk():
+            prefixes.append(prefix)
+            lasts.append(row)
+            yield prefix, row
+        self._lasts = tuple(lasts)
+        # after _lasts: a reader takes a set _prefixes to mean both are held
+        self._prefixes = tuple(prefixes)

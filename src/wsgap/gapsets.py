@@ -40,26 +40,30 @@ once, in pure Python; it runs the whole-cube test and checks that the
 pure cells lie inside the gap cells, so it raises every error the kernel
 can raise, and it sums the exact counts (``gap_counts``) without a row.
 The walk (``_walk``) then goes over the simplex only and yields one
-side's rows in lexicographic order.  The library collects both sides
-and keeps them with the plan; the command line prints a ``RowStream``,
-which walks afresh each time it is read, so no row is kept.  The
-union_nabla and explicit_s routes stay independent of the kernel, as
-cross-checks: each lists its sets as slabs of [0, 2g-1]^m, and one
-builder marks the slabs in byte blocks kept only where slabs touch.
-Their rows, and those of the intersection route, are cached per curve,
-so that callers comparing the routes build each one once.
+side's rows in lexicographic order.  The plan hands its two sides over
+once, as walked ``TupleRows``: their lengths are the exact counts, each
+read walks the plan, and a side keeps its rows only once it has been
+read twice, so a report read once, as the command line reads the side
+it prints, holds no row.  The union_nabla and explicit_s routes stay
+independent of the kernel, as cross-checks: each lists its sets as
+slabs of [0, 2g-1]^m, and one builder marks the slabs in byte blocks
+kept only where slabs touch.  Their rows, and those of the
+intersection route, are cached per curve, so that callers comparing
+the routes build each one once.
 
 Every route hands its sets over in row form (``core.TupleRows``): the
 tuples that share their first m-1 coordinates make one row, a prefix
 tuple and a tuple of last coordinates.  The kernel, the builder and
 the witness walk make their rows directly; the single-point report
 groups its sorted tuples with ``TupleRows.of``.  The command line
-renders the rows; the tuples themselves are built only when a caller
-reads ``GapReport.gaps`` or ``.pure_gaps``, and are then kept.
+renders the rows of the report; the tuples themselves are built only
+when a caller reads ``GapReport.gaps`` or ``.pure_gaps``, and are then
+kept.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -117,11 +121,18 @@ def _is_subset(small: TupleRows, big: TupleRows) -> bool:
 
     True only if every row of ``small`` lies inside a row of ``big`` with
     the same prefix, whatever the order of the rows; exact when both come
-    in lexicographic order, as every route hands them over.  Cached by
-    the identity of the two row sets, which are immutable and which the
+    in lexicographic order, as every route hands them over.  True without
+    a walk when ``small`` and ``big`` are the pure and the gap side of one
+    plan: ``_plan`` has checked every leaf's pure cells inside its gap
+    cells, and raises the same error as the report otherwise.  Cached by
+    the identity of the two row sets, which never change and which the
     cache keeps alive: the reports of one curve hand over the same
     cached rows again and again.
     """
+    # a plan's sides walk ``functools.partial(_walk, plan, side)``
+    sides = [getattr(rows.walk, "args", None) for rows in (big, small)]
+    if sides[0] is not None and sides == [(sides[0][0], 0), (sides[0][0], 1)]:
+        return True
     rows = big.rows()
     for prefix, lasts in small.rows():
         for other, others in rows:
@@ -148,20 +159,18 @@ def numerical_gaps(a: int, b: int) -> tuple[int, ...]:
 
 
 class _Plan:
-    """The kernel's plan for one curve (see ``_plan``): ``split[v]`` is
-    divmod(v, b) for v below 2g, ``width`` is min(b, 2g), ``depth`` = m-2
-    the length of a head, ``leaves`` the leaves of each side per
-    signature in lexicographic order, and ``counts`` the exact numbers of
-    gaps and pure gaps.  ``collected`` holds the rows of both sides once
-    ``_residue_gap_sets`` has walked them."""
+    """What ``_walk`` reads of the kernel's plan for one curve (see
+    ``_plan``): ``split[v]`` is divmod(v, b) for v below 2g, ``width`` is
+    min(b, 2g), ``depth`` = m-2 the length of a head and ``leaves`` the
+    leaves of each side per signature in lexicographic order.  It does
+    not hold the sides that walk it: with no reference cycle, a plan
+    dropped from the cache is freed at once."""
 
-    __slots__ = ("split", "width", "depth", "leaves", "counts", "collected")
+    __slots__ = ("split", "width", "depth", "leaves")
 
     def __init__(self, split: list[tuple[int, int]], width: int, depth: int,
-                 leaves: tuple[list, list], counts: tuple[int, int]) -> None:
-        self.split, self.width, self.depth = split, width, depth
-        self.leaves, self.counts = leaves, counts
-        self.collected: tuple[TupleRows, TupleRows] | None = None
+                 leaves: tuple[list, list]) -> None:
+        self.split, self.width, self.depth, self.leaves = split, width, depth, leaves
 
 
 class _CellRows:
@@ -178,9 +187,11 @@ class _CellRows:
 
 
 @curve_cache
-def _plan(params: CurveParams) -> _Plan:
+def _plan(params: CurveParams) -> tuple[TupleRows, TupleRows]:
     """The complement/profile kernel's plan for one curve, from the
-    oracle's signature tables, built and checked whole.
+    oracle's signature tables, built and checked whole, as its two sides:
+    the gaps and the pure gaps as walked ``TupleRows`` of exact length,
+    made once per plan, so that every report of the curve holds the same.
 
     By ``oracle._Signature``, coordinate k of beta is reached iff
     theta_{r_k} <= t, where theta_r = f_r + b*#{x in S : x < r}, S holds
@@ -278,7 +289,9 @@ def _plan(params: CurveParams) -> _Plan:
     leaves = tuple([shared[u, tuple(sorted(others))][side]  # in lexicographic order
                     for u, *others in itertools.product(range(width), repeat=m - 1)]
                    for side in (0, 1))
-    return _Plan([divmod(v, b) for v in values], width, m - 2, leaves, tuple(counts))
+    plan = _Plan([divmod(v, b) for v in values], width, m - 2, leaves)
+    return tuple(TupleRows.walked(functools.partial(_walk, plan, side), counts[side])
+                 for side in (0, 1))
 
 
 def _class_ends(u: int, reach: int, tables: list[oracle._Signature]) -> tuple[list, list]:
@@ -328,60 +341,12 @@ def _walk(plan: _Plan, side: int) -> Iterator[tuple[IntTuple, IntTuple]]:
                 yield head + (v,), lasts
 
 
-def _residue_gap_sets(params: CurveParams) -> tuple[TupleRows, TupleRows]:
-    """Gaps and pure gaps in row form: both sides of the plan walked and
-    kept with it, so a curve's rows are built once while it stays cached."""
-    plan = _plan(params)
-    if plan.collected is None:
-        collected = []
-        for side in (0, 1):
-            prefixes: list[IntTuple] = []
-            lasts: list[IntTuple] = []
-            for prefix, row in _walk(plan, side):
-                prefixes.append(prefix)
-                lasts.append(row)
-            collected.append(TupleRows(prefixes, lasts))
-        plan.collected = tuple(collected)
-    return plan.collected
-
-
-class RowStream:
-    """One side of the kernel's sets in row form, never held: every
-    ``rows()`` call walks the plan afresh, and ``len`` is the plan's
-    exact count.  The command line prints it as it prints ``TupleRows``."""
-
-    __slots__ = ("_plan", "_side")
-
-    def __init__(self, plan: _Plan, side: int) -> None:
-        self._plan, self._side = plan, side
-
-    def __len__(self) -> int:
-        return self._plan.counts[self._side]
-
-    def rows(self) -> Iterator[tuple[IntTuple, IntTuple]]:
-        """(prefix, last coordinates) of every row, in order."""
-        return _walk(self._plan, self._side)
-
-
-def stream_rows(params: CurveParams, pure: bool = False) -> tuple[RowStream, dict]:
-    """The ``complement`` gaps, or the ``profile`` pure gaps, as a
-    ``RowStream``, with the stats of their ``GapReport`` (m >= 2).
-
-    The plan is built and checked here, so every error is raised before
-    the first row is walked, and the stats come from its counts.
-    """
-    if params.m < 2:
-        raise BadPointCountError("streamed rows need m >= 2")
-    plan = _plan(params)
-    return RowStream(plan, int(pure)), _stats(params, *plan.counts, "complement", "profile")
-
-
 def gap_counts(params: CurveParams) -> tuple[int, int]:
     """The numbers of gaps and of pure gaps, read off the kernel's plan
     without building a row; it raises where the kernel raises."""
     if params.m == 1:
         return params.genus, params.genus
-    return _plan(params).counts
+    return tuple(map(len, _plan(params)))
 
 
 def _cube_rows(m: int, n: int, slabs: Iterable[Sequence[int | range]]) -> TupleRows:
@@ -552,7 +517,7 @@ def gaps(params: CurveParams, method: str = "complement") -> GapReport:
         raise WsgapError(f"unknown gap method {method!r}; choose from {GAP_METHODS}")
     if params.m == 1:
         return _single_point_report(params, method, method)
-    gap_rows, pure = _residue_gap_sets(params)
+    gap_rows, pure = _plan(params)
     if method != "complement":
         gap_rows = _route_rows(params, method, False)
     return _report(params, gap_rows, pure, method, method, "profile")
@@ -568,7 +533,7 @@ def pure_gaps(params: CurveParams, method: str = "profile") -> GapReport:
         raise WsgapError(f"unknown pure-gap method {method!r}; choose from {PURE_METHODS}")
     if params.m == 1:
         return _single_point_report(params, method, "complement")
-    gap_rows, pure = _residue_gap_sets(params)
+    gap_rows, pure = _plan(params)
     if method == "intersection":
         pure = _route_rows(params, method, False)
     return _report(params, gap_rows, pure, method, "complement", method)

@@ -19,9 +19,10 @@ The reports are sorted by check name, whichever child ran a check.  The
 checks of one cell run in one child and share their inputs: the gap
 routes keep their rows in per-curve caches, so the ``union_nabla``,
 ``explicit_s`` and ``intersection`` rows that ``gap-methods`` and
-``pure-methods`` build are the ones ``zero-family`` reads again, and
-each check's ``ms`` holds only the work it did first.  Once a cell is
-done, its child empties every per-curve cache
+``pure-methods`` build are the ones ``zero-family`` reads again, the
+kernel's two sides, walked on their first read, keep their rows from
+the second read on, and each check's ``ms`` holds only the work it did
+first.  Once a cell is done, its child empties every per-curve cache
 (``core.clear_curve_caches``): the cells are distinct curves, so no
 cell reads another's entries, and a child's memory follows the cell it
 runs, not the cells it has finished.  The caller only deals the cells

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import wsgap as w
-from wsgap import core
+from wsgap import cli, core
 from wsgap import gapsets as gs
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "check_large.py"
@@ -63,17 +63,20 @@ def test_check_reports_a_wrong_count(check_large, monkeypatch, p):
 
 
 def test_render_check_reads_the_streamed_rows(check_large, monkeypatch):
+    """The render check prints the rows of the report through the
+    command line's emitters: a row they drop shows in every format."""
     p = w.hermitian_params(4, 3)
-    real = gs.RowStream.rows
+    real = cli._render_rows
 
-    def drop_first(stream):
-        rows = real(stream)
-        next(rows)
-        return rows
+    def drop_first(rows, *args):
+        rendered = real(rows, *args)
+        next(rendered)
+        return rendered
 
-    monkeypatch.setattr(gs.RowStream, "rows", drop_first)
+    monkeypatch.setattr(cli, "_render_rows", drop_first)
     bad = check_large.check_rendering(p, w.gaps(p))
-    assert bad and all("streamed" in line for line in bad)
+    assert bad == [f"{fmt} envelope of {key} differs from the per-tuple encoding"
+                   for key in ("gaps", "pure_gaps") for fmt in cli._EMITTERS]
 
 
 @pytest.mark.parametrize("p", CURVES, ids=str)

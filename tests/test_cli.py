@@ -426,7 +426,7 @@ REFERENCE_EMITTERS = {"json": _reference_json, "text": _reference_text, "csv": _
 
 
 def _spelled(rows):
-    """The tuples of ``TupleRows`` or of a streamed ``RowStream``, in order."""
+    """The tuples of ``TupleRows``, in order."""
     return [prefix + (v,) for prefix, lasts in rows.rows() for v in lasts]
 
 
@@ -515,18 +515,18 @@ class TestEmitterBytes:
         ("--a", "2", "--b", "3", "--m", "2"),                             # no pure gaps
     ], ids=lambda curve: "-".join(curve[1::2]))
     def test_kernel_rows(self, monkeypatch, capsys, command, curve):
-        """The streamed rows are the library's collected rows, and every
-        emitter prints them as it prints the collected rows."""
+        """The command line prints the library's kernel rows, and every
+        emitter prints them as it prints the same rows held."""
         envelope = self._envelope(monkeypatch, capsys, command, *curve)
         key = "gaps" if command == "gaps" else "pure_gaps"
         rows = envelope["payload"][key]
         report = gs.gaps(cli._resolve_params(cli.build_parser().parse_args([command, *curve])))
-        collected = report.gap_rows if key == "gaps" else report.pure_rows
-        assert list(rows.rows()) == list(collected.rows())
-        assert len(rows) == len(collected)
-        as_collected = {**envelope, "payload": {**envelope["payload"], key: collected}}
+        assert rows is (report.gap_rows if key == "gaps" else report.pure_rows)
+        held = w.TupleRows.of(_spelled(rows))
+        assert len(rows) == len(held)
+        as_held = {**envelope, "payload": {**envelope["payload"], key: held}}
         for fmt in cli._EMITTERS:
-            assert _emitted(fmt, envelope) == _emitted(fmt, as_collected), fmt
+            assert _emitted(fmt, envelope) == _emitted(fmt, as_held), fmt
         _assert_emitters_match(envelope)
 
     @pytest.mark.parametrize("fmt, q, m", [("json", "32", "2"), ("text", "8", "4"),
@@ -573,9 +573,9 @@ class TestEmitterBytes:
 
 
 class TestJsonStream:
-    """``_emit_json`` writes the encoder's chunks in bounded batches, with
-    the rows and ``timing_ms`` swapped in: it prints what ``json.dumps``
-    prints for the same envelope."""
+    """``_emit_json`` writes the envelope value by value, in bounded
+    writes, with the rows rendered and ``timing_ms`` read in turn: it
+    prints what ``json.dumps`` prints for the same envelope."""
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--what", "all"),
@@ -593,7 +593,7 @@ class TestJsonStream:
         assert sink.getvalue() == json.dumps({**envelope, "payload": payload},
                                              sort_keys=True, indent=2) + "\n"
         assert max(sink.sizes) < 64 * 1024
-        if argv[0] == "verify":  # about 200 KB, so several batches
+        if argv[0] == "verify":  # about 200 KB, so several writes
             assert len(sink.sizes) > 3
 
     def test_timing_read_after_the_rows(self, monkeypatch, capsys):
