@@ -22,13 +22,15 @@ larger curves people run:
   rows, in JSON, text and CSV byte for byte as per-tuple encoders print
   the same envelope with the tuples built from the rows; the report is
   the one the command line prints for ``gaps`` and ``pure-gaps``.
-* Norm-trace (2, 4) at m = 4: the property checks ``pure-methods``,
-  ``zero-family``, ``symmetry``, ``witnesses`` and ``report-sanity``,
-  ``verify.oracle_invariants`` and the count check.  ``symmetry`` and
-  ``report-sanity`` read the gap rows there, in 0.4 and 0.2 s, where
-  building every gap tuple took 2.5 and 1.2 s and 263 MB.  ``check``
-  takes the names of the property checks to run, and the render check
-  runs only when all of them run.
+* Norm-trace (2, 4) at m = 4: every property check but ``sigma``, which
+  needs m = 2, ``verify.oracle_invariants`` and the count check.  Run
+  alone in a fresh process, ``gap-methods`` took 1.2 s and 64 MB there,
+  with one route's rows alive at a time, and ``symmetry`` and
+  ``report-sanity`` read the gap rows, in 0.9 and 0.6 s, where building
+  every gap tuple took 2.5 and 1.2 s and 263 MB.  So the render check,
+  which builds every tuple, stays off: ``check`` takes the names of the
+  property checks to run, and the render check runs only when all of
+  them run.
 * Hermitian q = 64 at m = 2 (b = 65, genus 2016): the oracle invariants
   and the count check alone, so the oracle's signature tables meet a b
   beyond the curves above.  At m = 3 they would take about 10 s per 200
@@ -46,19 +48,22 @@ box (a <= 12, b <= 40, a != b, m <= min(4, a + 1), (2g)^m <= 10^7).
 Each line names the cell and the seed, so a disagreement can be rerun.
 
 It prints one line per curve with the time of each part, then the name
-and detail of each failing check, and exits 1 on any failure.  A check
-that reads a route an earlier check of the curve built finds it cached.
-Once a curve is done, every per-curve cache is emptied
-(``core.clear_curve_caches``), as ``wsgap verify`` does after each
-cell: no curve reads another's entries, and a full run peaks at about
-150 MB max-RSS, against 186 MB when the caches kept the last 8 curves.
+and detail of each failing check, and exits 1 on any failure.  Each
+check builds the cross-check routes it reads and drops them when it is
+done; the kernel's plan is cached per curve.  Once a curve is done,
+every per-curve cache is emptied (``core.clear_curve_caches``), as
+``wsgap verify`` does after each cell: no curve reads another's
+entries, and a full run peaks at about 136 MB max-RSS, against 150 MB
+when the routes were cached per curve and 186 MB when the caches also
+kept the last 8 curves.
 
-It is not part of the test suite: a run took 16 s on two cores, and
-40 s in a slow spell of the same host.  The largest lines of the 16 s
-run were norm-trace (2, 4) at m = 4 (3.9 s, of which ``symmetry`` 0.4 s
-and ``report-sanity`` 0.2 s), Hermitian q = 32 at m = 2 (2.8 s, of
-which the render check 1.4 s) and q = 8 at m = 4 (2.2 s, of which the
-render check 1.2 s).  Seeded runs of seeds 1, 2 and 3 took 4 to 11 s.
+It is not part of the test suite: runs took 17.5 to 25 s on two cores,
+and 40 s in a slow spell of the same host.  The largest lines of a 19 s
+run were norm-trace (2, 4) at m = 4 (6.0 s, of which ``witnesses``
+1.5 s, ``gap-methods`` 0.9 s and ``zero-family`` 0.7 s), Hermitian
+q = 32 at m = 2 (3.1 s, of which the render check 1.5 s) and q = 8 at
+m = 4 (2.4 s, of which the render check 1.3 s).  Seeded runs of seeds
+1, 2 and 3 took 4 to 11 s.
 
     PYTHONPATH=src python3 scripts/check_large.py [--seed N]
 """
@@ -86,7 +91,8 @@ CELLS = (
 )
 # curves that run some property checks, or none, with the oracle invariants
 PARTIAL = [("norm-trace ell=2 r=4 m=4", w.norm_trace_params(2, 4, 4),
-            ("pure-methods", "zero-family", "symmetry", "witnesses", "report-sanity")),
+            ("gap-methods", "pure-methods", "zero-family", "axis-gaps", "superset", "symmetry",
+             "region-families", "formula-classification", "witnesses", "report-sanity")),
            ("hermitian q=64 m=2", w.hermitian_params(64, 2), ())]
 # curves whose counts alone are checked
 COUNTS_ONLY = [(f"hermitian q={q} m=4", w.hermitian_params(q, 4)) for q in (11, 16)]

@@ -48,8 +48,8 @@ it prints, holds no row.  The union_nabla and explicit_s routes stay
 independent of the kernel, as cross-checks: each lists its sets as
 slabs of [0, 2g-1]^m, and one builder marks the slabs in byte blocks
 kept only where slabs touch.  Their rows, and those of the
-intersection route, are cached per curve, so that callers comparing
-the routes build each one once.
+intersection route, are built anew on every call and held only by the
+caller, which can drop each route before it builds the next.
 
 Every route hands its sets over in row form (``core.TupleRows``): the
 tuples that share their first m-1 coordinates make one row, a prefix
@@ -114,7 +114,6 @@ class GapReport(Record):
         return self.pure_rows.tuples
 
 
-@curve_cache
 def _is_subset(small: TupleRows, big: TupleRows) -> bool:
     """Whether every tuple of ``small`` lies in ``big``, by one merge of
     their rows.
@@ -124,10 +123,7 @@ def _is_subset(small: TupleRows, big: TupleRows) -> bool:
     in lexicographic order, as every route hands them over.  True without
     a walk when ``small`` and ``big`` are the pure and the gap side of one
     plan: ``_plan`` has checked every leaf's pure cells inside its gap
-    cells, and raises the same error as the report otherwise.  Cached by
-    the identity of the two row sets, which never change and which the
-    cache keeps alive: the reports of one curve hand over the same
-    cached rows again and again.
+    cells, and raises the same error as the report otherwise.
     """
     # a plan's sides walk ``functools.partial(_walk, plan, side)``
     sides = [getattr(rows.walk, "args", None) for rows in (big, small)]
@@ -145,7 +141,6 @@ def _is_subset(small: TupleRows, big: TupleRows) -> bool:
     return True
 
 
-@curve_cache
 def numerical_gaps(a: int, b: int) -> tuple[int, ...]:
     """Gaps of the numerical semigroup generated by a and b, ascending."""
     g = (a - 1) * (b - 1) // 2
@@ -463,14 +458,9 @@ def _witness_walk(params: CurveParams, include_zero_family: bool) -> Iterator[tu
     return walk((), list(mx.lambda_nonneg(params, include_zero_family)), [])
 
 
-@curve_cache
 def _route_rows(params: CurveParams, method: str, include_zero_family: bool) -> TupleRows:
-    """The rows of one cross-check route: the ``union_nabla`` or
-    ``explicit_s`` gaps, or the ``intersection`` pure gaps.
-
-    Cached, so that the checks of one verify cell that read the same
-    route share one build.
-    """
+    """The rows of one cross-check route, built anew: the ``union_nabla``
+    or ``explicit_s`` gaps, or the ``intersection`` pure gaps."""
     if method == "union_nabla":
         slabs = _union_nabla_slabs(params, include_zero_family)
     elif method == "explicit_s":

@@ -58,7 +58,6 @@ class MaximalSet(Record):
             raise WsgapError(f"{self.kind} representative outside the fundamental region")
 
 
-@curve_cache
 def absolute_maximals_region(params: CurveParams) -> MaximalSet:
     """The b absolute-maximal representatives in the fundamental region."""
     if params.m < 2:
@@ -69,16 +68,14 @@ def absolute_maximals_region(params: CurveParams) -> MaximalSet:
 
 def absolute_reps(a: int, b: int, m: int) -> tuple[IntTuple, ...]:
     """The absolute-maximal representatives of the curve (a, b) at m
-    points, sorted and unchecked.  Uncached: ``absolute_maximals_region``
-    and the oracle's residue table both read them, so a curve fills one
-    region entry whatever its field metadata."""
+    points, sorted and unchecked: ``absolute_maximals_region`` checks
+    them, and the oracle reads them keyed by (a, b, m) alone."""
     reps = [(0,) * m]
     for i in range(1, b):
         reps.append(tuple([a * (b - i) - b * (m - 1)] + [i] * (m - 1)))
     return sorted_unique(reps)
 
 
-@curve_cache
 def relative_maximals_region(params: CurveParams) -> MaximalSet:
     """The b relative-maximal representatives in the fundamental region."""
     if params.m < 2:

@@ -80,7 +80,7 @@ from .core import (
     check_tuple,
     curve_cache,
 )
-from .maximals import absolute_maximals_region, absolute_reps, translates
+from .maximals import absolute_reps, translates
 
 NablaMethod = Literal["search", "profile"]
 
@@ -270,7 +270,7 @@ def local_absolute_maximals(params: CurveParams, beta: Sequence[int]) -> LocalPr
         raise BadPointCountError("the oracle needs m >= 2")
     beta = check_tuple(params, beta)
     # no translate repeats: the families differ in residue at coordinate 2
-    gammas = tuple(sorted(t for rep in absolute_maximals_region(params).region_reps
+    gammas = tuple(sorted(t for rep in absolute_reps(params.a, params.b, params.m)
                           for t in translates(params, rep, None, beta)))
     pcm = tuple(map(max, zip(*gammas))) if gammas else (None,) * params.m
     return LocalProfile(beta=beta, gamma_hat_beta=gammas, per_coord_max=pcm)

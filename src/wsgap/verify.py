@@ -16,13 +16,14 @@ The sweep and the oracle battery run their cells in forked children,
 one per CPU and at most one per cell; the calling process runs no cell,
 so each check's ``ms`` is measured in the child that ran the check.
 The reports are sorted by check name, whichever child ran a check.  The
-checks of one cell run in one child and share their inputs: the gap
-routes keep their rows in per-curve caches, so the ``union_nabla``,
-``explicit_s`` and ``intersection`` rows that ``gap-methods`` and
-``pure-methods`` build are the ones ``zero-family`` reads again, the
-kernel's two sides, walked on their first read, keep their rows from
-the second read on, and each check's ``ms`` holds only the work it did
-first.  Once a cell is done, its child empties every per-curve cache
+checks of one cell run in one child and share the kernel: its plan is
+cached per curve, and its two sides, walked on their first read, keep
+their rows from the second read on.  The cross-check routes are built
+anew by the check that reads them and dropped before the next is built:
+``gap-methods`` and ``pure-methods`` compare the routes without the zero
+family with the kernel, ``zero-family`` the routes with it.  Each
+check's ``ms`` holds only the work it did first.  Once a cell is done,
+its child empties every per-curve cache
 (``core.clear_curve_caches``): the cells are distinct curves, so no
 cell reads another's entries, and a child's memory follows the cell it
 runs, not the cells it has finished.  The caller only deals the cells
@@ -255,10 +256,10 @@ class _Stamps:
     Each result carries the time since the previous result of the check,
     or since the check began: work several results share is charged to
     the first that needs it, and the results add up to the check's time.
-    Across checks the same holds: a route that an earlier check of the
-    cell built is a cache hit for the later ones, since every check of a
-    cell runs in one process.  The times are read in the process that
-    runs the check, a forked child of the sweep (``_run_cells``).
+    Across checks the same holds: the kernel's plan that an earlier check
+    of the cell built is a cache hit for the later ones, since every check
+    of a cell runs in one process.  The times are read in the process
+    that runs the check, a forked child of the sweep (``_run_cells``).
     """
 
     def __init__(self, p: CurveParams) -> None:
@@ -274,11 +275,13 @@ class _Stamps:
 def _same_tuples(x: TupleRows, y: TupleRows) -> bool:
     """Whether two row sets list the same tuples in the same order.
 
-    Equal rows list equal tuples; only when the rows differ are the
-    tuples built and compared, since a route may split the tuples of one
-    prefix over two rows.
+    Equal rows list equal tuples, so the rows are compared pair by pair
+    and neither list is held; only when they differ are the tuples built
+    and compared, since a route may split the tuples of one prefix over
+    two rows.
     """
-    return list(x.rows()) == list(y.rows()) or x.tuples == y.tuples
+    return len(x) == len(y) and (all(map(operator.eq, x.rows(), y.rows()))
+                                 or x.tuples == y.tuples)
 
 
 def _check_gap_methods(p: CurveParams) -> list[CheckResult]:
@@ -288,8 +291,9 @@ def _check_gap_methods(p: CurveParams) -> list[CheckResult]:
     for method in ("union_nabla", "explicit_s"):
         got = gs.gaps(p, method=method).gap_rows
         ok = _same_tuples(got, base)
-        results.append(stamps.result(f"gap-methods-agree:{method}", ok,
-                                     "" if ok else _diff_detail(got.tuples, base.tuples)))
+        detail = "" if ok else _diff_detail(got.tuples, base.tuples)
+        del got  # one route's rows at a time
+        results.append(stamps.result(f"gap-methods-agree:{method}", ok, detail))
     return results
 
 
@@ -303,12 +307,13 @@ def _check_pure_methods(p: CurveParams) -> list[CheckResult]:
 
 
 def _check_zero_family(p: CurveParams) -> list[CheckResult]:
+    """The union_nabla gaps and the intersection pure gaps with the zero
+    family's translates against the kernel; ``gap-methods`` and
+    ``pure-methods`` check the routes without them."""
     stamps = _Stamps(p)
-    g_off = gs.gaps(p, method="union_nabla").gap_rows
-    g_on = gs._route_rows(p, "union_nabla", True)
-    p_off = gs.pure_gaps(p, method="intersection").pure_rows
-    p_on = gs._route_rows(p, "intersection", True)
-    ok = _same_tuples(g_off, g_on) and _same_tuples(p_off, p_on)
+    report = gs.gaps(p)
+    ok = (_same_tuples(gs._route_rows(p, "union_nabla", True), report.gap_rows)
+          and _same_tuples(gs._route_rows(p, "intersection", True), report.pure_rows))
     return [stamps.result("zero-family-indifferent", ok,
                           "" if ok else "zero-family translates changed an output")]
 

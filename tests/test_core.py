@@ -385,10 +385,7 @@ def test_every_per_curve_cache_is_registered():
             if callable(params) and params()["maxsize"] == core.CURVE_CACHE_SIZE:
                 found.add(value)
     assert {f"{f.__module__}.{f.__name__}" for f in found} == {
-        "wsgap.gapsets._is_subset", "wsgap.gapsets.numerical_gaps", "wsgap.gapsets._plan",
-        "wsgap.gapsets._route_rows", "wsgap.maximals.absolute_maximals_region",
-        "wsgap.maximals.relative_maximals_region", "wsgap.maximals._lambda_nonneg",
-        "wsgap.oracle._residue_table"}
+        "wsgap.gapsets._plan", "wsgap.maximals._lambda_nonneg", "wsgap.oracle._residue_table"}
     assert found <= set(core.CURVE_CACHES)
     assert len(set(map(id, core.CURVE_CACHES))) == len(core.CURVE_CACHES)
     assert all(type(f) is type(functools.lru_cache(maxsize=1)(len)) for f in core.CURVE_CACHES)

@@ -407,6 +407,26 @@ class TestFastPathFaults:
         for p, e in self._results("gap-methods", "gap-methods-agree:explicit_s"):
             assert e.passed
 
+    def test_fault_in_both_union_nabla_routes_fails_both_checks(self, monkeypatch):
+        """The same tuple dropped from the union_nabla route with and
+        without the zero family: gap-methods and zero-family each compare
+        one of the two with the kernel, so both fail."""
+        dropped = {}
+        for p in w.sweep_cells(3, 4, 3):
+            tuples = verify.gs._route_rows(p, "union_nabla", False).tuples
+            dropped[p] = tuples[len(tuples) // 2]
+
+        def drop_middle(p, method, include_zero_family, rows):
+            if method != "union_nabla":
+                return rows
+            return w.TupleRows.of(t for t in rows.tuples if t != dropped[p])
+
+        self._patch_route(monkeypatch, drop_middle)
+        for check, name in (("gap-methods", "gap-methods-agree:union_nabla"),
+                            ("zero-family", "zero-family-indifferent")):
+            for p, e in self._results(check, name):
+                assert not e.passed, e.name
+
     @pytest.mark.parametrize("route", ["union_nabla", "intersection"])
     def test_zero_family_catches_changed_route(self, monkeypatch, route):
         def drop_first(p, method, include_zero_family, rows):
@@ -481,8 +501,8 @@ class TestFastPathFaults:
 def test_sweep_builds_each_route_once_per_cell(monkeypatch):
     """Per cell, the union_nabla gaps with and without the zero family,
     the explicit_s gaps, and the intersection pure gaps with and without
-    it: three cube builds and two witness walks, shared by the checks,
-    and one more walk for the witness check."""
+    it: three cube builds and two witness walks, each route built by the
+    one check that reads it, and one more walk for the witness check."""
     calls = collections.Counter()
     for name in ("_cube_rows", "_witness_walk"):
         real = getattr(verify.gs, name)
@@ -493,15 +513,11 @@ def test_sweep_builds_each_route_once_per_cell(monkeypatch):
 
         monkeypatch.setattr(verify.gs, name, counted)
     cells = w.sweep_cells(3, 4, 3)
-    verify.gs._route_rows.cache_clear()
-    try:
-        # cell by cell in this process, where the counts are kept, as the
-        # sweep runs each cell in one process
-        for p in cells:
-            for check in verify.PROPERTY_CHECKS.values():
-                assert all(r.passed for r in check(p))
-    finally:
-        verify.gs._route_rows.cache_clear()
+    # cell by cell in this process, where the counts are kept, as the
+    # sweep runs each cell in one process
+    for p in cells:
+        for check in verify.PROPERTY_CHECKS.values():
+            assert all(r.passed for r in check(p))
     assert calls == {"_cube_rows": 3 * len(cells), "_witness_walk": 3 * len(cells)}
 
 
