@@ -20,8 +20,9 @@ larger curves people run:
   render check the command line's emitters, streaming into a sink,
   print an envelope of the report's gap rows, and one of its pure-gap
   rows, in JSON, text and CSV byte for byte as per-tuple encoders print
-  the same envelope with the tuples built from the rows; the report is
-  the one the command line prints for ``gaps`` and ``pure-gaps``.
+  the same envelope with the tuples built from the rows, once per side
+  for the three formats; the report is the one the command line prints
+  for ``gaps`` and ``pure-gaps``.
 * Norm-trace (2, 4) at m = 4: every property check but ``sigma``, which
   needs m = 2, ``verify.oracle_invariants`` and the count check.  Run
   alone in a fresh process, ``gap-methods`` took 1.2 s and 64 MB there,
@@ -39,7 +40,7 @@ larger curves people run:
   130,000 translates a call; the tables answer in microseconds.
 * Hermitian q = 11 and q = 16 at m = 4: the count check alone.  At
   q = 16 the kernel walks 62,779,592 gaps and 3,547,856 pure gaps, in
-  about 1.3 s and 40 MB: each side is read once, so no row is kept.
+  about 1.3 s and 40 MB: each side is walked, and no side keeps a row.
 
 With ``--seed N`` it runs, in place of those curves, the property checks,
 the oracle invariants seeded from N, the count check and the render
@@ -48,16 +49,18 @@ box (a <= 12, b <= 40, a != b, m <= min(4, a + 1), (2g)^m <= 10^7).
 Each line names the cell and the seed, so a disagreement can be rerun.
 
 It prints one line per curve with the time of each part, then the name
-and detail of each failing check, and exits 1 on any failure.  Each
+and detail of each failing check, and a summary line with the run's
+max-RSS, and exits 1 on any failure.  Each
 check builds the cross-check routes it reads and drops them when it is
 done; the kernel's plan is cached per curve.  Once a curve is done,
 every per-curve cache is emptied (``core.clear_curve_caches``), as
 ``wsgap verify`` does after each cell: no curve reads another's
-entries, and a full run peaks at about 136 MB max-RSS, against 150 MB
-when the routes were cached per curve and 186 MB when the caches also
-kept the last 8 curves.
+entries.  A full run on two cores printed "19/19 curves agree, max-RSS
+134.2 MB" after 16.0 s; it peaked at 138 MB while the kernel's sides
+kept their rows once read twice, 150 MB when the routes were cached per
+curve and 186 MB when the caches also kept the last 8 curves.
 
-It is not part of the test suite: runs took 17.5 to 25 s on two cores,
+It is not part of the test suite: runs took 16 to 25 s on two cores,
 and 40 s in a slow spell of the same host.  The largest lines of a 19 s
 run were norm-trace (2, 4) at m = 4 (6.0 s, of which ``witnesses``
 1.5 s, ``gap-methods`` 0.9 s and ``zero-family`` 0.7 s), Hermitian
@@ -74,6 +77,7 @@ import io
 import json
 import math
 import random
+import resource
 import sys
 import time
 
@@ -115,10 +119,10 @@ def envelope(params, key, rows):
             "timing_ms": 1.5}
 
 
-def per_tuple(fmt, env, key):
-    """The envelope as the encoders print it one tuple at a time."""
+def per_tuple(fmt, env, key, tuples):
+    """The envelope as the encoders print it one tuple at a time, with
+    ``tuples`` the tuples of its list ``key``."""
     payload, p = env["payload"], env["params"]
-    tuples = payload[key].tuples
     if fmt == "json":
         listed = {**payload, key: [list(t) for t in tuples]}
         return json.dumps({**env, "payload": listed}, sort_keys=True, indent=2) + "\n"
@@ -152,9 +156,10 @@ def check_rendering(params, report):
     formats, on the rows of the report the command line prints."""
     bad = []
     for key, rows in (("gaps", report.gap_rows), ("pure_gaps", report.pure_rows)):
+        tuples = rows.tuples  # built once: a kernel side builds them anew on each read
         for fmt, emit in cli._EMITTERS.items():
             env = envelope(params, key, rows)
-            expected = per_tuple(fmt, env, key)
+            expected = per_tuple(fmt, env, key, tuples)
             sink = io.StringIO()
             emit(env, sink)
             if sink.getvalue() != expected:
@@ -240,7 +245,8 @@ def main(argv=None):
         for line in bad:
             print(f"     {line}", flush=True)
         failed += bool(bad)
-    print(f"{len(runs) - failed}/{len(runs)} curves agree")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
+    print(f"{len(runs) - failed}/{len(runs)} curves agree, max-RSS {peak_mb:.1f} MB")
     return 1 if failed else 0
 
 

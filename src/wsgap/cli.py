@@ -193,10 +193,6 @@ def _guard_cells(cells: int, force: bool) -> None:
         )
 
 
-def _guard_params(params: CurveParams, force: bool) -> None:
-    _guard_cells((2 * params.genus) ** params.m, force)
-
-
 # ---------------------------------------------------------------------------
 # payload builders
 
@@ -210,13 +206,14 @@ def _run_maximals(params: CurveParams, args: argparse.Namespace) -> dict:
     scope = "positive" if args.box_positive else args.scope
     if scope == "region":
         tuples = ms.region_reps
-    elif scope == "nonneg":
-        if args.kind == "relative":
-            tuples = mx.lambda_nonneg(params, args.include_zero_family)
-        else:
-            tuples = mx.expand_nonneg(ms)
-    elif scope == "positive":
-        tuples = mx.expand_positive(ms)
+    elif scope in ("nonneg", "positive"):
+        by_formula = scope == "nonneg" and args.kind == "relative"
+        # lambda_nonneg lists the zero family, 0 at coordinates 2..m, only when asked
+        reps = [r for r in ms.region_reps if r[1] or not by_formula or args.include_zero_family]
+        _guard_cells(mx.count_translates(params, reps, (int(scope == "positive"),) * params.m),
+                     args.force)
+        tuples = (mx.lambda_nonneg(params, args.include_zero_family) if by_formula
+                  else mx.expand_nonneg(ms) if scope == "nonneg" else mx.expand_positive(ms))
     else:
         if args.lo is None or args.hi is None:
             raise WsgapError("--scope box needs --lo and --hi")
@@ -231,7 +228,7 @@ def _run_maximals(params: CurveParams, args: argparse.Namespace) -> dict:
 def _run_gaps(params: CurveParams, args: argparse.Namespace) -> dict:
     from . import gapsets as gs
 
-    _guard_params(params, args.force)
+    _guard_cells((2 * params.genus) ** params.m, args.force)
     method = args.method.replace("-", "_")
     report = gs.gaps(params, method=method)
     payload = _tuples_payload("gaps", report.gap_rows)
@@ -242,7 +239,7 @@ def _run_gaps(params: CurveParams, args: argparse.Namespace) -> dict:
 def _run_pure_gaps(params: CurveParams, args: argparse.Namespace) -> dict:
     from . import gapsets as gs
 
-    _guard_params(params, args.force)
+    _guard_cells((2 * params.genus) ** params.m, args.force)
     report = gs.pure_gaps(params, method=args.method)
     payload = _tuples_payload("pure_gaps", report.pure_rows)
     payload.update({"method": args.method, "stats": report.stats})
@@ -262,7 +259,7 @@ def _run_dim(params: CurveParams, args: argparse.Namespace) -> dict:
 def _run_sigma(params: CurveParams, args: argparse.Namespace) -> dict:
     from . import gapsets as gs
 
-    _guard_params(params, args.force)
+    _guard_cells((2 * params.genus) ** 2, args.force)  # the pairing's cube, at any m
     table = gs.sigma_pair(params)
     return {
         "gaps_q1": list(table.gaps_q1),
@@ -288,7 +285,7 @@ def _run_verify(args: argparse.Namespace) -> dict:
 
     if args.what in ("sweep", "all"):
         for params in verify.sweep_cells(args.max_a, args.max_b, args.max_m):
-            _guard_params(params, args.force)
+            _guard_cells((2 * params.genus) ** params.m, args.force)
     seed = verify.DEFAULT_SEED if args.seed is None else args.seed
     report = verify.ConformanceReport()
     if args.what in ("fixtures", "all"):

@@ -385,22 +385,21 @@ class TupleRows:
     of the rows as two sequences in order; ``of`` groups a list of tuples.
 
     ``walked`` makes the walked form: ``walk()`` yields the rows afresh on
-    every read and the length is given, so a set read once is never held.
-    The second read keeps the rows it walks, and later reads take them
-    from there.  ``walk`` is that callable, None for rows built held.
-    The rows a caller reads never change, since a cache hands the same
-    rows to every caller.  ``tuples`` builds the tuples on first access
-    and keeps them.  Pickle and copy rebuild either form as held rows.
+    every read and the length is given, so the rows are never held, and a
+    cache can hand the same walked rows to every caller.  ``walk`` is that
+    callable, None for rows built held.  ``tuples`` builds the tuples from
+    the rows: held rows, which their caller owns, keep them after the
+    first access; walked rows build them on every access and keep
+    nothing.  Pickle and copy rebuild either form as held rows.
     """
 
-    __slots__ = ("_prefixes", "_lasts", "_len", "_tuples", "_reads", "walk")
+    __slots__ = ("_prefixes", "_lasts", "_len", "_tuples", "walk")
 
     def __init__(self, prefixes: Iterable[IntTuple], lasts: Iterable[IntTuple]) -> None:
         self._prefixes = tuple(prefixes)
         self._lasts = tuple(lasts)
         self._len = sum(map(len, self._lasts))
         self._tuples: tuple[IntTuple, ...] | None = None
-        self._reads = 0
         self.walk = None
 
     @classmethod
@@ -408,7 +407,7 @@ class TupleRows:
                length: int) -> TupleRows:
         """The rows ``walk()`` yields in order, ``length`` tuples in all."""
         rows = cls((), ())
-        rows._prefixes, rows._len, rows.walk = None, length, walk
+        rows._len, rows.walk = length, walk
         return rows
 
     def __reduce__(self) -> tuple:
@@ -434,26 +433,14 @@ class TupleRows:
 
     @property
     def tuples(self) -> tuple[IntTuple, ...]:
-        """The tuples in order, built on first access and kept."""
-        if self._tuples is None:
-            self._tuples = tuple([prefix + (v,) for prefix, lasts in self.rows() for v in lasts])
-        return self._tuples
+        """The tuples in order, kept after the first access to held rows."""
+        if self._tuples is not None:
+            return self._tuples
+        tuples = tuple([prefix + (v,) for prefix, lasts in self.rows() for v in lasts])
+        if self.walk is None:
+            self._tuples = tuples
+        return tuples
 
     def rows(self) -> Iterator[tuple[IntTuple, IntTuple]]:
         """(prefix, last coordinates) of every row, in order."""
-        if self._prefixes is not None:
-            return zip(self._prefixes, self._lasts)
-        self._reads += 1
-        return self.walk() if self._reads == 1 else self._keep()
-
-    def _keep(self) -> Iterator[tuple[IntTuple, IntTuple]]:
-        """A walk that keeps its rows once it has yielded them all."""
-        prefixes: list[IntTuple] = []
-        lasts: list[IntTuple] = []
-        for prefix, row in self.walk():
-            prefixes.append(prefix)
-            lasts.append(row)
-            yield prefix, row
-        self._lasts = tuple(lasts)
-        # after _lasts: a reader takes a set _prefixes to mean both are held
-        self._prefixes = tuple(prefixes)
+        return zip(self._prefixes, self._lasts) if self.walk is None else self.walk()

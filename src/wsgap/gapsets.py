@@ -41,15 +41,15 @@ pure cells lie inside the gap cells, so it raises every error the kernel
 can raise, and it sums the exact counts (``gap_counts``) without a row.
 The walk (``_walk``) then goes over the simplex only and yields one
 side's rows in lexicographic order.  The plan hands its two sides over
-once, as walked ``TupleRows``: their lengths are the exact counts, each
-read walks the plan, and a side keeps its rows only once it has been
-read twice, so a report read once, as the command line reads the side
-it prints, holds no row.  The union_nabla and explicit_s routes stay
-independent of the kernel, as cross-checks: each lists its sets as
-slabs of [0, 2g-1]^m, and one builder marks the slabs in byte blocks
-kept only where slabs touch.  Their rows, and those of the
-intersection route, are built anew on every call and held only by the
-caller, which can drop each route before it builds the next.
+once, as walked ``TupleRows``: their lengths are the exact counts and
+each read walks the plan, so a side holds no row, however often it is
+read, and the plan's cache keeps no caller's rows alive.  The
+union_nabla and explicit_s routes stay independent of the kernel, as
+cross-checks: each lists its sets as slabs of [0, 2g-1]^m, and one
+builder marks the slabs in byte blocks kept only where slabs touch.
+Their rows, and those of the intersection route, are built anew on
+every call and held only by the caller, which can drop each route
+before it builds the next.
 
 Every route hands its sets over in row form (``core.TupleRows``): the
 tuples that share their first m-1 coordinates make one row, a prefix
@@ -57,8 +57,8 @@ tuple and a tuple of last coordinates.  The kernel, the builder and
 the witness walk make their rows directly; the single-point report
 groups its sorted tuples with ``TupleRows.of``.  The command line
 renders the rows of the report; the tuples themselves are built only
-when a caller reads ``GapReport.gaps`` or ``.pure_gaps``, and are then
-kept.
+when a caller reads ``GapReport.gaps`` or ``.pure_gaps``: anew on every
+read of a kernel side, once for the held rows of the other routes.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class GapReport(Record):
 
     Every route hands its sets over as sorted ``TupleRows``: ``gap_rows``
     and ``pure_rows``.  ``gaps`` and ``pure_gaps`` read them as sorted
-    tuples, which are built on first read and kept.
+    tuples, built anew on each read of a kernel side, which holds nothing.
     """
 
     params: CurveParams

@@ -21,8 +21,9 @@ families coincide.
 
 from __future__ import annotations
 
+import math
 import operator
-from typing import Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .core import (
     Box,
@@ -102,8 +103,7 @@ def translates(params: CurveParams, rep: IntTuple, lo: Sequence[int] | None,
     """
     b, first, rest = params.b, rep[0], rep[1:]
     if lo is not None:
-        d_lo = [ceil_div(l - c, b) for l, c in zip(lo[1:], rest)]
-        s_hi = (first - lo[0]) // b
+        d_lo, s_hi = _floors(params, rep, lo)
     if hi is not None:
         d_hi = [(h - c) // b for h, c in zip(hi[1:], rest)]
         s_lo = ceil_div(first - hi[0], b)
@@ -133,6 +133,21 @@ def translates(params: CurveParams, rep: IntTuple, lo: Sequence[int] | None,
                 yield from walk(k + 1, (*head, c + b * d), used + d)
 
     yield from walk(0, (), 0)
+
+
+def _floors(params: CurveParams, rep: IntTuple, lo: Sequence[int]) -> tuple[list[int], int]:
+    """d_lo and s_hi of ``translates`` under the floor ``lo``: the least
+    shift of each coordinate 2..m and the greatest sum of the shifts."""
+    return ([ceil_div(l - c, params.b) for l, c in zip(lo[1:], rep[1:])],
+            (rep[0] - lo[0]) // params.b)
+
+
+def count_translates(params: CurveParams, reps: Iterable[IntTuple], lo: Sequence[int]) -> int:
+    """The number of translates t >= lo of ``reps``, which ``translates``
+    lists with an open ceiling: the shifts d >= d_lo with sum(d) <= s_hi,
+    C(s_hi - sum(d_lo) + m - 1, m - 1) per representative, if any."""
+    return sum(math.comb(max(s_hi - sum(d_lo) + params.m - 1, 0), params.m - 1)
+               for d_lo, s_hi in (_floors(params, rep, lo) for rep in reps))
 
 
 def _expand(ms: MaximalSet, lo: Sequence[int] | None,

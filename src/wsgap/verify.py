@@ -16,12 +16,12 @@ The sweep and the oracle battery run their cells in forked children,
 one per CPU and at most one per cell; the calling process runs no cell,
 so each check's ``ms`` is measured in the child that ran the check.
 The reports are sorted by check name, whichever child ran a check.  The
-checks of one cell run in one child and share the kernel: its plan is
-cached per curve, and its two sides, walked on their first read, keep
-their rows from the second read on.  The cross-check routes are built
-anew by the check that reads them and dropped before the next is built:
-``gap-methods`` and ``pure-methods`` compare the routes without the zero
-family with the kernel, ``zero-family`` the routes with it.  Each
+checks of one cell run in one child and share the kernel's plan, cached
+per curve; each read of its two sides walks the plan, and no side keeps
+its rows.  The cross-check routes are built anew by the check that
+reads them (``gapsets._route_rows``) and dropped before the next is
+built: ``gap-methods`` and ``pure-methods`` compare the routes without
+the zero family with the kernel, ``zero-family`` the routes with it.  Each
 check's ``ms`` holds only the work it did first.  Once a cell is done,
 its child empties every per-curve cache
 (``core.clear_curve_caches``): the cells are distinct curves, so no
@@ -286,10 +286,10 @@ def _same_tuples(x: TupleRows, y: TupleRows) -> bool:
 
 def _check_gap_methods(p: CurveParams) -> list[CheckResult]:
     stamps = _Stamps(p)
-    base = gs.gaps(p, method="complement").gap_rows
+    base = gs.gaps(p).gap_rows
     results = []
     for method in ("union_nabla", "explicit_s"):
-        got = gs.gaps(p, method=method).gap_rows
+        got = gs._route_rows(p, method, False)
         ok = _same_tuples(got, base)
         detail = "" if ok else _diff_detail(got.tuples, base.tuples)
         del got  # one route's rows at a time
@@ -299,8 +299,8 @@ def _check_gap_methods(p: CurveParams) -> list[CheckResult]:
 
 def _check_pure_methods(p: CurveParams) -> list[CheckResult]:
     stamps = _Stamps(p)
-    prof = gs.pure_gaps(p, method="profile").pure_rows
-    inter = gs.pure_gaps(p, method="intersection").pure_rows
+    prof = gs.pure_gaps(p).pure_rows
+    inter = gs._route_rows(p, "intersection", False)
     ok = _same_tuples(prof, inter)
     return [stamps.result("pure-methods-agree", ok,
                           "" if ok else _diff_detail(inter.tuples, prof.tuples))]

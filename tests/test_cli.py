@@ -314,6 +314,52 @@ class TestGuardsAndThreads:
         assert code == 0, err
         assert "PASS a2-b3-m2:" in out
 
+    def test_sigma_off_two_points_names_the_pairing(self, capsys):
+        """The pairing's own cube, (2g)^2, passes the guard at any m, so
+        m = 3 meets the two-point rule, which --force cannot lift."""
+        code, out, err = run_cli(capsys, "sigma", "--preset", "hermitian", "--q", "64",
+                                 "--m", "3")
+        assert (code, out) == (1, "")
+        assert "the pairing is defined for exactly two points" in err
+        assert "--force" not in err and "guard" not in err
+
+    @pytest.mark.parametrize("kind,scope,count", [
+        ("relative", "nonneg", 2733664990), ("relative", "positive", 2733664990),
+        ("absolute", "nonneg", 2535650041), ("absolute", "positive", 2535650040),
+    ])
+    def test_maximal_translates_refused_before_any_work(self, capsys, monkeypatch, kind,
+                                                        scope, count):
+        from wsgap import maximals
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("translates listed before the guard")
+
+        for name in ("translates", "lambda_nonneg", "expand_nonneg", "expand_positive"):
+            monkeypatch.setattr(maximals, name, no_work)
+        code, out, err = run_cli(capsys, "maximals", "--kind", kind, "--scope", scope,
+                                 "--a", "200", "--b", "201", "--m", "5")
+        assert (code, out) == (1, "")
+        assert f"sweep of {count} cells exceeds the 100000000 guard" in err
+        assert "--force" in err
+
+    def test_maximal_translates_guard_counts_the_listed_tuples(self, capsys, monkeypatch):
+        """The guard's count is the listed length on every sweep cell, for
+        both kinds and scopes, with and without the zero family."""
+        counts = []
+        real = cli._guard_cells
+        monkeypatch.setattr(cli, "_guard_cells",
+                            lambda cells, force: counts.append(cells) or real(cells, force))
+        for p in w.verify.sweep_cells():
+            for kind in ("absolute", "relative"):
+                for scope in ("nonneg", "positive"):
+                    for zero in ((), ("--include-zero-family",)):
+                        counts.clear()
+                        code, out, err = run_cli(capsys, "maximals", "--kind", kind,
+                                                 "--scope", scope, "--a", str(p.a), "--b",
+                                                 str(p.b), "--m", str(p.m), *zero)
+                        assert code == 0, err
+                        assert f"\ncount: {counts[0]}\n" in out and len(counts) == 1
+
     def test_box_guard(self, capsys):
         code, _, err = run_cli(capsys, "maximals", "--kind", "relative",
                                "--a", "4", "--b", "5", "--m", "3", "--scope", "box",

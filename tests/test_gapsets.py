@@ -687,8 +687,7 @@ class TestRowForm:
 
 class TestWalkedSides:
     """The kernel's two sides are walked ``TupleRows``: a report walks
-    neither, a read walks its side once and keeps nothing, and the
-    second read keeps the rows."""
+    neither, and every read walks its side once and keeps nothing."""
 
     @pytest.fixture(autouse=True)
     def walks(self, monkeypatch):
@@ -707,7 +706,7 @@ class TestWalkedSides:
 
     @pytest.mark.parametrize("p", [w.hermitian_params(8, 2), P473, w.hermitian_params(5, 4)],
                              ids=str)
-    def test_reports_walk_nothing_and_reads_keep_after_the_second(self, walks, p):
+    def test_every_read_walks_once_and_no_read_keeps(self, walks, p):
         reports = [w.gaps(p), w.pure_gaps(p)]
         assert walks == []
         for report in reports:
@@ -716,9 +715,13 @@ class TestWalkedSides:
             walks.clear()
             first = list(rows.rows())
             assert walks == [side] and sum(len(lasts) for _, lasts in first) == len(rows)
-            next(rows.rows())  # an unfinished second read keeps nothing
-            assert list(rows.rows()) == first and walks == [side] * 3
-            assert list(rows.rows()) == first and walks == [side] * 3
+            next(rows.rows())  # an unfinished read
+            for reads in range(3, 6):
+                assert list(rows.rows()) == first and walks == [side] * reads
+            tuples = [prefix + (v,) for prefix, lasts in first for v in lasts]
+            for reads in range(6, 8):
+                assert list(rows.tuples) == tuples and walks == [side] * reads
+            assert rows.walk is not None and rows._tuples is None
 
     @pytest.mark.parametrize("command, side", [("gaps", 0), ("pure-gaps", 1)])
     @pytest.mark.parametrize("m", ["2", "3"])
@@ -740,8 +743,7 @@ class TestWalkedSides:
                 assert list(back.rows()) == expected
 
     def test_concurrent_reads_see_the_same_rows(self):
-        """Threads that read one side at once, across its first, second
-        and later reads, all see its rows."""
+        """Threads that read one side at once all see its rows."""
         p = w.hermitian_params(7, 3)
         expected = list(gs._route_rows(p, "union_nabla", False).rows())
         interval = sys.getswitchinterval()
@@ -779,24 +781,25 @@ class TestWalkedSides:
         assert walks == [0]
         assert peak < 6e6
 
-    def test_emptying_the_plan_cache_frees_the_kept_rows(self):
-        """Two full reads keep the gap rows of Hermitian q = 11 at m = 4;
-        once the report is dropped and the plan's cache emptied, nothing
-        holds them: under 1 MB traced, against 16.7 MB while the subset
-        test's cache kept the kernel's two sides alive."""
+    def test_reads_leave_nothing_behind_the_cached_plan(self):
+        """Two full reads of the gap rows of Hermitian q = 11 at m = 4 and
+        the gap tuples, with the report dropped and the plan still cached,
+        leave under 1 MB traced, against 230 MB while a side kept its rows
+        from the second read on and its tuples from the first."""
         p = w.hermitian_params(11, 4)
         w.core.clear_curve_caches()
+        report = w.gaps(p)  # the plan, built and cached before tracing
         tracemalloc.start()
         try:
-            report = w.gaps(p)
             for _ in range(2):
                 assert sum(len(lasts) for _, lasts in report.gap_rows.rows()) == 2702128
+            assert len(report.gaps) == 2702128
             del report
-            gs._plan.cache_clear()
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-            w.core.clear_curve_caches()
+        assert gs._plan.cache_info().currsize == 1
+        w.core.clear_curve_caches()
         assert held < 1e6
 
 

@@ -76,17 +76,22 @@ class TestSweep:
         spent on it, not an even share of the check's time."""
         now = [0.0]
         monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
-        seconds = {"complement": 10.0, "union_nabla": 1.0, "explicit_s": 2.0}
-        real_gaps = verify.gs.gaps
+        seconds = {"union_nabla": 1.0, "explicit_s": 2.0}
+        real_gaps, real_route = verify.gs.gaps, verify.gs._route_rows
 
-        def slow_gaps(p, method="complement", **kwargs):
+        def slow_gaps(p):
+            now[0] += 10.0
+            return real_gaps(p)
+
+        def slow_route(p, method, include_zero_family):
             now[0] += seconds[method]
-            return real_gaps(p, method=method, **kwargs)
+            return real_route(p, method, include_zero_family)
 
         monkeypatch.setattr(verify.gs, "gaps", slow_gaps)
+        monkeypatch.setattr(verify.gs, "_route_rows", slow_route)
         report = w.run_property_sweep(max_a=2, max_b=3, max_m=2, checks=("gap-methods",))
         ms = {e.name: e.ms for e in report.entries}
-        # the shared complement route is charged to the first result
+        # the shared kernel is charged to the first result
         assert ms["a2-b3-m2:gap-methods-agree:union_nabla"] == 11000.0
         assert ms["a2-b3-m2:gap-methods-agree:explicit_s"] == 2000.0
 
