@@ -23,24 +23,33 @@ larger curves people run:
   the same envelope with the tuples built from the rows, once per side
   for the three formats; the report is the one the command line prints
   for ``gaps`` and ``pure-gaps``.
-* Norm-trace (2, 4) at m = 4: every property check but ``sigma``, which
-  needs m = 2, ``verify.oracle_invariants`` and the count check.  Run
-  alone in a fresh process, ``gap-methods`` took 1.2 s and 64 MB there,
-  with one route's rows alive at a time, and ``symmetry`` and
-  ``report-sanity`` read the gap rows, in 0.9 and 0.6 s, where building
-  every gap tuple took 2.5 and 1.2 s and 263 MB.  So the render check,
-  which builds every tuple, stays off: ``check`` takes the names of the
-  property checks to run, and the render check runs only when all of
-  them run.
+* Norm-trace (2, 4) and Hermitian q = 11 at m = 4: every property
+  check but ``sigma``, which needs m = 2, ``verify.oracle_invariants``
+  and the count check.  At norm-trace (2, 4), run alone in a fresh
+  process, ``gap-methods`` took 0.6 s and 19 MB, each route walked
+  beside the kernel (64 MB while each route was held whole), and
+  ``symmetry`` and ``report-sanity`` read the gap rows, in 0.9 and
+  0.6 s, where building every gap tuple took 2.5 and 1.2 s and 263 MB.
+  So the render check, which builds every tuple, stays off: ``check``
+  takes the names of the property checks to run, and the render check
+  runs only when all of them run.  At Hermitian q = 11 the checks and
+  the oracle invariants took 8.1 s and 45 MB in a fresh process (95 MB
+  while each route was held whole).
+* (a, b, m) = (7, 13, 5): ``gap-methods``, ``pure-methods`` and
+  ``zero-family``, the oracle invariants and the count check, so the
+  memory of the walked routes stays checked.  Run alone in a fresh
+  process, ``gap-methods`` took 3.1 s and 21.5 MB and ``zero-family``
+  2.3 s and 21.3 MB, against 289 MB each while every route was held
+  whole.
 * Hermitian q = 64 at m = 2 (b = 65, genus 2016): the oracle invariants
   and the count check alone, so the oracle's signature tables meet a b
   beyond the curves above.  At m = 3 they would take about 10 s per 200
   trials, nearly all of it in ``profile-enumeration-agreement``, whose
   reference ``oracle.local_absolute_maximals`` lists and sorts about
   130,000 translates a call; the tables answer in microseconds.
-* Hermitian q = 11 and q = 16 at m = 4: the count check alone.  At
-  q = 16 the kernel walks 62,779,592 gaps and 3,547,856 pure gaps, in
-  about 1.3 s and 40 MB: each side is walked, and no side keeps a row.
+* Hermitian q = 16 at m = 4: the count check alone.  The kernel walks
+  62,779,592 gaps and 3,547,856 pure gaps, in about 1.3 s and 40 MB:
+  each side is walked, and no side keeps a row.
 
 With ``--seed N`` it runs, in place of those curves, the property checks,
 the oracle invariants seeded from N, the count check and the render
@@ -51,22 +60,20 @@ Each line names the cell and the seed, so a disagreement can be rerun.
 It prints one line per curve with the time of each part, then the name
 and detail of each failing check, and a summary line with the run's
 max-RSS, and exits 1 on any failure.  Each
-check builds the cross-check routes it reads and drops them when it is
-done; the kernel's plan is cached per curve.  Once a curve is done,
-every per-curve cache is emptied (``core.clear_curve_caches``), as
-``wsgap verify`` does after each cell: no curve reads another's
-entries.  A full run on two cores printed "19/19 curves agree, max-RSS
-134.2 MB" after 16.0 s; it peaked at 138 MB while the kernel's sides
-kept their rows once read twice, 150 MB when the routes were cached per
-curve and 186 MB when the caches also kept the last 8 curves.
+check walks the cross-check routes it reads beside the kernel's rows
+and holds none; the kernel's plan is cached per curve.  Once a curve is
+done, every per-curve cache is emptied (``core.clear_curve_caches``),
+as ``wsgap verify`` does after each cell: no curve reads another's
+entries.  A full run on two cores printed "20/20 curves agree, max-RSS
+134.1 MB" after 36 s; the same curves peaked at 293 MB while every
+route was held whole.
 
-It is not part of the test suite: runs took 16 to 25 s on two cores,
-and 40 s in a slow spell of the same host.  The largest lines of a 19 s
-run were norm-trace (2, 4) at m = 4 (6.0 s, of which ``witnesses``
-1.5 s, ``gap-methods`` 0.9 s and ``zero-family`` 0.7 s), Hermitian
-q = 32 at m = 2 (3.1 s, of which the render check 1.5 s) and q = 8 at
-m = 4 (2.4 s, of which the render check 1.3 s).  Seeded runs of seeds
-1, 2 and 3 took 4 to 11 s.
+It is not part of the test suite: runs took 36 to 57 s on two cores.
+The largest lines of the 36 s run were (7, 13, 5) (13.2 s, of which the
+oracle invariants 7.0 s, ``gap-methods`` 3.3 s and ``zero-family``
+2.1 s), Hermitian q = 11 at m = 4 (8.2 s, of which ``witnesses`` 2.3 s
+and the oracle invariants 2.2 s) and norm-trace (2, 4) at m = 4 (4.2 s).
+Seeded runs of seeds 1, 2 and 3 took 4 to 11 s.
 
     PYTHONPATH=src python3 scripts/check_large.py [--seed N]
 """
@@ -93,13 +100,16 @@ CELLS = (
     + [(f"norm-trace ell={ell} r={r} m={m}", w.norm_trace_params(ell, r, m))
        for ell, r, ms in ((2, 4, (2, 3)), (3, 3, (3,))) for m in ms]
 )
+# every property check but the pairing, which needs m = 2
+BUT_SIGMA = tuple(name for name in verify.PROPERTY_CHECKS if name != "sigma")
 # curves that run some property checks, or none, with the oracle invariants
-PARTIAL = [("norm-trace ell=2 r=4 m=4", w.norm_trace_params(2, 4, 4),
-            ("gap-methods", "pure-methods", "zero-family", "axis-gaps", "superset", "symmetry",
-             "region-families", "formula-classification", "witnesses", "report-sanity")),
+PARTIAL = [("norm-trace ell=2 r=4 m=4", w.norm_trace_params(2, 4, 4), BUT_SIGMA),
+           ("hermitian q=11 m=4", w.hermitian_params(11, 4), BUT_SIGMA),
+           ("a=7 b=13 m=5", w.curve_params(7, 13, 5),
+            ("gap-methods", "pure-methods", "zero-family")),
            ("hermitian q=64 m=2", w.hermitian_params(64, 2), ())]
 # curves whose counts alone are checked
-COUNTS_ONLY = [(f"hermitian q={q} m=4", w.hermitian_params(q, 4)) for q in (11, 16)]
+COUNTS_ONLY = [("hermitian q=16 m=4", w.hermitian_params(16, 4))]
 ORACLE_TRIALS = 2000
 SEEDED_CELLS = 12
 SEEDED_CUBE = 10**7

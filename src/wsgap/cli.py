@@ -54,6 +54,8 @@ from .core import (
 
 SCHEMA = "wsgap/1"
 BOX_CELL_LIMIT = 10**8
+# About the bytes a translate takes that ``maximals`` lists, at m = 4
+TUPLE_BYTES = 280
 
 ENVELOPE_SCHEMA = {
     "type": "object",
@@ -115,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     out = common.add_argument_group("output")
     out.add_argument("--format", choices=["json", "csv", "text"], default="text")
     out.add_argument("--force", action="store_true",
-                     help="allow sweeps above the cell-count guard")
+                     help="allow sweeps and listings above the size guards")
 
     p = sub.add_parser("maximals", parents=[common],
                        help="absolute or relative maximal elements")
@@ -193,6 +195,12 @@ def _guard_cells(cells: int, force: bool) -> None:
         )
 
 
+def _guard_tuples(count: int, force: bool) -> None:
+    if count * TUPLE_BYTES > BOX_CELL_LIMIT and not force:  # the same budget, in bytes
+        raise WsgapError(f"listing {count} tuples takes about {count * TUPLE_BYTES} bytes, "
+                         f"over the {BOX_CELL_LIMIT}-byte guard; pass --force to run it anyway")
+
+
 # ---------------------------------------------------------------------------
 # payload builders
 
@@ -210,8 +218,8 @@ def _run_maximals(params: CurveParams, args: argparse.Namespace) -> dict:
         by_formula = scope == "nonneg" and args.kind == "relative"
         # lambda_nonneg lists the zero family, 0 at coordinates 2..m, only when asked
         reps = [r for r in ms.region_reps if r[1] or not by_formula or args.include_zero_family]
-        _guard_cells(mx.count_translates(params, reps, (int(scope == "positive"),) * params.m),
-                     args.force)
+        _guard_tuples(mx.count_translates(params, reps, (int(scope == "positive"),) * params.m),
+                      args.force)
         tuples = (mx.lambda_nonneg(params, args.include_zero_family) if by_formula
                   else mx.expand_nonneg(ms) if scope == "nonneg" else mx.expand_positive(ms))
     else:

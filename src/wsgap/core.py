@@ -381,32 +381,29 @@ class TupleRows:
     last coordinates of the row's tuples, never empty.  The gap routes
     hand over sorted m-tuples, so their rows come in lexicographic order
     of their prefixes and each ``lasts`` ascends; several rows may share
-    one ``lasts`` tuple.  The constructor takes the prefixes and the lasts
-    of the rows as two sequences in order; ``of`` groups a list of tuples.
+    one ``lasts`` tuple.
 
-    ``walked`` makes the walked form: ``walk()`` yields the rows afresh on
-    every read and the length is given, so the rows are never held, and a
-    cache can hand the same walked rows to every caller.  ``walk`` is that
-    callable, None for rows built held.  ``tuples`` builds the tuples from
-    the rows: held rows, which their caller owns, keep them after the
-    first access; walked rows build them on every access and keep
-    nothing.  Pickle and copy rebuild either form as held rows.
+    Rows have one form, a walk and an exact length: ``walk()`` yields
+    the rows afresh on every read, and ``tuples`` builds the tuples anew
+    on every access, so no read keeps anything.  The constructor walks
+    the prefixes and the lasts of the rows, two sequences in order;
+    ``of`` groups a list of tuples; ``walked`` takes any walk and its
+    length, so a cache can hand rows that are never held to every
+    caller.  Pickle and copy rebuild rows through the constructor.
     """
 
-    __slots__ = ("_prefixes", "_lasts", "_len", "_tuples", "walk")
+    __slots__ = ("_len", "walk")
 
     def __init__(self, prefixes: Iterable[IntTuple], lasts: Iterable[IntTuple]) -> None:
-        self._prefixes = tuple(prefixes)
-        self._lasts = tuple(lasts)
-        self._len = sum(map(len, self._lasts))
-        self._tuples: tuple[IntTuple, ...] | None = None
-        self.walk = None
+        lasts = tuple(lasts)
+        self.walk = functools.partial(zip, tuple(prefixes), lasts)
+        self._len = sum(map(len, lasts))
 
     @classmethod
     def walked(cls, walk: Callable[[], Iterator[tuple[IntTuple, IntTuple]]],
                length: int) -> TupleRows:
         """The rows ``walk()`` yields in order, ``length`` tuples in all."""
-        rows = cls((), ())
+        rows = cls.__new__(cls)
         rows._len, rows.walk = length, walk
         return rows
 
@@ -418,29 +415,21 @@ class TupleRows:
     def of(cls, tuples: Iterable[IntTuple]) -> TupleRows:
         """The rows of ``tuples`` in the given order, unsorted: each run of
         consecutive tuples that share all but their last coordinate."""
-        tuples = tuple(tuples)
         prefixes: list[IntTuple] = []
         lasts: list[IntTuple] = []
         for prefix, run in itertools.groupby(tuples, lambda t: t[:-1]):
             prefixes.append(prefix)
             lasts.append(tuple([t[-1] for t in run]))
-        rows = cls(prefixes, lasts)
-        rows._tuples = tuples
-        return rows
+        return cls(prefixes, lasts)
 
     def __len__(self) -> int:
         return self._len
 
     @property
     def tuples(self) -> tuple[IntTuple, ...]:
-        """The tuples in order, kept after the first access to held rows."""
-        if self._tuples is not None:
-            return self._tuples
-        tuples = tuple([prefix + (v,) for prefix, lasts in self.rows() for v in lasts])
-        if self.walk is None:
-            self._tuples = tuples
-        return tuples
+        """The tuples in order, built anew on every access."""
+        return tuple([prefix + (v,) for prefix, lasts in self.rows() for v in lasts])
 
     def rows(self) -> Iterator[tuple[IntTuple, IntTuple]]:
         """(prefix, last coordinates) of every row, in order."""
-        return zip(self._prefixes, self._lasts) if self.walk is None else self.walk()
+        return self.walk()

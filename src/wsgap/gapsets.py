@@ -12,7 +12,7 @@ independent of the other two:
 * ``explicit_s``: the same sets written as explicit index families
   S_{i,k} in (a, b, m, i).  It expands the same representatives as
   ``union_nabla`` with the same walk (``maximals.translates``), and the
-  two mark their slabs with one builder (``_cube_rows``): only their
+  two walk the union of their slabs alike (``_cube_rows``): only their
   slab rules differ.
 
 Pure gaps come from two routes: the ``profile`` test (the componentwise
@@ -46,19 +46,17 @@ each read walks the plan, so a side holds no row, however often it is
 read, and the plan's cache keeps no caller's rows alive.  The
 union_nabla and explicit_s routes stay independent of the kernel, as
 cross-checks: each lists its sets as slabs of [0, 2g-1]^m, and one
-builder marks the slabs in byte blocks kept only where slabs touch.
-Their rows, and those of the intersection route, are built anew on
-every call and held only by the caller, which can drop each route
-before it builds the next.
+walk goes over their union by first coordinates, marking one byte
+block at a time.  Every route is walked anew on each call
+(``_route_walk``), and ``_route_rows`` holds its rows for a report.
 
 Every route hands its sets over in row form (``core.TupleRows``): the
 tuples that share their first m-1 coordinates make one row, a prefix
-tuple and a tuple of last coordinates.  The kernel, the builder and
+tuple and a tuple of last coordinates.  The kernel, the slab walk and
 the witness walk make their rows directly; the single-point report
 groups its sorted tuples with ``TupleRows.of``.  The command line
-renders the rows of the report; the tuples themselves are built only
-when a caller reads ``GapReport.gaps`` or ``.pure_gaps``: anew on every
-read of a kernel side, once for the held rows of the other routes.
+renders the rows of the report; the tuples themselves are built anew
+on each read of ``GapReport.gaps`` or ``.pure_gaps``.
 """
 
 from __future__ import annotations
@@ -125,9 +123,9 @@ def _is_subset(small: TupleRows, big: TupleRows) -> bool:
     plan: ``_plan`` has checked every leaf's pure cells inside its gap
     cells, and raises the same error as the report otherwise.
     """
-    # a plan's sides walk ``functools.partial(_walk, plan, side)``
-    sides = [getattr(rows.walk, "args", None) for rows in (big, small)]
-    if sides[0] is not None and sides == [(sides[0][0], 0), (sides[0][0], 1)]:
+    gap_walk, pure_walk = big.walk, small.walk  # a plan's sides: partial(_walk, plan, side)
+    if (getattr(gap_walk, "func", None) is getattr(pure_walk, "func", None) is _walk
+            and gap_walk.args == (pure_walk.args[0], 0) and pure_walk.args[1] == 1):
         return True
     rows = big.rows()
     for prefix, lasts in small.rows():
@@ -344,16 +342,19 @@ def gap_counts(params: CurveParams) -> tuple[int, int]:
     return tuple(map(len, _plan(params)))
 
 
-def _cube_rows(m: int, n: int, slabs: Iterable[Sequence[int | range]]) -> TupleRows:
-    """The union of ``slabs`` in the cube [0, n-1]^m, in row form.
+def _cube_rows(m: int, n: int, slabs: Iterable[Sequence[int | range]]) -> Iterator[tuple]:
+    """The rows of the union of ``slabs`` in the cube [0, n-1]^m, walked
+    in lexicographic order.
 
-    A slab gives each coordinate a pinned value or a ``range(0, hi)``, and
-    raises ``WsgapError`` if it leaves the cube.  The rows that share their
-    first m-2 coordinates make one ``bytearray(n * n)`` block, kept once a
-    slab touches it; a slab sets a rectangle in it one slice per line
-    along the shorter side, a row or a column with stride n.
+    A slab gives each coordinate a pinned value or a ``range(0, hi)``;
+    ``WsgapError`` is raised, before the walk, if one leaves the cube.
+    The walk files the slabs under each value of the next coordinate
+    they cover, the head passed down, and at the last two coordinates
+    marks one ``bytearray(n * n)`` block at a time: a slab sets a
+    rectangle one slice per line along its shorter side, a row or a
+    column with stride n.  Equal rows of one walk share a tuple.
     """
-    blocks: dict[IntTuple, bytearray] = {}
+    marked = []  # per slab: the ranges of its head, its slices and their fill
     for slab in slabs:
         box = [c if isinstance(c, range) else range(c, c + 1) for c in slab]
         if any(r.start < 0 or r.stop > n for r in box):
@@ -361,29 +362,35 @@ def _cube_rows(m: int, n: int, slabs: Iterable[Sequence[int | range]]) -> TupleR
         *heads, down, across = box
         if len(down) <= len(across):
             cuts = [slice(x * n + across.start, x * n + across.stop) for x in down]
-            fill = b"\x01" * len(across)
         else:
             cuts = [slice(down.start * n + y, down.stop * n, n) for y in across]
-            fill = b"\x01" * len(down)
-        for head in itertools.product(*heads):
-            block = blocks.get(head)
-            if block is None:
-                block = blocks[head] = bytearray(n * n)
-            for cut in cuts:
-                block[cut] = fill
-    shared: dict[bytes, IntTuple] = {}  # equal rows share one tuple
-    prefixes: list[IntTuple] = []
-    lasts: list[IntTuple] = []
-    for head in sorted(blocks):
-        cells = bytes(blocks.pop(head))
-        for x in range(n):
-            row = cells[x * n:(x + 1) * n]
-            if 1 in row:
-                if row not in shared:
-                    shared[row] = tuple(itertools.compress(range(n), row))
-                prefixes.append(head + (x,))
-                lasts.append(shared[row])
-    return TupleRows(prefixes, lasts)
+        marked.append((*heads, cuts, b"\x01" * max(len(down), len(across))))
+    shared: dict[bytes, IntTuple] = {}
+
+    def walk(head: IntTuple, under: list) -> Iterator[tuple[IntTuple, IntTuple]]:
+        k = len(head)
+        if k == m - 2:
+            block = bytearray(n * n)
+            for slab in under:
+                for cut in slab[-2]:
+                    block[cut] = slab[-1]
+            cells = bytes(block)
+            for x in range(n):
+                row = cells[x * n:(x + 1) * n]
+                if 1 in row:
+                    if row not in shared:
+                        shared[row] = tuple(itertools.compress(range(n), row))
+                    yield head + (x,), shared[row]
+            return
+        by_value: list[list] = [[] for _ in range(n)]
+        for slab in under:
+            for v in slab[k]:
+                by_value[v].append(slab)
+        for v, filed in enumerate(by_value):
+            if filed:
+                yield from walk(head + (v,), filed)
+
+    return walk((), marked)
 
 
 def _nabla_slabs(beta_star: IntTuple, n: int) -> Iterator[list]:
@@ -458,17 +465,22 @@ def _witness_walk(params: CurveParams, include_zero_family: bool) -> Iterator[tu
     return walk((), list(mx.lambda_nonneg(params, include_zero_family)), [])
 
 
-def _route_rows(params: CurveParams, method: str, include_zero_family: bool) -> TupleRows:
-    """The rows of one cross-check route, built anew: the ``union_nabla``
-    or ``explicit_s`` gaps, or the ``intersection`` pure gaps."""
+def _route_walk(params: CurveParams, method: str, include_zero_family: bool) -> Iterator[tuple]:
+    """The rows of one cross-check route, walked anew in lexicographic
+    order: the ``union_nabla`` or ``explicit_s`` gaps, or the
+    ``intersection`` pure gaps."""
     if method == "union_nabla":
-        slabs = _union_nabla_slabs(params, include_zero_family)
-    elif method == "explicit_s":
-        slabs = _explicit_s_slabs(params)
-    else:
-        rows = [row[:2] for row in _witness_walk(params, include_zero_family)]
-        return TupleRows([prefix for prefix, _ in rows], [lasts for _, lasts in rows])
-    return _cube_rows(params.m, 2 * params.genus, slabs)
+        return _cube_rows(params.m, 2 * params.genus,
+                          _union_nabla_slabs(params, include_zero_family))
+    if method == "explicit_s":
+        return _cube_rows(params.m, 2 * params.genus, _explicit_s_slabs(params))
+    return (row[:2] for row in _witness_walk(params, include_zero_family))
+
+
+def _route_rows(params: CurveParams, method: str, include_zero_family: bool) -> TupleRows:
+    """The rows of ``_route_walk``, held."""
+    rows = list(_route_walk(params, method, include_zero_family))
+    return TupleRows([prefix for prefix, _ in rows], [lasts for _, lasts in rows])
 
 
 def _stats(params: CurveParams, gap_count: int, pure_count: int, gap_method: str,

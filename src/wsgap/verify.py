@@ -18,10 +18,11 @@ so each check's ``ms`` is measured in the child that ran the check.
 The reports are sorted by check name, whichever child ran a check.  The
 checks of one cell run in one child and share the kernel's plan, cached
 per curve; each read of its two sides walks the plan, and no side keeps
-its rows.  The cross-check routes are built anew by the check that
-reads them (``gapsets._route_rows``) and dropped before the next is
-built: ``gap-methods`` and ``pure-methods`` compare the routes without
-the zero family with the kernel, ``zero-family`` the routes with it.  Each
+its rows.  ``gap-methods`` and ``pure-methods`` compare the cross-check
+routes without the zero family with the kernel, ``zero-family`` the
+routes with it: each route is walked anew (``gapsets._route_walk``)
+beside the kernel's side, pair of rows by pair of rows, so neither is
+held, and a route is held only to write a failure's ``detail``.  Each
 check's ``ms`` holds only the work it did first.  Once a cell is done,
 its child empties every per-curve cache
 (``core.clear_curve_caches``): the cells are distinct curves, so no
@@ -31,9 +32,8 @@ and reads the replies, so its heap is not fragmented by the dozens of
 cells one share holds: ``wsgap verify --what all --format json`` peaks
 at about 14.9 MB max-RSS on a 2-vCPU VM, against 16.7 MB when the
 caller ran a share of each round itself and 20.9 MB when each process
-kept its last 8 cells.  Row sets are compared row by row, and the
-symmetry and report-sanity checks read rows; tuples are built only when
-rows differ or a check fails.
+kept its last 8 cells.  The symmetry and report-sanity checks read
+rows too; tuples are built only when a check fails.
 """
 
 from __future__ import annotations
@@ -272,16 +272,9 @@ class _Stamps:
         return CheckResult(f"{self.prefix}:{name}", "property", passed, detail, ms)
 
 
-def _same_tuples(x: TupleRows, y: TupleRows) -> bool:
-    """Whether two row sets list the same tuples in the same order.
-
-    Equal rows list equal tuples, so the rows are compared pair by pair
-    and neither list is held; only when they differ are the tuples built
-    and compared, since a route may split the tuples of one prefix over
-    two rows.
-    """
-    return len(x) == len(y) and (all(map(operator.eq, x.rows(), y.rows()))
-                                 or x.tuples == y.tuples)
+def _same_rows(walk: Iterable[tuple[IntTuple, IntTuple]], rows: TupleRows) -> bool:
+    """Whether a route's walk yields the rows of ``rows``, pair by pair."""
+    return all(itertools.starmap(operator.eq, itertools.zip_longest(walk, rows.rows())))
 
 
 def _check_gap_methods(p: CurveParams) -> list[CheckResult]:
@@ -289,10 +282,8 @@ def _check_gap_methods(p: CurveParams) -> list[CheckResult]:
     base = gs.gaps(p).gap_rows
     results = []
     for method in ("union_nabla", "explicit_s"):
-        got = gs._route_rows(p, method, False)
-        ok = _same_tuples(got, base)
-        detail = "" if ok else _diff_detail(got.tuples, base.tuples)
-        del got  # one route's rows at a time
+        ok = _same_rows(gs._route_walk(p, method, False), base)
+        detail = "" if ok else _diff_detail(gs._route_rows(p, method, False).tuples, base.tuples)
         results.append(stamps.result(f"gap-methods-agree:{method}", ok, detail))
     return results
 
@@ -300,10 +291,9 @@ def _check_gap_methods(p: CurveParams) -> list[CheckResult]:
 def _check_pure_methods(p: CurveParams) -> list[CheckResult]:
     stamps = _Stamps(p)
     prof = gs.pure_gaps(p).pure_rows
-    inter = gs._route_rows(p, "intersection", False)
-    ok = _same_tuples(prof, inter)
-    return [stamps.result("pure-methods-agree", ok,
-                          "" if ok else _diff_detail(inter.tuples, prof.tuples))]
+    ok = _same_rows(gs._route_walk(p, "intersection", False), prof)
+    return [stamps.result("pure-methods-agree", ok, "" if ok else _diff_detail(
+        gs._route_rows(p, "intersection", False).tuples, prof.tuples))]
 
 
 def _check_zero_family(p: CurveParams) -> list[CheckResult]:
@@ -312,8 +302,8 @@ def _check_zero_family(p: CurveParams) -> list[CheckResult]:
     ``pure-methods`` check the routes without them."""
     stamps = _Stamps(p)
     report = gs.gaps(p)
-    ok = (_same_tuples(gs._route_rows(p, "union_nabla", True), report.gap_rows)
-          and _same_tuples(gs._route_rows(p, "intersection", True), report.pure_rows))
+    ok = (_same_rows(gs._route_walk(p, "union_nabla", True), report.gap_rows)
+          and _same_rows(gs._route_walk(p, "intersection", True), report.pure_rows))
     return [stamps.result("zero-family-indifferent", ok,
                           "" if ok else "zero-family translates changed an output")]
 

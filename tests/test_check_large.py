@@ -81,15 +81,16 @@ def test_render_check_reads_the_streamed_rows(check_large, monkeypatch):
 
 @pytest.mark.parametrize("p", CURVES, ids=str)
 def test_check_reports_a_dropped_route_tuple(check_large, monkeypatch, p):
-    real = gs._route_rows
+    real = gs._route_walk
 
     def drop_one(params, method, include_zero_family):
         rows = real(params, method, include_zero_family)
         if method != "union_nabla":
             return rows
-        return w.TupleRows.of(rows.tuples[1:])
+        tuples = [prefix + (v,) for prefix, lasts in rows for v in lasts]
+        return w.TupleRows.of(tuples[1:]).rows()
 
-    monkeypatch.setattr(gs, "_route_rows", drop_one)
+    monkeypatch.setattr(gs, "_route_walk", drop_one)
     bad, _ = check_large.check(p)
     prefix = f"a{p.a}-b{p.b}-m{p.m}:"
     assert any(line.startswith(prefix + "gap-methods-agree:union_nabla: missing=")

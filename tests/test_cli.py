@@ -339,16 +339,16 @@ class TestGuardsAndThreads:
         code, out, err = run_cli(capsys, "maximals", "--kind", kind, "--scope", scope,
                                  "--a", "200", "--b", "201", "--m", "5")
         assert (code, out) == (1, "")
-        assert f"sweep of {count} cells exceeds the 100000000 guard" in err
-        assert "--force" in err
+        assert f"listing {count} tuples takes about {count * 280} bytes" in err
+        assert "over the 100000000-byte guard" in err and "--force" in err
 
     def test_maximal_translates_guard_counts_the_listed_tuples(self, capsys, monkeypatch):
         """The guard's count is the listed length on every sweep cell, for
         both kinds and scopes, with and without the zero family."""
         counts = []
-        real = cli._guard_cells
-        monkeypatch.setattr(cli, "_guard_cells",
-                            lambda cells, force: counts.append(cells) or real(cells, force))
+        real = cli._guard_tuples
+        monkeypatch.setattr(cli, "_guard_tuples",
+                            lambda count, force: counts.append(count) or real(count, force))
         for p in w.verify.sweep_cells():
             for kind in ("absolute", "relative"):
                 for scope in ("nonneg", "positive"):
@@ -359,6 +359,22 @@ class TestGuardsAndThreads:
                                                  str(p.b), "--m", str(p.m), *zero)
                         assert code == 0, err
                         assert f"\ncount: {counts[0]}\n" in out and len(counts) == 1
+
+    def test_maximal_translates_guarded_in_bytes(self, capsys, monkeypatch):
+        """67,331,650 translates are fewer than 10^8 but take about 19 GB
+        listed, so the listing is refused, with the count named."""
+        from wsgap import maximals
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("translates listed before the guard")
+
+        for name in ("translates", "lambda_nonneg", "expand_nonneg", "expand_positive"):
+            monkeypatch.setattr(maximals, name, no_work)
+        code, out, err = run_cli(capsys, "maximals", "--kind", "relative", "--scope", "nonneg",
+                                 "--a", "200", "--b", "201", "--m", "4")
+        assert (code, out) == (1, "")
+        assert "listing 67331650 tuples takes about 18852862000 bytes" in err
+        assert "--force" in err
 
     def test_box_guard(self, capsys):
         code, _, err = run_cli(capsys, "maximals", "--kind", "relative",

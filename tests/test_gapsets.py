@@ -1,6 +1,7 @@
 import ast
 import copy
 import itertools
+import operator
 import pickle
 import random
 import sys
@@ -525,10 +526,9 @@ class TestRowForm:
 
     @pytest.mark.parametrize("p", SMALL + [P473, w.hermitian_params(5, 4)], ids=str)
     def test_rows_spell_the_tuples(self, p):
-        cubes = tuple(gs._cube_rows(p.m, 2 * p.genus, slabs)
-                      for slabs in (gs._union_nabla_slabs(p, False),
-                                    gs._union_nabla_slabs(p, True), gs._explicit_s_slabs(p)))
-        for rows in gs._plan(p) + cubes:
+        routes = tuple(gs._route_rows(p, method, zero) for method, zero in (
+            ("union_nabla", False), ("union_nabla", True), ("explicit_s", False)))
+        for rows in gs._plan(p) + routes:
             pairs = list(rows.rows())
             assert len(rows) == sum(len(lasts) for _, lasts in pairs) == len(rows.tuples)
             prefixes = [prefix for prefix, _ in pairs]
@@ -548,9 +548,9 @@ class TestRowForm:
         for slab in slabs:
             union.update(itertools.product(*[c if isinstance(c, range) else (c,)
                                               for c in slab]))
-        rows = gs._cube_rows(m, 5, slabs)
-        assert all(lasts for _, lasts in rows.rows())
-        assert rows.tuples == tuple(sorted(union))
+        rows = list(gs._cube_rows(m, 5, slabs))
+        assert all(lasts for _, lasts in rows)
+        assert [prefix + (v,) for prefix, lasts in rows for v in lasts] == sorted(union)
 
     @pytest.mark.parametrize("k", range(3))
     @pytest.mark.parametrize("pinned", [-1, 6])
@@ -721,7 +721,6 @@ class TestWalkedSides:
             tuples = [prefix + (v,) for prefix, lasts in first for v in lasts]
             for reads in range(6, 8):
                 assert list(rows.tuples) == tuples and walks == [side] * reads
-            assert rows.walk is not None and rows._tuples is None
 
     @pytest.mark.parametrize("command, side", [("gaps", 0), ("pure-gaps", 1)])
     @pytest.mark.parametrize("m", ["2", "3"])
@@ -739,8 +738,9 @@ class TestWalkedSides:
             expected = list(rows.rows())
             for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
                 back = clone(rows)
-                assert back.walk is None and len(back) == len(rows)
-                assert list(back.rows()) == expected
+                walks.clear()
+                assert len(back) == len(rows) and list(back.rows()) == expected
+                assert walks == []  # a copy walks the rows it holds, not the plan
 
     def test_concurrent_reads_see_the_same_rows(self):
         """Threads that read one side at once all see its rows."""
@@ -884,6 +884,20 @@ def test_intersection_matches_recursive_reference(zero_family):
 def test_intersection_matches_kernel_on_large_curves(p, zero_family):
     assert list(gs._route_rows(p, "intersection", zero_family).rows()) == \
         list(gs._plan(p)[1].rows())
+
+
+@pytest.mark.parametrize("method", ["union_nabla", "explicit_s", "intersection"])
+@pytest.mark.parametrize("zero_family", [False, True])
+def test_route_walks_ascend_and_match_the_held_rows(method, zero_family):
+    """On every sweep cell a route's walk lists strictly ascending
+    prefixes, each with strictly ascending lasts, the rows the route's
+    held form lists."""
+    for p in verify.sweep_cells():
+        walked = list(gs._route_walk(p, method, zero_family))
+        prefixes = [prefix for prefix, _ in walked]
+        assert all(map(operator.lt, prefixes, prefixes[1:])), p
+        assert all(lasts and all(map(operator.lt, lasts, lasts[1:])) for _, lasts in walked), p
+        assert walked == list(gs._route_rows(p, method, zero_family).rows()), p
 
 
 @given(st.integers(2, 3).flatmap(
