@@ -385,19 +385,19 @@ class TupleRows:
 
     Rows have one form, a walk and an exact length: ``walk()`` yields
     the rows afresh on every read, and ``tuples`` builds the tuples anew
-    on every access, so no read keeps anything.  The constructor walks
-    the prefixes and the lasts of the rows, two sequences in order;
-    ``of`` groups a list of tuples; ``walked`` takes any walk and its
-    length, so a cache can hand rows that are never held to every
-    caller.  Pickle and copy rebuild rows through the constructor.
+    on every access, so no read keeps anything.  The constructor holds
+    the ``(prefix, lasts)`` pairs, the form every walk yields; ``of``
+    groups a list of tuples; ``walked`` takes any walk and its length,
+    so a cache can hand rows that are never held to every caller.
+    Pickle and copy rebuild rows through the constructor.
     """
 
     __slots__ = ("_len", "walk")
 
-    def __init__(self, prefixes: Iterable[IntTuple], lasts: Iterable[IntTuple]) -> None:
-        lasts = tuple(lasts)
-        self.walk = functools.partial(zip, tuple(prefixes), lasts)
-        self._len = sum(map(len, lasts))
+    def __init__(self, rows: Iterable[tuple[IntTuple, IntTuple]]) -> None:
+        rows = tuple(rows)
+        self.walk = functools.partial(iter, rows)
+        self._len = sum([len(lasts) for _, lasts in rows])
 
     @classmethod
     def walked(cls, walk: Callable[[], Iterator[tuple[IntTuple, IntTuple]]],
@@ -408,19 +408,14 @@ class TupleRows:
         return rows
 
     def __reduce__(self) -> tuple:
-        rows = list(self.rows())
-        return TupleRows, ([prefix for prefix, _ in rows], [lasts for _, lasts in rows])
+        return TupleRows, (tuple(self.rows()),)
 
     @classmethod
     def of(cls, tuples: Iterable[IntTuple]) -> TupleRows:
         """The rows of ``tuples`` in the given order, unsorted: each run of
         consecutive tuples that share all but their last coordinate."""
-        prefixes: list[IntTuple] = []
-        lasts: list[IntTuple] = []
-        for prefix, run in itertools.groupby(tuples, lambda t: t[:-1]):
-            prefixes.append(prefix)
-            lasts.append(tuple([t[-1] for t in run]))
-        return cls(prefixes, lasts)
+        return cls((prefix, tuple([t[-1] for t in run]))
+                   for prefix, run in itertools.groupby(tuples, lambda t: t[:-1]))
 
     def __len__(self) -> int:
         return self._len

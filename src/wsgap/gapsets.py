@@ -49,12 +49,16 @@ cross-checks: each lists its sets as slabs of [0, 2g-1]^m, and one
 walk goes over their union by first coordinates, marking one byte
 block at a time.  Every route is walked anew on each call
 (``_route_walk``), and ``_route_rows`` holds its rows for a report.
+``gaps`` and ``pure_gaps`` build their reports in one place
+(``_report``): the plan's two sides, with the side a requested route
+gives read from that route.
 
 Every route hands its sets over in row form (``core.TupleRows``): the
 tuples that share their first m-1 coordinates make one row, a prefix
 tuple and a tuple of last coordinates.  The kernel, the slab walk and
-the witness walk make their rows directly; the single-point report
-groups its sorted tuples with ``TupleRows.of``.  The command line
+the witness walk yield their rows as ``(prefix, lasts)`` pairs, the
+form ``TupleRows`` holds; the single-point report groups its sorted
+tuples with ``TupleRows.of``.  The command line
 renders the rows of the report; the tuples themselves are built anew
 on each read of ``GapReport.gaps`` or ``.pure_gaps``.
 """
@@ -479,32 +483,27 @@ def _route_walk(params: CurveParams, method: str, include_zero_family: bool) -> 
 
 def _route_rows(params: CurveParams, method: str, include_zero_family: bool) -> TupleRows:
     """The rows of ``_route_walk``, held."""
-    rows = list(_route_walk(params, method, include_zero_family))
-    return TupleRows([prefix for prefix, _ in rows], [lasts for _, lasts in rows])
+    return TupleRows(_route_walk(params, method, include_zero_family))
 
 
-def _stats(params: CurveParams, gap_count: int, pure_count: int, gap_method: str,
-           pure_method: str) -> dict:
+def _report(params: CurveParams, method: str, gap_method: str, pure_method: str) -> GapReport:
+    """The report of ``gaps`` or ``pure_gaps``: the kernel's two sides,
+    with the side a cross-check route gives read from that route; at a
+    single point the numerical gaps as both sides."""
+    if params.m == 1:
+        gap_rows = pure_rows = TupleRows.of((t,) for t in numerical_gaps(params.a, params.b))
+        pure_method = "single-point"
+    else:
+        gap_rows, pure_rows = _plan(params)
+        if gap_method != "complement":
+            gap_rows = _route_rows(params, gap_method, False)
+        if pure_method != "profile":
+            pure_rows = _route_rows(params, pure_method, False)
     B = 2 * params.genus - 1
-    return {
-        "gap_count": gap_count,
-        "pure_gap_count": pure_count,
-        "bounding_box": {"lo": [0] * params.m, "hi": [B] * params.m},
-        "gap_method": gap_method,
-        "pure_gap_method": pure_method,
-    }
-
-
-def _report(params: CurveParams, gap_rows: TupleRows, pure_rows: TupleRows, method: str,
-            gap_method: str, pure_method: str) -> GapReport:
     return GapReport(params=params, gap_rows=gap_rows, pure_rows=pure_rows, method=method,
-                     stats=_stats(params, len(gap_rows), len(pure_rows), gap_method,
-                                  pure_method))
-
-
-def _single_point_report(params: CurveParams, method: str, gap_method: str) -> GapReport:
-    singles = TupleRows.of((t,) for t in numerical_gaps(params.a, params.b))
-    return _report(params, singles, singles, method, gap_method, "single-point")
+                     stats={"gap_count": len(gap_rows), "pure_gap_count": len(pure_rows),
+                            "bounding_box": {"lo": [0] * params.m, "hi": [B] * params.m},
+                            "gap_method": gap_method, "pure_gap_method": pure_method})
 
 
 def gaps(params: CurveParams, method: str = "complement") -> GapReport:
@@ -517,12 +516,7 @@ def gaps(params: CurveParams, method: str = "complement") -> GapReport:
     """
     if method not in GAP_METHODS:
         raise WsgapError(f"unknown gap method {method!r}; choose from {GAP_METHODS}")
-    if params.m == 1:
-        return _single_point_report(params, method, method)
-    gap_rows, pure = _plan(params)
-    if method != "complement":
-        gap_rows = _route_rows(params, method, False)
-    return _report(params, gap_rows, pure, method, method, "profile")
+    return _report(params, method, method, "profile")
 
 
 def pure_gaps(params: CurveParams, method: str = "profile") -> GapReport:
@@ -533,12 +527,7 @@ def pure_gaps(params: CurveParams, method: str = "profile") -> GapReport:
     """
     if method not in PURE_METHODS:
         raise WsgapError(f"unknown pure-gap method {method!r}; choose from {PURE_METHODS}")
-    if params.m == 1:
-        return _single_point_report(params, method, "complement")
-    gap_rows, pure = _plan(params)
-    if method == "intersection":
-        pure = _route_rows(params, method, False)
-    return _report(params, gap_rows, pure, method, "complement", method)
+    return _report(params, method, "complement", method)
 
 
 def nabla_bar_nonneg(params: CurveParams, beta_star: Sequence[int]) -> tuple[IntTuple, ...]:
@@ -641,14 +630,9 @@ def sigma_pair(params: CurveParams) -> SigmaTable:
     partner = dict(pairs)
     sigma = tuple(index[partner[ell]] for ell in seq)
     ids = list(enumerate(sigma, 1))
-    prefixes, lasts = [], []
-    for i, s in ids:
-        row = tuple([j for j, t in ids[i:] if s > t])
-        if row:
-            prefixes.append((i,))
-            lasts.append(row)
+    rows = [((i,), row) for i, s in ids if (row := tuple([j for j, t in ids[i:] if s > t]))]
     return SigmaTable(params=params, gaps_q1=seq, gaps_q2=seq2, sigma=sigma,
-                      gamma_pairs=pairs, inversions=TupleRows(prefixes, lasts))
+                      gamma_pairs=pairs, inversions=TupleRows(rows))
 
 
 def sigma_gap_set(table: SigmaTable) -> tuple[IntTuple, ...]:

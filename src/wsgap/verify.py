@@ -19,21 +19,19 @@ The reports are sorted by check name, whichever child ran a check.  The
 checks of one cell run in one child and share the kernel's plan, cached
 per curve; each read of its two sides walks the plan, and no side keeps
 its rows.  ``gap-methods`` and ``pure-methods`` compare the cross-check
-routes without the zero family with the kernel, ``zero-family`` the
-routes with it: each route is walked anew (``gapsets._route_walk``)
-beside the kernel's side, pair of rows by pair of rows, so neither is
-held, and a route is held only to write a failure's ``detail``.  Each
-check's ``ms`` holds only the work it did first.  Once a cell is done,
-its child empties every per-curve cache
-(``core.clear_curve_caches``): the cells are distinct curves, so no
-cell reads another's entries, and a child's memory follows the cell it
-runs, not the cells it has finished.  The caller only deals the cells
-and reads the replies, so its heap is not fragmented by the dozens of
-cells one share holds: ``wsgap verify --what all --format json`` peaks
-at about 14.9 MB max-RSS on a 2-vCPU VM, against 16.7 MB when the
-caller ran a share of each round itself and 20.9 MB when each process
-kept its last 8 cells.  The symmetry and report-sanity checks read
-rows too; tuples are built only when a check fails.
+routes without the zero family with the kernel (``_route_agrees``),
+``zero-family`` the routes with it: each route is walked anew
+(``gapsets._route_walk``) beside the kernel's side, pair of rows by
+pair of rows (``_same_rows``), so neither is held, and a route is held
+only to write a failure's ``detail``.  Each check's ``ms`` holds only
+the work it did first.  Once a cell is done, its child empties every
+per-curve cache (``core.clear_curve_caches``): the cells are distinct
+curves, so no cell reads another's entries, and a child's memory
+follows the cell it runs, not the cells it has finished.  The caller
+only deals the cells and reads the replies, so its heap is not
+fragmented by the dozens of cells one share holds.  The symmetry and
+report-sanity checks read rows too; tuples are built only when a check
+fails.
 """
 
 from __future__ import annotations
@@ -277,23 +275,27 @@ def _same_rows(walk: Iterable[tuple[IntTuple, IntTuple]], rows: TupleRows) -> bo
     return all(itertools.starmap(operator.eq, itertools.zip_longest(walk, rows.rows())))
 
 
+def _route_agrees(p: CurveParams, stamps: _Stamps, name: str, method: str,
+                  side: TupleRows) -> CheckResult:
+    """A cross-check route without the zero family against a kernel
+    side, walked beside it; the route is held only to write a failure's
+    ``detail``."""
+    ok = _same_rows(gs._route_walk(p, method, False), side)
+    detail = "" if ok else _diff_detail(gs._route_rows(p, method, False).tuples, side.tuples)
+    return stamps.result(name, ok, detail)
+
+
 def _check_gap_methods(p: CurveParams) -> list[CheckResult]:
     stamps = _Stamps(p)
     base = gs.gaps(p).gap_rows
-    results = []
-    for method in ("union_nabla", "explicit_s"):
-        ok = _same_rows(gs._route_walk(p, method, False), base)
-        detail = "" if ok else _diff_detail(gs._route_rows(p, method, False).tuples, base.tuples)
-        results.append(stamps.result(f"gap-methods-agree:{method}", ok, detail))
-    return results
+    return [_route_agrees(p, stamps, f"gap-methods-agree:{method}", method, base)
+            for method in ("union_nabla", "explicit_s")]
 
 
 def _check_pure_methods(p: CurveParams) -> list[CheckResult]:
     stamps = _Stamps(p)
-    prof = gs.pure_gaps(p).pure_rows
-    ok = _same_rows(gs._route_walk(p, "intersection", False), prof)
-    return [stamps.result("pure-methods-agree", ok, "" if ok else _diff_detail(
-        gs._route_rows(p, "intersection", False).tuples, prof.tuples))]
+    return [_route_agrees(p, stamps, "pure-methods-agree", "intersection",
+                          gs.pure_gaps(p).pure_rows)]
 
 
 def _check_zero_family(p: CurveParams) -> list[CheckResult]:

@@ -33,33 +33,43 @@ def test_check_passes_and_times_every_part(check_large, p):
 
 @pytest.mark.parametrize("p", CURVES, ids=str)
 def test_subset_run_times_only_its_checks(check_large, p):
-    # no render check unless every property check runs
-    bad, times = check_large.check(p, checks=("witnesses", "pure-methods"))
+    parts = ("witnesses", "pure-methods", "counts", "rendering")
+    bad, times = check_large.check(p, parts)
     assert bad == []
-    assert list(times) == ["witnesses", "pure-methods", "oracle", "counts"]
+    assert list(times) == list(parts)
 
 
 def test_oracle_only_run(check_large):
-    bad, times = check_large.check(w.curve_params(4, 5, 2), checks=())
+    bad, times = check_large.check(w.curve_params(4, 5, 2), ("oracle", "counts"))
     assert bad == []
     assert list(times) == ["oracle", "counts"]
 
 
 def test_count_only_run(check_large):
-    bad, times = check_large.count_only(w.hermitian_params(4, 4))
+    bad, times = check_large.check(w.hermitian_params(4, 4), ("counts",))
     assert bad == []
     assert list(times) == ["counts"]
+
+
+def test_every_curve_names_known_parts(check_large):
+    """Each curve of the table lists its parts once each, from ``PARTS``;
+    the (7, 13, 5) curve is there for its route checks alone."""
+    for label, p, parts in check_large.CURVES:
+        assert len(set(parts)) == len(parts) and set(parts) <= set(check_large.PARTS), label
+    parts = {label: parts for label, _, parts in check_large.CURVES}
+    assert "oracle" not in parts["a=7 b=13 m=5"]
 
 
 @pytest.mark.parametrize("p", CURVES, ids=str)
 def test_check_reports_a_wrong_count(check_large, monkeypatch, p):
     real = gs.gap_counts
     monkeypatch.setattr(gs, "gap_counts", lambda params: (real(params)[0] + 1, real(params)[1]))
-    assert any(line.startswith("gap_counts ") for line in check_large.count_only(p)[0])
+    assert any(line.startswith("gap_counts ") for line in check_large.check(p, ("counts",))[0])
     if p.m == 2:
         monkeypatch.setattr(gs, "gap_counts", lambda params: (real(params)[0],
                                                               real(params)[1] - 1))
-        assert any("inversions of sigma" in line for line in check_large.count_only(p)[0])
+        assert any("inversions of sigma" in line
+                   for line in check_large.check(p, ("counts",))[0])
 
 
 def test_render_check_reads_the_streamed_rows(check_large, monkeypatch):
@@ -112,7 +122,8 @@ def test_each_curve_starts_with_empty_caches(check_large, monkeypatch, capsys):
     """``main`` empties every per-curve cache once a curve is done."""
     filled = []
 
-    def fill(p, seed):
+    def fill(p, parts, seed):
+        assert (parts, seed) == (check_large.PARTS, 1)
         filled.append([f.__name__ for f in core.CURVE_CACHES if f.cache_info().currsize])
         w.gaps(p)
         return [], {}

@@ -143,6 +143,30 @@ class TestPureGaps:
         assert report.stats["pure_gap_count"] == len(report.pure_gaps)
 
 
+# (builder, method, the stats' gap_method, their pure_gap_method at m >= 2)
+REPORT_ROUTES = ([(w.gaps, method, method, "profile") for method in gs.GAP_METHODS]
+                 + [(w.pure_gaps, method, "complement", method) for method in gs.PURE_METHODS])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("build,method,gap_method,pure_method", REPORT_ROUTES,
+                         ids=[f"{r[0].__name__}-{r[1]}" for r in REPORT_ROUTES])
+def test_report_stats_count_the_rows_and_name_the_routes(build, method, gap_method,
+                                                         pure_method, m):
+    p = w.curve_params(4, 5, m)
+    report = build(p, method)
+    walked = [sum(len(lasts) for _, lasts in rows.rows())
+              for rows in (report.gap_rows, report.pure_rows)]
+    assert report.method == method
+    assert report.stats == {
+        "gap_count": walked[0], "pure_gap_count": walked[1],
+        "bounding_box": {"lo": [0] * m, "hi": [2 * p.genus - 1] * m},
+        "gap_method": gap_method,
+        "pure_gap_method": "single-point" if m == 1 else pure_method,
+    }
+    assert walked == [p.genus, p.genus] if m == 1 else walked == list(gs.gap_counts(p))
+
+
 class TestWitness:
     def test_reference_witnesses(self):
         for gap, expected in fx.PURE_GAP_WITNESSES_453.items():

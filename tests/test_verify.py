@@ -373,6 +373,35 @@ class TestChecksCatchFaults:
             assert not e.passed
             assert e.detail == f"no witness for pure gap {plain[p]}"
 
+    def test_witnesses_catch_swapped_witnesses(self, monkeypatch):
+        """A pure gap whose first two coordinates trade witnesses: the
+        report is untouched, so only the witness check can see it."""
+        real = verify.gs._witnesses
+
+        def swap_first(p):
+            found = real(p)
+            for t, witness in itertools.islice(found, 1):
+                yield t, (witness[1], witness[0], *witness[2:])
+            yield from found
+
+        monkeypatch.setattr(verify.gs, "_witnesses", swap_first)
+        report = w.run_property_sweep(max_a=3, max_b=4, max_m=3,
+                                      checks=("witnesses", "pure-methods"))
+        by_name = {e.name: e for e in report.entries}
+        caught = 0
+        for p in self.CELLS:
+            cell = f"a{p.a}-b{p.b}-m{p.m}:"
+            assert by_name[cell + "pure-methods-agree"].passed
+            e = by_name[cell + "witness-coherence"]
+            pure = w.pure_gaps(p).pure_gaps
+            if pure:
+                assert not e.passed
+                assert e.detail == f"witness for {pure[0]} has the wrong common point"
+                caught += 1
+            else:
+                assert e.passed
+        assert caught
+
 
 class TestFastPathFaults:
     """The shared routes, the row comparison, the symmetry generators and
@@ -392,8 +421,7 @@ class TestFastPathFaults:
         real = verify.gs._route_walk
 
         def route(p, method, include_zero_family):
-            held = list(real(p, method, include_zero_family))
-            rows = w.TupleRows([prefix for prefix, _ in held], [lasts for _, lasts in held])
+            rows = w.TupleRows(real(p, method, include_zero_family))
             return corrupt(p, method, include_zero_family, rows).rows()
 
         monkeypatch.setattr(verify.gs, "_route_walk", route)
@@ -510,7 +538,7 @@ class TestFastPathFaults:
                 return rows
             prefix, lasts = held[k]
             held[k:k + 1] = [(prefix, lasts[:1]), (prefix, lasts[1:])]
-            return w.TupleRows([prefix for prefix, _ in held], [lasts for _, lasts in held])
+            return w.TupleRows(held)
 
         self._patch_route(monkeypatch, split_first_long_row)
         results = self._results("gap-methods", "gap-methods-agree:union_nabla")
@@ -544,7 +572,7 @@ class TestFastPathFaults:
         """Rows are compared pair by pair: the same tuples split over two
         rows of one prefix differ, as does a walk one row short or over."""
         whole = w.TupleRows.of([(0, 1), (0, 2), (0, 3), (1, 0)])
-        split = w.TupleRows([(0,), (0,), (1,)], [(1,), (2, 3), (0,)])
+        split = w.TupleRows([((0,), (1,)), ((0,), (2, 3)), ((1,), (0,))])
         assert split.tuples == whole.tuples
         assert verify._same_rows(whole.rows(), whole)
         assert not verify._same_rows(split.rows(), whole)
@@ -706,16 +734,12 @@ class TestRowChecks:
         negative = sorted({(0, *perm) for perm in itertools.permutations((-1,) + (0,) * (m - 2))})
         of = w.TupleRows.of
         yield "as-is", report.gap_rows, report.pure_rows
-        yield "unsorted-lasts", w.TupleRows(
-            [r[0] for r in rows], [r[1][::-1] if j == k else r[1] for j, r in enumerate(rows)]), \
+        yield "unsorted-lasts", w.TupleRows(rows[:k] + [(prefix, lasts[::-1])] + rows[k + 1:]), \
             report.pure_rows
         yield "split-prefix", w.TupleRows(
-            [r[0] for r in rows[:k]] + [prefix, prefix] + [r[0] for r in rows[k + 1:]],
-            [r[1] for r in rows[:k]] + [lasts[:1], lasts[1:]] + [r[1] for r in rows[k + 1:]]), \
-            report.pure_rows
+            rows[:k] + [(prefix, lasts[:1]), (prefix, lasts[1:])] + rows[k + 1:]), report.pure_rows
         yield "split-out-of-order", w.TupleRows(
-            [r[0] for r in rows[:k]] + [prefix] + [r[0] for r in rows[k + 1:]] + [prefix],
-            [r[1] for r in rows[:k]] + [lasts[1:]] + [r[1] for r in rows[k + 1:]] + [lasts[:1]]), \
+            rows[:k] + [(prefix, lasts[1:])] + rows[k + 1:] + [(prefix, lasts[:1])]), \
             report.pure_rows
         yield "duplicate", of(gaps[:5] + gaps[4:]), report.pure_rows
         yield "duplicate-pure", report.gap_rows, of(pure[:1] + pure)
@@ -767,10 +791,10 @@ class TestRowChecks:
         assert outcomes == ({True} if m == 2 else {True, False})
 
     def test_lasts_by_prefix_is_the_tuple_set(self):
-        rows = w.TupleRows([(0, 1), (0, 0), (0, 1), (2, 2)], [(5, 3, 5), (1,), (4, 3), (0,)])
+        rows = w.TupleRows([((0, 1), (5, 3, 5)), ((0, 0), (1,)), ((0, 1), (4, 3)), ((2, 2), (0,))])
         assert verify._lasts_by_prefix(rows) == {(0, 1): (3, 4, 5), (0, 0): (1,), (2, 2): (0,)}
         shared = (1, 2, 3)
-        kept = verify._lasts_by_prefix(w.TupleRows([(0,), (1,)], [shared, shared]))
+        kept = verify._lasts_by_prefix(w.TupleRows([((0,), shared), ((1,), shared)]))
         assert kept[(0,)] is shared and kept[(1,)] is shared
 
 
